@@ -47,7 +47,8 @@ from .projectors import LocalProjector, ProjectorSet, validate_projector
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.split("#", 1)[0].strip()
+        # Matrix rows run to kilobytes; only split lines that hold a comment.
+        s = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if s:
             yield lineno, s
 
@@ -103,6 +104,35 @@ def format_edge_list(g: DependencyGraph) -> str:
 # ---------------------------------------------------------------------------
 # Projector specs
 
+def _parse_matrix(block: list[tuple[int, str]], side: int) -> np.ndarray:
+    """The side x side complex matrix written as ``side`` rows of re/im pairs.
+
+    One numpy call converts the whole block.  When it fails, or the block is
+    short or ragged, the rows are read again one number at a time with
+    ``float()``, which accepts every numeral Python does and names the line
+    of the first bad row.
+    """
+    if len(block) == side:
+        try:
+            flat = np.loadtxt([s for _, s in block], dtype=np.float64, ndmin=2)
+        except ValueError:
+            flat = None
+        if flat is not None and flat.shape == (side, 2 * side):
+            return flat.view(np.complex128)
+    rows = []
+    for k in range(side):
+        if k >= len(block):
+            raise SpecParseError(f"matrix needs {side} rows, file ended early")
+        lineno, s = block[k]
+        toks = s.split()
+        if len(toks) != 2 * side:
+            raise SpecParseError(
+                f"matrix row needs {2 * side} numbers (re im pairs), "
+                f"got {len(toks)}", lineno)
+        rows.append([_float(t, lineno, "matrix entry") for t in toks])
+    return np.array(rows, dtype=np.float64).view(np.complex128)
+
+
 def parse_projector_spec(text: str, *, validate: bool = True,
                          tol: float = 1e-8) -> ProjectorSet:
     """Parse a projector-spec file into a validated ProjectorSet."""
@@ -122,6 +152,8 @@ def parse_projector_spec(text: str, *, validate: bool = True,
         pos += 1
     if d is None or qudits is None:
         raise SpecParseError("header must declare 'd' and 'qudits'")
+    if d < 2:
+        raise SpecParseError("local dimension d must be at least 2")
     projectors = []
     while pos < len(lines):
         lineno, s = lines[pos]
@@ -139,26 +171,13 @@ def parse_projector_spec(text: str, *, validate: bool = True,
                                  lineno)
         pos += 1
         side = d ** len(support)
-        rows = []
-        for _ in range(side):
-            if pos >= len(lines):
-                raise SpecParseError(
-                    f"matrix needs {side} rows, file ended early")
-            lineno, s = lines[pos]
-            toks = s.split()
-            if len(toks) != 2 * side:
-                raise SpecParseError(
-                    f"matrix row needs {2 * side} numbers (re im pairs), "
-                    f"got {len(toks)}", lineno)
-            vals = [_float(t, lineno, "matrix entry") for t in toks]
-            rows.append([complex(vals[2 * i], vals[2 * i + 1])
-                         for i in range(side)])
-            pos += 1
+        matrix = _parse_matrix(lines[pos:pos + side], side)
+        pos += side
         if pos >= len(lines) or lines[pos][1] != "end":
             raise SpecParseError("projector block must close with 'end'",
                                  lines[pos - 1][0])
         pos += 1
-        projectors.append(LocalProjector(support, np.array(rows, dtype=np.complex128)))
+        projectors.append(LocalProjector(support, matrix))
     try:
         ps = ProjectorSet(d, qudits, projectors)
     except ValueError as exc:

@@ -1,6 +1,5 @@
-"""Dense complex linear algebra on qudit supports: projector validation,
-normalized traces of ordered products, kernel-intersection dimensions and the
-spectral gap.
+"""Projector algebra on qudit supports: validation, normalized traces of
+ordered products, kernel-intersection dimensions and the spectral gap.
 
 Normalization convention: every dimension, rank and trace is relative to
 d^(size of the relevant support), so the full space has normalized dimension 1
@@ -10,11 +9,19 @@ the reporting layer.
 
 Embedding convention: qudit indices ascending, row-major composite indexing
 (the first qudit of a support is the most significant digit).
+
+Each projector is diagonalized once.  Its image factor W = V sqrt(lambda),
+over the eigenpairs above ``EIG_TOL``, satisfies W W^dagger = P up to those
+dropped eigenpairs, and all algebra on a union support U of dimension
+D = d^|U| runs on the embedded factors (D x K, K = sum_i r_i d^(|U| - |s_i|))
+instead of D x D embedded projectors: the kernel of a sum is read from the
+K x K Gram matrix, and a product trace from chained K_a x K_b blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,11 +39,30 @@ class LocalProjector:
     """Hermitian idempotent matrix acting on the listed qudits.
 
     ``matrix`` has side d^len(support) with row-major composite indexing over
-    the sorted support.
+    the sorted support.  It is diagonalized once, on first use (normally by
+    validation), and must not be modified afterwards.
     """
 
     support: tuple[int, ...]
     matrix: np.ndarray
+
+    @cached_property
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        eig, vec = np.linalg.eigh(np.asarray(self.matrix, dtype=np.complex128))
+        keep = eig > EIG_TOL
+        return eig, vec[:, keep] * np.sqrt(eig[keep])
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of ``matrix``, ascending."""
+        return self._eigen[0]
+
+    @property
+    def image_factor(self) -> np.ndarray:
+        """W with W W^dagger = ``matrix`` (Hermitian, as validation checks)
+        less its eigenpairs at or below EIG_TOL; one column per kept
+        eigenpair."""
+        return self._eigen[1]
 
 
 class ProjectorSet:
@@ -65,7 +91,12 @@ class ProjectorSet:
                 raise ValueError(
                     f"projector {i}: matrix shape {mat.shape} does not match "
                     f"d^|support| = {side}")
-            cleaned.append(LocalProjector(support, mat))
+            # Keep the caller's object when nothing changed, so a
+            # diagonalization it already holds carries over.
+            if support == p.support and mat is p.matrix:
+                cleaned.append(p)
+            else:
+                cleaned.append(LocalProjector(support, mat))
         self.projectors: tuple[LocalProjector, ...] = tuple(cleaned)
 
     def __len__(self) -> int:
@@ -88,16 +119,12 @@ def validate_projector(p: LocalProjector, tol: float = 1e-8) -> ProjectorDiagnos
     herm = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     idem = float(np.max(np.abs(m @ m - m))) if m.size else 0.0
     if herm <= tol and m.size:
-        eig = np.linalg.eigvalsh(m)
+        eig = p.eigenvalues
         spectrum = float(np.max(np.minimum(np.abs(eig), np.abs(eig - 1.0))))
     else:
         spectrum = float("inf") if herm > tol else 0.0
     passed = herm <= tol and idem <= tol and spectrum <= tol
     return ProjectorDiagnostics(herm, idem, spectrum, passed)
-
-
-def validate_set(ps: ProjectorSet, tol: float = 1e-8) -> list[ProjectorDiagnostics]:
-    return [validate_projector(p, tol) for p in ps.projectors]
 
 
 def support_dependency_graph(ps: ProjectorSet) -> DependencyGraph:
@@ -111,6 +138,21 @@ def support_dependency_graph(ps: ProjectorSet) -> DependencyGraph:
     return build_graph(len(supports), edges)
 
 
+def _digit_order(support: tuple[int, ...], target: tuple[int, ...]) -> list[int]:
+    """Axis permutation taking [support digits..., extra digits...] to the
+    target's ascending qudit order."""
+    pos_in_support = {q: i for i, q in enumerate(support)}
+    perm = []
+    next_extra = len(support)
+    for q in target:
+        if q in pos_in_support:
+            perm.append(pos_in_support[q])
+        else:
+            perm.append(next_extra)
+            next_extra += 1
+    return perm
+
+
 def embed_operator(matrix: np.ndarray, support: Sequence[int],
                    target: Sequence[int], d: int) -> np.ndarray:
     """Embed an operator on ``support`` into the register ``target`` by
@@ -119,26 +161,31 @@ def embed_operator(matrix: np.ndarray, support: Sequence[int],
     target = tuple(target)
     if not set(support) <= set(target):
         raise ValueError("support must be contained in the target register")
-    s = len(support)
-    extra = len(target) - s
+    extra = len(target) - len(support)
     if extra == 0 and support == target:
         return np.asarray(matrix, dtype=np.complex128)
     big = np.kron(np.asarray(matrix, dtype=np.complex128), np.eye(d ** extra))
     # axes of big: [support digits..., extra digits...] for rows and columns;
     # permute so digits follow the target's ascending qudit order.
-    pos_in_support = {q: i for i, q in enumerate(support)}
-    perm = []
-    next_extra = s
-    for q in target:
-        if q in pos_in_support:
-            perm.append(pos_in_support[q])
-        else:
-            perm.append(next_extra)
-            next_extra += 1
+    perm = _digit_order(support, target)
     u = len(target)
     tensor = big.reshape([d] * (2 * u))
     tensor = tensor.transpose(perm + [u + a for a in perm])
     return np.ascontiguousarray(tensor.reshape(d ** u, d ** u))
+
+
+def _embed_factor(p: LocalProjector, target: tuple[int, ...], d: int) -> np.ndarray:
+    """The image factor of ``p`` tensored with identity on ``target``:
+    rows are target indices, columns (kept eigenpair, extra digits)."""
+    w = p.image_factor
+    extra = len(target) - len(p.support)
+    if extra == 0:
+        return w
+    big = np.kron(w, np.eye(d ** extra))
+    u = len(target)
+    tensor = big.reshape([d] * u + [big.shape[1]])
+    tensor = tensor.transpose(_digit_order(p.support, target) + [u])
+    return tensor.reshape(d ** u, big.shape[1])
 
 
 def _union_support(ps: ProjectorSet, indices: Iterable[int]) -> tuple[int, ...]:
@@ -155,23 +202,44 @@ def _check_cap(ps: ProjectorSet, support: Sequence[int]) -> None:
             f"dense dimension d^{len(support)} = {dim} exceeds cap {ps.dense_cap}")
 
 
+def _sum_spectrum(ps: ProjectorSet, indices: Sequence[int],
+                  union: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Spectrum of the sum of the listed projectors on ``union``, as
+    (ascending eigenvalues of the Gram matrix, count of further zeros).
+
+    With M the stacked D x K embedded image factors, the sum is M M^dagger,
+    whose spectrum is that of the K x K matrix M^dagger M plus D - K
+    structural zeros; when K >= D the D x D matrix M M^dagger is used."""
+    m = np.hstack([_embed_factor(ps.projectors[i], union, ps.d)
+                   for i in indices])
+    dim, k = m.shape
+    if k < dim:
+        return np.linalg.eigvalsh(m.conj().T @ m), dim - k
+    return np.linalg.eigvalsh(m @ m.conj().T), 0
+
+
 def normalized_product_trace(ps: ProjectorSet, indices: Sequence[int], *,
                              imag_tol: float = IMAG_TOL) -> float:
     """tr of the ordered product of the listed projectors over d^|support union|.
 
-    Factors are embedded on the union support and multiplied in the given
-    order (repeats allowed).  The imaginary part must be below tolerance; for
-    commuting families it vanishes identically.
+    Factors are taken in the given order (repeats allowed).  With P_a =
+    W_a W_a^dagger embedded on the union, the trace is that of the cyclic
+    chain of blocks W_a^dagger W_b.  The imaginary part must be below
+    tolerance; for commuting families it vanishes identically.
     """
     if not indices:
         raise ValueError("product of an empty index list")
     union = _union_support(ps, indices)
     _check_cap(ps, union)
+    factors = {i: _embed_factor(ps.projectors[i], union, ps.d)
+               for i in set(indices)}
+    blocks: dict[tuple[int, int], np.ndarray] = {}
     acc = None
-    for i in indices:
-        p = ps.projectors[i]
-        factor = embed_operator(p.matrix, p.support, union, ps.d)
-        acc = factor if acc is None else acc @ factor
+    for a, b in zip(indices, tuple(indices[1:]) + (indices[0],)):
+        block = blocks.get((a, b))
+        if block is None:
+            block = blocks[(a, b)] = factors[a].conj().T @ factors[b]
+        acc = block if acc is None else acc @ block
     tr = complex(np.trace(acc))
     norm = ps.d ** len(union)
     if abs(tr.imag) > imag_tol * max(1.0, abs(tr)):
@@ -182,8 +250,7 @@ def normalized_product_trace(ps: ProjectorSet, indices: Sequence[int], *,
 
 def rank_normalized(p: LocalProjector, d: int) -> float:
     """Eigenvalue count >= 1/2, over d^|support|."""
-    eig = np.linalg.eigvalsh(np.asarray(p.matrix, dtype=np.complex128))
-    rank = int(np.sum(eig >= 0.5))
+    rank = int(np.sum(p.eigenvalues >= 0.5))
     return rank / (d ** len(p.support))
 
 
@@ -199,20 +266,17 @@ def kernel_intersection_dim(ps: ProjectorSet, indices: Iterable[int], *,
         return 1.0
     union = _union_support(ps, indices)
     _check_cap(ps, union)
-    dim_union = ps.d ** len(union)
-    acc = np.zeros((dim_union, dim_union), dtype=np.complex128)
-    for i in indices:
-        p = ps.projectors[i]
-        acc += embed_operator(p.matrix, p.support, union, ps.d)
-    eig = np.linalg.eigvalsh(acc)
+    eig, zeros = _sum_spectrum(ps, indices, union)
     cut = tol * max(1.0, float(eig[-1])) if eig.size else tol
-    null_dim = int(np.sum(eig < cut))
-    return null_dim / dim_union
+    null_dim = zeros + int(np.sum(eig < cut))
+    return null_dim / ps.d ** len(union)
 
 
 def spectral_gap(ps: ProjectorSet, *, tol: float = EIG_TOL) -> float:
     """Smallest nonzero eigenvalue of the sum of all projectors (0 if the sum
-    vanishes).  Dense full-space diagonalization; oracle-grade, desk scale."""
+    vanishes).  Qudits outside every support only repeat eigenvalues, so the
+    sum is taken on the union of the supports; the cap still bounds the
+    full-space dimension."""
     n = ps.qudit_count
     dim = ps.d ** n
     if dim > ps.dense_cap:
@@ -221,25 +285,24 @@ def spectral_gap(ps: ProjectorSet, *, tol: float = EIG_TOL) -> float:
             "supply a certified lower bound for the gap instead")
     if not ps.projectors:
         return 0.0
-    target = tuple(range(n))
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for p in ps.projectors:
-        acc += embed_operator(p.matrix, p.support, target, ps.d)
-    eig = np.linalg.eigvalsh(acc)
-    cut = tol * max(1.0, float(eig[-1]))
+    indices = range(len(ps.projectors))
+    eig, _ = _sum_spectrum(ps, indices, _union_support(ps, indices))
+    cut = tol * max(1.0, float(eig[-1])) if eig.size else tol
     nonzero = eig[eig > cut]
-    if nonzero.size == 0:
-        return 0.0
-    return float(nonzero[0])
+    return float(nonzero[0]) if nonzero.size else 0.0
 
 
 def pair_commutes(ps: ProjectorSet, i: int, j: int, tol: float = 1e-8) -> bool:
-    """Check the commutator of two projectors on their joint support."""
+    """Check the commutator of two projectors on their joint support.
+
+    With C = P_i P_j = W_i (W_i^dagger W_j) W_j^dagger, the commutator is
+    C - C^dagger."""
     union = _union_support(ps, (i, j))
     _check_cap(ps, union)
-    a = embed_operator(ps.projectors[i].matrix, ps.projectors[i].support, union, ps.d)
-    b = embed_operator(ps.projectors[j].matrix, ps.projectors[j].support, union, ps.d)
-    return float(np.max(np.abs(a @ b - b @ a))) <= tol
+    a = _embed_factor(ps.projectors[i], union, ps.d)
+    b = _embed_factor(ps.projectors[j], union, ps.d)
+    c = (a @ (a.conj().T @ b)) @ b.conj().T
+    return float(np.max(np.abs(c - c.conj().T))) <= tol
 
 
 @dataclass(frozen=True)

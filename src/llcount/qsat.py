@@ -4,7 +4,8 @@ condition, and the detectability-based affine approximation under a spectral
 gap assumption.
 
 All dimensions are normalized (full space = 1); absolute dimensions are
-normalized times d^qudit_count.
+normalized times d^qudit_count, reported with their base-2 logarithm because
+d^qudit_count leaves float range past about 1023 qubits.
 """
 
 from __future__ import annotations
@@ -28,13 +29,27 @@ from .projectors import (ProjectorSet, kernel_intersection_dim,
 _DELTA_CEILING = 50.0
 
 
+def _absolute_dimension(normalized: float, ps: ProjectorSet
+                       ) -> tuple[float | None, float | None]:
+    """(normalized * d^qudit_count, its log2).  The value is None when it
+    leaves float range; the log is None unless normalized > 0."""
+    try:
+        value = normalized * ps.d ** ps.qudit_count
+    except OverflowError:  # d^qudit_count does not convert to float
+        value = math.inf
+    log2 = (math.log2(normalized) + ps.qudit_count * math.log2(ps.d)
+            if normalized > 0.0 else None)
+    return (value if math.isfinite(value) else None), log2
+
+
 @dataclass
 class DimensionResult:
     """Normalized and absolute kernel-intersection dimension estimates."""
 
     approx: ApproxResult
     normalized: float
-    absolute: float
+    absolute: float | None
+    log2_absolute: float | None
     chi_used: int
     method: str
     delta_requested: float
@@ -95,7 +110,7 @@ def approx_dim_commuting(ps: ProjectorSet, epsilon: float, delta: float, *,
         extra_checks=checks)
     normalized = approx.real_value()
     return DimensionResult(approx, normalized,
-                           normalized * ps.d ** ps.qudit_count,
+                           *_absolute_dimension(normalized, ps),
                            chi, "commuting", delta)
 
 
@@ -222,7 +237,7 @@ def approx_dim_general(ps: ProjectorSet, epsilon: float, delta: float, *,
     normalized = approx.real_value()
     chi = greedy_coloring(graph).num_colors
     return DimensionResult(approx, normalized,
-                           normalized * ps.d ** ps.qudit_count,
+                           *_absolute_dimension(normalized, ps),
                            chi, "general-stability", delta)
 
 
@@ -284,7 +299,8 @@ class AffineResult:
     t: int
     chi_used: int
     approx: ApproxResult
-    absolute_z: float
+    absolute_z: float | None
+    log2_absolute_z: float | None
     delta_requested: float
 
 
@@ -350,11 +366,12 @@ def approx_dim_detectability(ps: ProjectorSet, params: DetectabilityParams,
         threads=threads, max_order=max_order, extra_checks=checks)
     z = approx.real_value()
     additive = detectability_additive_part(params.epsilon, lam, chi, t)
+    absolute_z, log2_absolute_z = _absolute_dimension(z, ps)
     return AffineResult(
         z=z, relative_coefficient=params.epsilon, additive_part=additive,
         worst_case_total=params.epsilon + additive, lambda_star=lam, t=t,
-        chi_used=chi, approx=approx, absolute_z=z * ps.d ** ps.qudit_count,
-        delta_requested=delta)
+        chi_used=chi, approx=approx, absolute_z=absolute_z,
+        log2_absolute_z=log2_absolute_z, delta_requested=delta)
 
 
 def spectral_gap_or_error(ps: ProjectorSet) -> float:

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, JSON-lines schema, determinism."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -183,3 +184,122 @@ def test_reports_bit_identical_across_thread_counts(tmp_path, capsys):
             assert code == 0
             outputs.add(_strip_timing(out))
         assert len(outputs) == 1
+
+
+def _huge_register_spec(tmp_path):
+    """1100 qubits, one rank-1 projector on qubits 0 and 1: d^qudits is far
+    outside float range."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = 1.0
+    path = tmp_path / "huge.spec"
+    path.write_text(format_projector_spec(
+        ProjectorSet(2, 1100, [LocalProjector((0, 1), m)])))
+    return str(path)
+
+
+@pytest.mark.parametrize("extra", [
+    ["qsat-commuting"],
+    ["qsat-general", "--mode", "detectability", "--lambda-star", "1"],
+])
+def test_absolute_value_out_of_float_range_is_null_with_log2(tmp_path, capsys,
+                                                              extra):
+    path = _huge_register_spec(tmp_path)
+    code, out, _ = _run(capsys, [extra[0], path] + extra[1:]
+                        + ["--format", "jsonl"])
+    assert code == 0
+    report = _last_json(out)
+    assert report["absolute_value"] is None
+    assert report["log2_absolute_value"] == pytest.approx(
+        1100 + math.log2(report["normalized_value"]), abs=1e-9)
+
+
+def test_absolute_value_in_float_range_matches_log2(tmp_path, capsys):
+    rng = random.Random(8)
+    path = tmp_path / "pair.spec"
+    path.write_text(format_projector_spec(overlapping_pair(rng, 9, 7, 1)))
+    code, out, _ = _run(capsys, ["qsat-commuting", str(path),
+                                 "--format", "jsonl"])
+    assert code == 0
+    report = _last_json(out)
+    assert report["absolute_value"] == report["normalized_value"] * 2 ** 9
+    assert 2 ** report["log2_absolute_value"] == pytest.approx(
+        report["absolute_value"], rel=1e-12)
+
+
+def _pair_spec(tmp_path):
+    path = tmp_path / "pair.spec"
+    path.write_text(format_projector_spec(
+        overlapping_pair(random.Random(4), 8, 7, 1)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["qsat-commuting", "check"])
+def test_dense_cap_from_environment_applies_to_every_command(
+        tmp_path, capsys, monkeypatch, command):
+    path = _pair_spec(tmp_path)
+    monkeypatch.setenv("LLCOUNT_MAX_DENSE_DIM", "2")
+    code, _, err = _run(capsys, [command, path, "--format", "jsonl"])
+    assert code == 4
+    assert "exceeds cap 2" in err
+    code, _, _ = _run(capsys, [command, path, "--dense-cap", "1024",
+                               "--format", "jsonl"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["qsat-commuting", "qsat-general", "check"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_dense_cap_below_one_is_rejected(tmp_path, capsys, command, cap):
+    code, _, err = _run(capsys, [command, _pair_spec(tmp_path),
+                                 "--dense-cap", cap, "--format", "jsonl"])
+    assert code == 3
+    assert "--dense-cap" in err
+
+
+def test_check_validates_each_projector_once(tmp_path, capsys, monkeypatch):
+    import llcount.formats
+    import llcount.projectors
+
+    calls = []
+    original = llcount.projectors.validate_projector
+
+    def counting(p, *args, **kwargs):
+        calls.append(id(p))
+        return original(p, *args, **kwargs)
+
+    monkeypatch.setattr(llcount.formats, "validate_projector", counting)
+    monkeypatch.setattr(llcount.projectors, "validate_projector", counting)
+    code, out, _ = _run(capsys, ["check", _pair_spec(tmp_path),
+                                 "--format", "jsonl"])
+    assert code == 0
+    assert len(calls) == 2 and len(set(calls)) == 2
+    cond = {c["name"]: c for c in _last_json(out)["conditions"]}
+    assert cond["projector-validation"] == {
+        "name": "projector-validation", "passed": True, "margin": 0.0,
+        "detail": "2 projectors validated"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["qsat-commuting"],
+    ["check", "--t", "1"],
+    ["qsat-general", "--delta", "1.0"],
+    ["qsat-general", "--mode", "detectability", "--t", "1"],
+])
+def test_each_projector_is_diagonalized_once_per_call(tmp_path, capsys,
+                                                      monkeypatch, argv):
+    proj = overlapping_pair(random.Random(6), 8, 7, 1, conjugated=True)
+    path = tmp_path / "pair.spec"
+    path.write_text(format_projector_spec(proj))
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _original=original, **kwargs):
+            seen.append(np.asarray(a).tobytes())
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    code, _, _ = _run(capsys, [argv[0], str(path)] + argv[1:]
+                      + ["--format", "jsonl"])
+    assert code == 0
+    for p in proj.projectors:
+        assert seen.count(np.asarray(p.matrix, dtype=complex).tobytes()) == 1

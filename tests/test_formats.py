@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llcount.errors import SpecParseError
 from llcount.formats import (format_edge_list, format_events_spec,
@@ -12,7 +14,10 @@ from llcount.formats import (format_edge_list, format_events_spec,
                              parse_events_spec, parse_projector_spec,
                              parse_weights_spec)
 from llcount.graphs import build_graph
+from llcount.projectors import LocalProjector, ProjectorSet
 from gen import overlapping_pair
+
+P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 
 
 def test_edge_list_roundtrip():
@@ -64,6 +69,11 @@ def test_projector_spec_parse_errors():
         parse_projector_spec("d 2\nqudits 1\nprojector\nsupport 0\n"
                              "matrix\n1 0\n0 0 0 0\nend\n")
     assert "line 6" in str(err.value)
+    for d in ("1", "-2"):
+        with pytest.raises(SpecParseError) as err:
+            parse_projector_spec(f"d {d}\nqudits 1\nprojector\nsupport 0\n"
+                                 "matrix\n1 0\nend\n")
+        assert "at least 2" in str(err.value)
 
 
 def test_events_spec_roundtrip_and_checks():
@@ -112,3 +122,76 @@ def test_coloring_parse():
         parse_coloring("0 0\n1 1\n", g)  # vertex 2 uncovered
     with pytest.raises(SpecParseError):
         parse_coloring("0 0\n0 1\n1 1\n2 0\n", g)  # colored twice
+
+
+def _per_entry_matrices(text):
+    """Matrices as a per-number float() parse of the spec text reads them."""
+    lines = [s.split("#", 1)[0].strip() for s in text.splitlines()]
+    lines = [s for s in lines if s]
+    out = []
+    for k, s in enumerate(lines):
+        if s == "matrix":
+            side = lines.index("end", k) - k - 1
+            vals = [[float(t) for t in row.split()] for row in lines[k + 1:k + 1 + side]]
+            out.append(np.array(vals).view(np.complex128))
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_projector_spec_roundtrip_is_bit_identical(data):
+    qubits = data.draw(st.integers(0, 2))
+    side = 2 ** qubits
+    entries = data.draw(st.lists(st.floats(allow_nan=False, width=64),
+                                 min_size=2 * side * side,
+                                 max_size=2 * side * side))
+    m = np.array(entries, dtype=np.float64).reshape(side, 2 * side)
+    ps = ProjectorSet(2, qubits, [LocalProjector(tuple(range(qubits)),
+                                                 m.view(np.complex128))])
+    text = format_projector_spec(ps)
+    got = parse_projector_spec(text, validate=False).projectors[0].matrix
+    assert got.tobytes() == ps.projectors[0].matrix.tobytes()
+    assert got.tobytes() == _per_entry_matrices(text)[0].tobytes()
+
+
+def test_projector_spec_roundtrip_of_generated_family_is_bit_identical():
+    rng = random.Random(3)
+    ps = overlapping_pair(rng, 8, 7, 1, conjugated=True)
+    ps2 = parse_projector_spec(format_projector_spec(ps))
+    for a, b in zip(ps.projectors, ps2.projectors):
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+HEADER = "d 2\nqudits 1\nprojector\nsupport 0\nmatrix\n"
+
+
+@pytest.mark.parametrize("body,line,message", [
+    ("1 0  0 0\n0 0\nend\n", 7, "needs 4 numbers (re im pairs), got 2"),
+    ("1 0  0 0  0\n0 0  0 0\nend\n", 6, "needs 4 numbers (re im pairs), got 5"),
+    ("1 0  0 0\n0 0  x 0\nend\n", 7, "expected number matrix entry, got 'x'"),
+    ("# a comment line\n1 0  0 0\n\n0 0  0 0 0 0\nend\n", 9, "got 6"),
+    ("1 0  0 0\nend\n", 7, "needs 4 numbers (re im pairs), got 1"),
+])
+def test_projector_spec_matrix_errors_keep_line_numbers(body, line, message):
+    with pytest.raises(SpecParseError) as err:
+        parse_projector_spec(HEADER + body)
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
+def test_projector_spec_early_eof():
+    with pytest.raises(SpecParseError) as err:
+        parse_projector_spec(HEADER + "1 0  0 0\n")
+    assert "file ended early" in str(err.value)
+    with pytest.raises(SpecParseError) as err:
+        parse_projector_spec(HEADER + "1 0  0 x\n")
+    assert err.value.line == 6 and "'x'" in str(err.value)
+
+
+def test_projector_spec_accepts_every_python_numeral():
+    # float() reads digit separators and non-ASCII digits; numpy does not.
+    text = HEADER + "١ 0_0  0 0\n0 0  0 0.0_0\nend\n"
+    ps = parse_projector_spec(text)
+    assert ps.projectors[0].matrix.tobytes() == P0.tobytes()
+    text = HEADER + "1 0  0 0\n0 0  0 ０\nend\n"
+    assert parse_projector_spec(text).projectors[0].matrix.tobytes() == P0.tobytes()

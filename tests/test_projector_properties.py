@@ -1,0 +1,199 @@
+"""The projector algebra on image factors against a dense reference.
+
+The reference embeds every projector on the union support with
+``embed_operator`` and works on D x D matrices; it is itself checked against
+the full-space diagonalization oracle.  The image factors drop eigenpairs at
+or below EIG_TOL, which moves every eigenvalue, trace and commutator entry by
+at most the sum of the dropped eigenvalues' magnitudes (Weyl's inequality and
+the operator-norm bound on traces).  Where the dense quantity lies within
+that margin of a cut or tolerance, either answer is right and the comparison
+is skipped.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from llcount.errors import NumericFailure
+from llcount.oracles import exact_dimension_full_diagonalization
+from llcount.projectors import (EIG_TOL, IMAG_TOL, LocalProjector,
+                                ProjectorSet, embed_operator,
+                                kernel_intersection_dim,
+                                normalized_product_trace, pair_commutes,
+                                spectral_gap, validate_projector)
+
+# Spectral norm of the perturbation: inside the 1e-8 validation tolerance.
+PERTURBATION = 0.9e-8
+ROUNDING = 1e-11
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _projector(npr, side, rank, diagonal):
+    if diagonal:
+        m = np.zeros((side, side), dtype=complex)
+        idx = npr.choice(side, rank, replace=False)
+        m[idx, idx] = 1.0
+        return m
+    q, _ = np.linalg.qr(npr.normal(size=(side, side))
+                        + 1j * npr.normal(size=(side, side)))
+    return q[:, :rank] @ q[:, :rank].conj().T
+
+
+def _perturb(npr, m):
+    side = m.shape[0]
+    h = npr.normal(size=(side, side)) + 1j * npr.normal(size=(side, side))
+    h = (h + h.conj().T) / 2.0
+    return m + PERTURBATION * h / np.linalg.norm(h, 2)
+
+
+def _dropped(m):
+    """Spectral norm of what the image factor leaves out of ``m``."""
+    eig = np.linalg.eigvalsh(m)
+    small = np.abs(eig[eig <= EIG_TOL])
+    return float(small.max()) if small.size else 0.0
+
+
+@st.composite
+def families(draw):
+    """(ProjectorSet, dropped norm per projector): d in {2, 3}, ranks from 0
+    to full, overlapping or disjoint supports, diagonal or dense bases, and
+    sometimes one projector perturbed just inside the validation tolerance."""
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 4 if d == 2 else 3))
+    npr = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    perturbed = draw(st.booleans())
+    projectors, dropped = [], []
+    for k in range(draw(st.integers(1, 3))):
+        support = tuple(sorted(draw(st.sets(
+            st.integers(0, n - 1), min_size=1, max_size=min(n, 5 - d)))))
+        side = d ** len(support)
+        m = _projector(npr, side, draw(st.integers(0, side)),
+                       draw(st.booleans()))
+        if perturbed and k == 0:
+            m = _perturb(npr, m)
+        p = LocalProjector(support, m)
+        assert validate_projector(p).passed
+        projectors.append(p)
+        dropped.append(_dropped(m))
+    return ProjectorSet(d, n, projectors), dropped
+
+
+def _union(ps, indices):
+    return tuple(sorted({q for i in indices for q in ps.projectors[i].support}))
+
+
+def _dense(ps, i, union):
+    p = ps.projectors[i]
+    return embed_operator(p.matrix, p.support, union, ps.d)
+
+
+def _dense_spectrum(ps, indices, union):
+    return np.linalg.eigvalsh(sum(_dense(ps, i, union) for i in indices))
+
+
+def _near(values, edge, margin):
+    return bool(np.any(np.abs(np.asarray(values) - edge) <= margin))
+
+
+@SETTINGS
+@given(families(), st.data())
+def test_kernel_dim_matches_dense(family, data):
+    ps, dropped = family
+    indices = tuple(data.draw(st.lists(st.sampled_from(range(len(ps))),
+                                       min_size=1, unique=True)))
+    union = _union(ps, indices)
+    eig = _dense_spectrum(ps, indices, union)
+    margin = sum(dropped[i] for i in indices) + ROUNDING
+    # the default cut, and one above the perturbation
+    for tol in (EIG_TOL, 1e-6):
+        cut = tol * max(1.0, float(eig[-1]))
+        if _near(eig, cut, 2 * margin):
+            continue
+        want = int(np.sum(eig < cut)) / ps.d ** len(union)
+        assert kernel_intersection_dim(ps, indices, tol=tol) == want
+
+
+@SETTINGS
+@given(families(), st.data())
+def test_product_trace_matches_dense(family, data):
+    ps, dropped = family
+    order = data.draw(st.lists(st.sampled_from(range(len(ps))),
+                               min_size=1, max_size=4))
+    union = _union(ps, order)
+    acc = np.eye(ps.d ** len(union), dtype=complex)
+    for i in order:
+        acc = acc @ _dense(ps, i, union)
+    tr = complex(np.trace(acc))
+    dim = ps.d ** len(union)
+    margin = 1.01 * sum(dropped[i] for i in order) + ROUNDING
+    threshold = IMAG_TOL * max(1.0, abs(tr))
+    if abs(tr.imag) > threshold + 2 * dim * margin:
+        with pytest.raises(NumericFailure):
+            normalized_product_trace(ps, order)
+    elif abs(tr.imag) < threshold - 2 * dim * margin:
+        got = normalized_product_trace(ps, order)
+        assert abs(got - tr.real / dim) <= margin
+
+
+@SETTINGS
+@given(families(), st.data())
+def test_pair_commutes_matches_dense(family, data):
+    ps, dropped = family
+    if len(ps) < 2:
+        return
+    i, j = data.draw(st.sampled_from(list(itertools.combinations(
+        range(len(ps)), 2))))
+    union = _union(ps, (i, j))
+    a, b = _dense(ps, i, union), _dense(ps, j, union)
+    worst = float(np.max(np.abs(a @ b - b @ a)))
+    if _near(worst, 1e-8, 2.1 * (dropped[i] + dropped[j]) + ROUNDING):
+        return
+    assert pair_commutes(ps, i, j) == (worst <= 1e-8)
+
+
+@SETTINGS
+@given(families())
+def test_gap_and_dimension_match_dense_and_oracle(family):
+    ps, dropped = family
+    everything = tuple(range(len(ps)))
+    full = tuple(range(ps.qudit_count))
+    eig = _dense_spectrum(ps, everything, full)
+    cut = EIG_TOL * max(1.0, float(eig[-1]))
+    margin = sum(dropped) + ROUNDING
+    if _near(eig, cut, 2 * margin):
+        return
+    nonzero = eig[eig > cut]
+    dense_gap = float(nonzero[0]) if nonzero.size else 0.0
+    dense_dim = int(np.sum(eig < cut)) / ps.d ** ps.qudit_count
+    exact = exact_dimension_full_diagonalization(ps)
+    assert exact.normalized_dim == dense_dim
+    assert exact.lambda_star == pytest.approx(dense_gap, abs=ROUNDING)
+    assert kernel_intersection_dim(ps, everything) == dense_dim
+    assert abs(spectral_gap(ps) - dense_gap) <= margin
+
+
+@pytest.mark.parametrize("d,ranks,supports", [
+    (2, (1, 1), ((0, 1), (1, 2))),      # K = 4 < D = 8
+    (2, (2, 2), ((0, 1), (1, 2))),      # K = 8 = D
+    (2, (3, 4), ((0, 1), (1, 2))),      # K = 14 > D, full rank included
+    (3, (9,), ((0, 1),)),               # one full-rank projector, K = D
+    (3, (0, 2), ((0,), (0, 1))),        # a rank-0 projector
+])
+def test_gram_side_switch_matches_dense(d, ranks, supports):
+    npr = np.random.default_rng(5)
+    n = 1 + max(q for s in supports for q in s)
+    ps = ProjectorSet(d, n, [
+        LocalProjector(s, _projector(npr, d ** len(s), r, False))
+        for s, r in zip(supports, ranks)])
+    indices = tuple(range(len(ps)))
+    union = _union(ps, indices)
+    eig = _dense_spectrum(ps, indices, union)
+    cut = EIG_TOL * max(1.0, float(eig[-1]))
+    want = int(np.sum(eig < cut)) / d ** len(union)
+    assert kernel_intersection_dim(ps, indices) == want
+    nonzero = eig[eig > cut]
+    assert spectral_gap(ps) == pytest.approx(
+        float(nonzero[0]) if nonzero.size else 0.0, abs=1e-12)
