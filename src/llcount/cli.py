@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 hypothesis violation without --force, 3 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from . import cnf as cnfmod
 from . import formats, oracles, qsat
 from .clusters import (ApproxResult, ConditionCheck,
                        approx_partition_function, check_weight_condition,
-                       choose_truncation_order)
+                       choose_truncation_order, holder_delta)
 from .errors import LLCountError, SpecParseError
 from .graphs import greedy_coloring
 from .projectors import (ProjectorSet, support_dependency_graph,
@@ -187,6 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves no state
+    on it, and building it costs milliseconds per call in a batch."""
+    return build_parser()
+
+
 def _load_projectors(text: str, args) -> ProjectorSet:
     """Parse and validate a projector spec and set its dense cap: --dense-cap,
     else LLCOUNT_MAX_DENSE_DIM, else the default."""
@@ -198,18 +206,20 @@ def _load_projectors(text: str, args) -> ProjectorSet:
     return ps
 
 
-def _maybe_coloring(args, graph):
+def _maybe_coloring(args, graph_of):
+    """The ``--coloring`` file parsed against the graph ``graph_of()``, which
+    is built only when the flag is given; None without the flag."""
     if getattr(args, "coloring", None):
-        return formats.parse_coloring(_read(args.coloring), graph)
+        return formats.parse_coloring(_read(args.coloring), graph_of())
     return None
 
 
 def _run_count_sat(args) -> dict:
     f = cnfmod.parse_dimacs(_read(args.input))
-    graph = cnfmod.cnf_dependency_graph(f)
+    coloring = _maybe_coloring(args, lambda: cnfmod.cnf_dependency_graph(f))
     res = cnfmod.count_satisfying(
-        f, args.epsilon, args.delta, coloring=_maybe_coloring(args, graph),
-        force=args.force, threads=args.threads, exact=args.exact_rational)
+        f, args.epsilon, args.delta, coloring=coloring, force=args.force,
+        threads=args.threads, exact=args.exact_rational)
     report = {"command": "count-sat", "input": args.input,
               "value": res.count, "normalized_value": res.probability,
               "absolute_value": res.count, "chi": res.chi_used,
@@ -226,17 +236,16 @@ def _run_prob_intersection(args) -> dict:
     text = _read(args.input)
     if _sniff(text) == "cnf":
         source = cnfmod.parse_dimacs(text)
-        graph = cnfmod.cnf_dependency_graph(source)
+        coloring = _maybe_coloring(
+            args, lambda: cnfmod.cnf_dependency_graph(source))
     else:
-        kind, parsed = _load_table_spec(text)
+        kind, source = _load_table_spec(text)
         if kind != "events":
             raise SpecParseError("prob-intersection needs a CNF or events-spec")
-        source = parsed
-        graph = source.graph
+        coloring = _maybe_coloring(args, lambda: source.graph)
     res = cnfmod.approx_probability_intersection(
-        source, args.epsilon, args.delta,
-        coloring=_maybe_coloring(args, graph), force=args.force,
-        threads=args.threads)
+        source, args.epsilon, args.delta, coloring=coloring,
+        force=args.force, threads=args.threads)
     report = {"command": "prob-intersection", "input": args.input,
               "value": res.probability, "normalized_value": res.probability,
               "chi": res.chi_used, "delta_requested": res.delta_requested}
@@ -249,7 +258,7 @@ def _run_qsat_commuting(args) -> dict:
     ps = _load_projectors(_read(args.input), args)
     res = qsat.approx_dim_commuting(
         ps, args.epsilon, args.delta,
-        coloring=_maybe_coloring(args, support_dependency_graph(ps)),
+        coloring=_maybe_coloring(args, lambda: support_dependency_graph(ps)),
         force=args.force, threads=args.threads)
     return _dim_report("qsat-commuting", args, res, ps)
 
@@ -275,7 +284,7 @@ def _run_qsat_general(args) -> dict:
         return _dim_report("qsat-general", args, res, ps)
     params = qsat.DetectabilityParams(
         t=args.t, epsilon=args.epsilon,
-        coloring=_maybe_coloring(args, support_dependency_graph(ps)),
+        coloring=_maybe_coloring(args, lambda: support_dependency_graph(ps)),
         lambda_star=args.lambda_star)
     res = qsat.approx_dim_detectability(ps, params, args.delta,
                                         force=args.force, threads=args.threads)
@@ -315,7 +324,7 @@ def _run_check(args) -> dict:
     if kind == "cnf":
         f = cnfmod.parse_dimacs(text)
         graph = cnfmod.cnf_dependency_graph(f)
-        col = _maybe_coloring(args, graph) or greedy_coloring(graph)
+        col = _maybe_coloring(args, lambda: graph) or greedy_coloring(graph)
         dmax = graph.max_degree()
         checks.append(cnfmod.k_condition_check(f, args.delta, dmax,
                                                col.num_colors))
@@ -323,8 +332,9 @@ def _run_check(args) -> dict:
                      for v in graph.vertices()]
         checks.append(cnfmod._per_event_check(per_event, args.delta, dmax,
                                               col.num_colors))
-        delta_used = cnfmod._usable_delta(per_event, args.delta, dmax,
-                                          col.num_colors, checks[-1].passed)
+        delta_used = holder_delta(max(per_event, default=0.0),
+                                  col.num_colors, dmax, args.delta,
+                                  checks[-1].passed)
         extra = {"chi": col.num_colors, "graph_order": graph.vertex_count,
                  "max_degree": dmax, "delta_used": delta_used,
                  "m": choose_truncation_order(graph.vertex_count, dmax,
@@ -334,7 +344,7 @@ def _run_check(args) -> dict:
         # first failure, so a parsed set has passed validation.
         ps = _load_projectors(text, args)
         graph = support_dependency_graph(ps)
-        col = _maybe_coloring(args, graph) or greedy_coloring(graph)
+        col = _maybe_coloring(args, lambda: graph) or greedy_coloring(graph)
         checks.append(ConditionCheck(
             "projector-validation", True, 0.0,
             f"{len(ps)} projectors validated"))
@@ -365,7 +375,7 @@ def _run_check(args) -> dict:
         if kind2 == "events":
             oracle = parsed
             graph = oracle.graph
-            col = _maybe_coloring(args, graph) or greedy_coloring(graph)
+            col = _maybe_coloring(args, lambda: graph) or greedy_coloring(graph)
             checks.append(cnfmod._per_event_check(
                 oracle.per_event_probabilities(), args.delta,
                 graph.max_degree(), col.num_colors))
@@ -466,7 +476,7 @@ def _validate_args(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     fmt = getattr(args, "format", "human")
     start = time.perf_counter()
     try:

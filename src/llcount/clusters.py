@@ -14,11 +14,12 @@ orderings, which is the multiplicity of the multiset among ordered tuples.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import HypothesisViolation, NumericFailure, ResourceCapExceeded
 from .graphs import DependencyGraph, enumerate_connected_subgraphs
@@ -161,12 +162,46 @@ def enumerate_clusters(g: DependencyGraph, m: int) -> Iterator[Cluster]:
     sets, so enumeration anchors each cluster at that union: for every
     connected set U of at most m vertices, emit the polymer multisets inside U
     that cover U and have a connected incompatibility graph.
+
+    Those clusters depend only on the induced subgraph G[U].  Each distinct
+    shape, keyed by the local adjacency bitmasks of the sorted U, is
+    enumerated once per call; every other union of that shape relabels the
+    cached clusters through the order-preserving map i -> U[i], which keeps
+    the emission order of a per-union enumeration.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    unions = sorted(enumerate_connected_subgraphs(g, m))
-    for union in unions:
-        yield from _clusters_with_union(g, union, m)
+    # shape key -> (local polymers, [(polymer indices, total_size, orderings,
+    # incompatibility_masks)])
+    shapes: dict[tuple[int, ...], tuple[list[Polymer], list[tuple]]] = {}
+    for union in sorted(enumerate_connected_subgraphs(g, m)):
+        local_index = {v: i for i, v in enumerate(union)}
+        key = tuple(sum(1 << local_index[w] for w in g.neighbors(v)
+                        if w in local_index) for v in union)
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = _shape_clusters(key, m)
+        local_polymers, local_clusters = shape
+        polymers = [tuple([union[i] for i in p]) for p in local_polymers]
+        for indices, total_size, orderings, masks in local_clusters:
+            yield Cluster(tuple([polymers[i] for i in indices]), total_size,
+                          orderings, masks)
+
+
+def _shape_clusters(key: tuple[int, ...], m: int
+                    ) -> tuple[list[Polymer], list[tuple]]:
+    """Clusters covering the whole graph with adjacency bitmasks ``key``, with
+    each polymer given by its index in the returned polymer list."""
+    k = len(key)
+    induced = DependencyGraph(k, [[j for j in range(k) if mask >> j & 1]
+                                  for mask in key])
+    index: dict[Polymer, int] = {}
+    clusters = []
+    for c in _clusters_with_union(induced, tuple(range(k)), m):
+        indices = tuple([index.setdefault(p, len(index)) for p in c.polymers])
+        clusters.append((indices, c.total_size, c.orderings,
+                         c.incompatibility_masks))
+    return list(index), clusters
 
 
 def _polymers_inside(g: DependencyGraph, union: Polymer) -> list[Polymer]:
@@ -261,6 +296,21 @@ class _KahanComplex:
         return complex(self.re, self.im)
 
 
+class _ExactSum:
+    """Exact rational accumulator with the interface of ``_KahanComplex``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value = Fraction(0)
+
+    def add(self, q: Fraction) -> None:
+        self.value += q
+
+    def total(self) -> Fraction:
+        return self.value
+
+
 def _as_complex(w) -> complex:
     if isinstance(w, Fraction):
         return complex(float(w))
@@ -268,33 +318,44 @@ def _as_complex(w) -> complex:
 
 
 def _evaluate_weights(oracle: WeightOracle, polymers: Sequence[Polymer], threads: int) -> None:
-    if threads > 1 and len(polymers) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # pool.map submits every polymer at once, so the pool would start up to
+    # min(threads, len(polymers)) threads without the cpu_count cap.
+    workers = min(threads, os.cpu_count() or 1, len(polymers))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(oracle.weight, polymers))
     else:
         for p in polymers:
             oracle.weight(p)
 
 
-def _sum_clusters(clusters: Sequence[Cluster], oracle: WeightOracle, *,
-                  threads: int = 1, exact: bool = False):
-    distinct = sorted({p for c in clusters for p in c.polymers})
-    _evaluate_weights(oracle, distinct, threads)
-    if exact:
-        total = Fraction(0)
-        for c in clusters:
-            coeff = _ursell_from_masks(c.incompatibility_masks) * c.orderings
-            prod = Fraction(1)
-            for p in c.polymers:
-                prod *= Fraction(oracle.weight(p))
-            total += coeff * prod
-        return total
-    acc = _KahanComplex()
+def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
+                  exact: bool = False):
+    """Sum coefficient times weight product over the clusters, in their order.
+
+    Streams the clusters.  Each distinct polymer weight is converted (to
+    complex, or to Fraction when ``exact``) once, and so is each distinct
+    Ursell coefficient, keyed by incompatibility masks and orderings.
+    """
+    convert = Fraction if exact else _as_complex
+    acc = _ExactSum() if exact else _KahanComplex()
+    one = Fraction(1) if exact else complex(1.0)
+    weights: dict[Polymer, complex | Fraction] = {}
+    coeffs: dict[tuple[tuple[int, ...], int], float | Fraction] = {}
     for c in clusters:
-        coeff = float(_ursell_from_masks(c.incompatibility_masks) * c.orderings)
-        prod = complex(1.0)
+        key = (c.incompatibility_masks, c.orderings)
+        coeff = coeffs.get(key)
+        if coeff is None:
+            coeff = _ursell_from_masks(c.incompatibility_masks) * c.orderings
+            if not exact:
+                coeff = float(coeff)
+            coeffs[key] = coeff
+        prod = one
         for p in c.polymers:
-            prod *= _as_complex(oracle.weight(p))
+            w = weights.get(p)
+            if w is None:
+                w = weights[p] = convert(oracle.weight(p))
+            prod *= w
         acc.add(coeff * prod)
     return acc.total()
 
@@ -307,8 +368,11 @@ def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
     oracle must then return rationals).  The summation order is fixed, so the
     result is bit-identical for any thread count.
     """
-    return _sum_clusters(list(enumerate_clusters(g, m)), oracle,
-                         threads=threads, exact=exact)
+    # every polymer of size <= m is itself a cluster, so this evaluates
+    # exactly the weights the sum reads
+    _evaluate_weights(oracle, list(enumerate_connected_subgraphs(g, m)),
+                      threads)
+    return _sum_clusters(enumerate_clusters(g, m), oracle, exact=exact)
 
 
 def weight_decay_threshold(delta: float, max_degree: int) -> float:
@@ -321,6 +385,28 @@ def certified_delta(eta: float, max_degree: int) -> float:
     if eta <= 0.0:
         return math.inf
     return math.log(1.0 / (eta * (2 * max_degree + 1))) - 1.0
+
+
+# Cap on the decay rate that ``holder_delta`` (and ``check``'s suggestion)
+# may report.
+DELTA_CEILING = 50.0
+
+
+def holder_delta(worst: float, exponent_classes: int, max_degree: int,
+                 delta: float, hypothesis_ok: bool) -> float:
+    """Largest decay rate certified by a per-vertex bound ``worst`` through
+    the coloring (Hoelder) weight bound; falls back to the requested delta.
+
+    Hoelder across the coloring classes gives |w| <= worst^(|polymer|/classes),
+    so the decay base worst^(1/classes) certifies a (usually larger) delta
+    than requested.
+    """
+    if not hypothesis_ok:
+        return delta
+    if worst <= 0.0:
+        return max(delta, DELTA_CEILING)
+    eta = worst ** (1.0 / exponent_classes)
+    return max(delta, min(certified_delta(eta, max_degree), DELTA_CEILING))
 
 
 def convergence_bound(graph_order: int, max_degree: int, delta: float, m: int) -> float:
@@ -474,12 +560,19 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
         raise HypothesisViolation(
             f"weight-decay condition fails at polymer {p}: "
             f"|w| = {aw:.6g} > {allowed:.6g}", checks)
-    clusters = list(enumerate_clusters(g, m))
-    log_value = _sum_clusters(clusters, oracle, threads=threads)
-    exact_log = None
-    if exact:
-        exact_log = _sum_clusters(clusters, oracle, exact=True)
-        log_value = complex(float(exact_log))
+    # check_weight_condition has evaluated every polymer of size <= m, so
+    # the clusters stream straight into the sum
+    cluster_count = 0
+
+    def counted() -> Iterator[Cluster]:
+        nonlocal cluster_count
+        for cluster in enumerate_clusters(g, m):
+            cluster_count += 1
+            yield cluster
+
+    total = _sum_clusters(counted(), oracle, exact=exact)
+    exact_log = total if exact else None
+    log_value = complex(float(total)) if exact else total
     if not (math.isfinite(log_value.real) and math.isfinite(log_value.imag)):
         raise NumericFailure("nonfinite truncated expansion value")
     value = _cexp(log_value)
@@ -489,7 +582,7 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
         additive_log_error_bound=bound, epsilon=epsilon, delta=delta,
         graph_order=g.vertex_count, max_degree=dmax,
         condition_report=report, checks=checks,
-        forced=bool(report.violations), cluster_count=len(clusters),
+        forced=bool(report.violations), cluster_count=cluster_count,
         elapsed=time.perf_counter() - start, exact_log=exact_log)
 
 

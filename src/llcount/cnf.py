@@ -15,10 +15,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .clusters import (ApproxResult, ConditionCheck, WeightOracle,
-                       approx_partition_function, certified_delta,
+                       approx_partition_function, holder_delta,
                        weight_decay_threshold)
 from .errors import HypothesisViolation, SpecParseError
-from .graphs import Coloring, DependencyGraph, build_graph, greedy_coloring
+from .graphs import (Coloring, DependencyGraph, greedy_coloring,
+                     intersection_graph)
 
 
 @dataclass(frozen=True)
@@ -108,13 +109,7 @@ def _append_clause(clauses: list, literals: list[int], lineno: int) -> None:
 
 def cnf_dependency_graph(f: CnfFormula) -> DependencyGraph:
     """One vertex per clause; an edge iff the clauses share a variable."""
-    var_sets = [frozenset(abs(l) for l in c) for c in f.clauses]
-    edges = []
-    for i in range(len(var_sets)):
-        for j in range(i + 1, len(var_sets)):
-            if var_sets[i] & var_sets[j]:
-                edges.append((i, j))
-    return build_graph(len(f.clauses), edges)
+    return intersection_graph([[abs(l) for l in c] for c in f.clauses])
 
 
 def clause_forcing(clause: Sequence[int]) -> tuple[int, int]:
@@ -229,58 +224,54 @@ def approx_probability_intersection(source, epsilon: float, delta: float, *,
     """
     if isinstance(source, CnfFormula):
         graph = cnf_dependency_graph(source)
-        per_event = [float(joint_false_probability(source, (v,)))
-                     for v in graph.vertices()]
-
-        def weight_fn(polymer):
-            return cnf_polymer_weight(source, polymer)
     elif hasattr(source, "joint_complement_probability"):
         # any oracle with a .graph and joint complement probabilities; the
         # strong-dependency factorization across disconnected parts is the
         # caller's (unverifiable) promise
         graph = source.graph
-        per_event = [float(source.joint_complement_probability((v,)))
-                     for v in graph.vertices()]
         exact = False
-
-        def weight_fn(polymer):
-            p = source.joint_complement_probability(polymer)
-            return -p if len(polymer) % 2 else p
     else:
         raise TypeError("source must be a CnfFormula or an event oracle")
-
     if coloring is None:
         coloring = greedy_coloring(graph)
     else:
         coloring.assert_proper(graph)
+    return _approx_intersection(source, graph, coloring, epsilon, delta,
+                                force, threads, exact)
+
+
+def _approx_intersection(source, graph: DependencyGraph, coloring: Coloring,
+                         epsilon: float, delta: float, force: bool,
+                         threads: int, exact: bool) -> ProbabilityResult:
+    """The shared step of the two entry points, on a built dependency graph
+    and a proper coloring of it."""
+    if isinstance(source, CnfFormula):
+        per_event = [float(joint_false_probability(source, (v,)))
+                     for v in graph.vertices()]
+
+        def weight_fn(polymer):
+            return cnf_polymer_weight(source, polymer)
+    else:
+        per_event = [float(source.joint_complement_probability((v,)))
+                     for v in graph.vertices()]
+
+        def weight_fn(polymer):
+            p = source.joint_complement_probability(polymer)
+            return -p if len(polymer) % 2 else p
+
     chi = coloring.num_colors
     dmax = graph.max_degree()
     check = _per_event_check(per_event, delta, dmax, chi)
     if not check.passed and not force:
         raise HypothesisViolation(
             "per-event probability bound fails: " + check.detail, [check])
-    delta_used = _usable_delta(per_event, delta, dmax, chi, check.passed)
+    delta_used = holder_delta(max(per_event, default=0.0), chi, dmax, delta,
+                              check.passed)
     oracle = WeightOracle(weight_fn)
     approx = approx_partition_function(
         graph, oracle, epsilon, delta_used, force=force, threads=threads,
         exact=exact, extra_checks=[check])
     return ProbabilityResult(approx, approx.real_value(), chi, delta)
-
-
-_DELTA_CEILING = 50.0
-
-
-def _usable_delta(per_event: Sequence[float], delta: float, max_degree: int,
-                  chi: int, hypothesis_ok: bool) -> float:
-    """Largest decay rate certified by the per-event bound via the coloring
-    (Hoelder) weight bound; falls back to the requested delta."""
-    if not hypothesis_ok:
-        return delta
-    worst = max(per_event, default=0.0)
-    if worst <= 0.0:
-        return max(delta, _DELTA_CEILING)
-    eta = worst ** (1.0 / chi)
-    return max(delta, min(certified_delta(eta, max_degree), _DELTA_CEILING))
 
 
 @dataclass
@@ -311,9 +302,8 @@ def count_satisfying(f: CnfFormula, epsilon: float, delta: float, *,
     if not kcheck.passed and not force:
         raise HypothesisViolation(
             "k-condition fails: " + kcheck.detail, [kcheck])
-    prob = approx_probability_intersection(
-        f, epsilon, delta, coloring=col, force=force, threads=threads,
-        exact=exact)
+    prob = _approx_intersection(f, graph, col, epsilon, delta, force,
+                                threads, exact)
     prob.approx.checks.insert(0, kcheck)
     count = math.ldexp(prob.probability, f.variable_count)
     return CountResult(prob.approx, count, prob.probability,

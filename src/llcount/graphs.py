@@ -8,7 +8,7 @@ for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 
 class DependencyGraph:
@@ -96,6 +96,26 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
         adj[u].add(v)
         adj[v].add(u)
     return DependencyGraph(n, adj, labels)
+
+
+def intersection_graph(sets: Sequence[Iterable[Hashable]]) -> DependencyGraph:
+    """One vertex per set; an edge iff two sets share an element.
+
+    Built from an element -> vertex inverted index, so the cost is the total
+    set size plus the edges found, not all pairs of sets.
+    """
+    holders: dict[Hashable, list[int]] = {}
+    for v, elements in enumerate(sets):
+        for x in elements:
+            holders.setdefault(x, []).append(v)
+    adj: list[set[int]] = [set() for _ in sets]
+    for vs in holders.values():
+        if len(vs) > 1:
+            for v in vs:
+                adj[v].update(vs)
+    for v, row in enumerate(adj):
+        row.discard(v)
+    return DependencyGraph(len(adj), adj)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NumericFailure, ResourceCapExceeded
-from .graphs import DependencyGraph, build_graph
+from .graphs import DependencyGraph, intersection_graph
 
 EIG_TOL = 1e-9
 IMAG_TOL = 1e-8
@@ -129,13 +129,7 @@ def validate_projector(p: LocalProjector, tol: float = 1e-8) -> ProjectorDiagnos
 
 def support_dependency_graph(ps: ProjectorSet) -> DependencyGraph:
     """One vertex per projector; an edge iff the supports intersect."""
-    supports = [frozenset(p.support) for p in ps.projectors]
-    edges = []
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            if supports[i] & supports[j]:
-                edges.append((i, j))
-    return build_graph(len(supports), edges)
+    return intersection_graph([p.support for p in ps.projectors])
 
 
 def _digit_order(support: tuple[int, ...], target: tuple[int, ...]) -> list[int]:

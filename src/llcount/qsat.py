@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .clusters import (ApproxResult, ConditionCheck, WeightOracle,
-                       approx_partition_function, certified_delta,
-                       check_weight_condition, choose_truncation_order,
-                       weight_decay_threshold, DEFAULT_MAX_ORDER)
+from .clusters import (DEFAULT_MAX_ORDER, DELTA_CEILING, ApproxResult,
+                       ConditionCheck, WeightOracle, approx_partition_function,
+                       certified_delta, check_weight_condition,
+                       choose_truncation_order, holder_delta,
+                       weight_decay_threshold)
 from .errors import HypothesisViolation, ResourceCapExceeded
 from .graphs import (Coloring, greedy_coloring,
                      strong_product_with_complete)
@@ -25,8 +26,6 @@ from .projectors import (ProjectorSet, kernel_intersection_dim,
                          normalized_product_trace, rank_normalized,
                          spectral_gap, support_dependency_graph,
                          verify_commuting)
-
-_DELTA_CEILING = 50.0
 
 
 def _absolute_dimension(normalized: float, ps: ProjectorSet
@@ -103,7 +102,7 @@ def approx_dim_commuting(ps: ProjectorSet, epsilon: float, delta: float, *,
     if not rank_chk.passed and not force:
         raise HypothesisViolation("rank condition fails: " + rank_chk.detail,
                                   checks)
-    delta_used = _holder_delta(worst_rank, chi, dmax, delta, rank_chk.passed)
+    delta_used = holder_delta(worst_rank, chi, dmax, delta, rank_chk.passed)
     oracle = WeightOracle(lambda p: commuting_weight(ps, p))
     approx = approx_partition_function(
         graph, oracle, epsilon, delta_used, force=force, threads=threads,
@@ -112,19 +111,6 @@ def approx_dim_commuting(ps: ProjectorSet, epsilon: float, delta: float, *,
     return DimensionResult(approx, normalized,
                            *_absolute_dimension(normalized, ps),
                            chi, "commuting", delta)
-
-
-def _holder_delta(worst: float, exponent_classes: int, max_degree: int,
-                  delta: float, hypothesis_ok: bool) -> float:
-    # Hoelder bound across coloring classes: |w| <= worst^(|polymer|/classes),
-    # so the decay base worst^(1/classes) certifies a (usually larger) delta
-    # than requested.
-    if not hypothesis_ok:
-        return delta
-    if worst <= 0.0:
-        return max(delta, _DELTA_CEILING)
-    eta = worst ** (1.0 / exponent_classes)
-    return max(delta, min(certified_delta(eta, max_degree), _DELTA_CEILING))
 
 
 class _KernelDimCache:
@@ -259,8 +245,8 @@ def suggest_delta_general(ps: ProjectorSet, epsilon: float, *,
         rep = check_weight_condition(graph, oracle, probe, 0.0)
         observed = max(rep.max_abs_root_by_size.values(), default=0.0)
         if observed <= 0.0:
-            return _DELTA_CEILING
-        delta = min(certified_delta(observed, dmax) - safety, _DELTA_CEILING)
+            return DELTA_CEILING
+        delta = min(certified_delta(observed, dmax) - safety, DELTA_CEILING)
         if delta <= 0.0:
             return delta
         m = choose_truncation_order(graph.vertex_count, dmax, delta, epsilon)
@@ -358,8 +344,8 @@ def approx_dim_detectability(ps: ProjectorSet, params: DetectabilityParams,
     if lam is None:
         lam = spectral_gap_or_error(ps)
     product = strong_product_with_complete(graph, t)
-    delta_used = _holder_delta(worst_rank, t * chi, product.max_degree(),
-                               delta, rank_chk.passed)
+    delta_used = holder_delta(worst_rank, t * chi, product.max_degree(),
+                              delta, rank_chk.passed)
     oracle = WeightOracle(lambda p: detectability_weight(ps, col, t, p))
     approx = approx_partition_function(
         product, oracle, params.epsilon, delta_used, force=force,

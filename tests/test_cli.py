@@ -303,3 +303,59 @@ def test_each_projector_is_diagonalized_once_per_call(tmp_path, capsys,
     assert code == 0
     for p in proj.projectors:
         assert seen.count(np.asarray(p.matrix, dtype=complex).tobytes()) == 1
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    import llcount.cli
+
+    rng = random.Random(8)
+    path = _write_cnf(tmp_path, chain_cnf(rng, 4, share=6))
+    coloring = tmp_path / "f.col"
+    coloring.write_text("".join(f"{v} {v % 2}\n" for v in range(4)))
+    calls = [["count-sat", path, "--exact-rational"],
+             ["count-sat", path],
+             ["count-sat", path, "--coloring", str(coloring)],
+             ["count-sat", path]]
+
+    def reports(fresh_parser):
+        out = []
+        for argv in calls:
+            if fresh_parser:
+                llcount.cli._parser.cache_clear()
+            code, stdout, _ = _run(capsys, argv + ["--format", "jsonl"])
+            assert code == 0
+            out.append(_strip_timing(stdout))
+        return out
+
+    one_by_one = reports(fresh_parser=True)
+    assert reports(fresh_parser=False) == one_by_one
+    assert "log_value_exact" in one_by_one[0]
+    assert "log_value_exact" not in one_by_one[1]
+    assert llcount.cli._parser() is llcount.cli._parser()
+    assert llcount.cli.build_parser() is not llcount.cli.build_parser()
+
+
+@pytest.mark.parametrize("with_coloring", [False, True])
+def test_count_sat_builds_the_dependency_graph_once(tmp_path, capsys,
+                                                    monkeypatch, with_coloring):
+    import llcount.cnf
+
+    builds = []
+    original = llcount.cnf.cnf_dependency_graph
+
+    def counting(f):
+        builds.append(f)
+        return original(f)
+
+    monkeypatch.setattr(llcount.cnf, "cnf_dependency_graph", counting)
+    path = _write_cnf(tmp_path, chain_cnf(random.Random(9), 4, share=6))
+    argv = ["count-sat", path, "--format", "jsonl"]
+    if with_coloring:
+        coloring = tmp_path / "f.col"
+        coloring.write_text("".join(f"{v} {v % 2}\n" for v in range(4)))
+        argv += ["--coloring", str(coloring)]
+    code, _, _ = _run(capsys, argv)
+    assert code == 0
+    # the --coloring file is checked against a graph of its own; the
+    # pipeline builds one more and passes it on
+    assert len(builds) == (2 if with_coloring else 1)

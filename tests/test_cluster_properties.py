@@ -1,0 +1,119 @@
+"""Property tests of the cluster engine's fast paths against literal loops:
+shape-cached cluster enumeration, the streamed summation, and the indexed
+intersection graph."""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from llcount.clusters import (WeightOracle, _clusters_with_union,
+                              _KahanComplex, _ursell_from_masks,
+                              enumerate_clusters, truncated_expansion)
+from llcount.graphs import (build_graph, enumerate_connected_subgraphs,
+                            intersection_graph)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def multi_component_graphs(draw):
+    """Up to three random components of up to six vertices each, plus up to
+    two isolated vertices, with vertex ids shuffled so components interleave
+    in the numbering."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    isolated = draw(st.integers(0, 2))
+    n = sum(sizes) + isolated
+    label = draw(st.permutations(range(n)))
+    edges = []
+    base = 0
+    for k in sizes:
+        pairs = [(base + i, base + j) for i in range(k) for j in range(i + 1, k)]
+        if pairs:
+            edges += draw(st.sets(st.sampled_from(pairs), max_size=8))
+        base += k
+    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def _uncached_clusters(g, m):
+    """Cluster enumeration with no shape cache: every sorted union U is
+    enumerated on its own."""
+    out = []
+    for union in sorted(enumerate_connected_subgraphs(g, m)):
+        out.extend(_clusters_with_union(g, union, m))
+    return out
+
+
+def _list_sum(clusters, oracle, exact):
+    """The summation loop over a materialized cluster list, converting every
+    weight and coefficient at each use."""
+    if exact:
+        total = Fraction(0)
+        for c in clusters:
+            coeff = _ursell_from_masks(c.incompatibility_masks) * c.orderings
+            prod = Fraction(1)
+            for p in c.polymers:
+                prod *= Fraction(oracle.weight(p))
+            total += coeff * prod
+        return total
+    acc = _KahanComplex()
+    for c in clusters:
+        coeff = float(_ursell_from_masks(c.incompatibility_masks) * c.orderings)
+        prod = complex(1.0)
+        for p in c.polymers:
+            w = oracle.weight(p)
+            prod *= complex(float(w)) if isinstance(w, Fraction) else complex(w)
+        acc.add(coeff * prod)
+    return acc.total()
+
+
+@SETTINGS
+@given(multi_component_graphs(), st.integers(1, 6))
+def test_shape_cached_enumeration_equals_per_union_loop(g, m):
+    assert list(enumerate_clusters(g, m)) == _uncached_clusters(g, m)
+
+
+def _weights(g, m, seed, rational):
+    rng = random.Random(seed)
+    table = {}
+    for p in enumerate_connected_subgraphs(g, m):
+        if rational:
+            table[p] = Fraction(rng.randint(-64, 64), 1 << rng.randint(4, 12))
+        else:
+            table[p] = complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+    return table
+
+
+@SETTINGS
+@given(multi_component_graphs(), st.integers(1, 5), st.integers(0, 2**32),
+       st.sampled_from([(False, False), (True, False), (True, True)]))
+def test_streamed_sum_equals_list_based_loop(g, m, seed, mode):
+    rational, exact = mode
+    table = _weights(g, m, seed, rational)
+    got = truncated_expansion(g, WeightOracle(table.__getitem__), m,
+                              exact=exact)
+    want = _list_sum(_uncached_clusters(g, m),
+                     WeightOracle(table.__getitem__), exact)
+    assert type(got) is type(want)
+    assert got == want
+
+
+def _all_pairs_graph(sets):
+    frozen = [frozenset(s) for s in sets]
+    return build_graph(len(frozen), [
+        (i, j) for i in range(len(frozen)) for j in range(i + 1, len(frozen))
+        if frozen[i] & frozen[j]])
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=14),
+       st.sets(st.integers(0, 13)))
+def test_intersection_graph_equals_all_pairs(sets, hub_members):
+    # element -1 is shared by many sets at once; empty sets stay isolated
+    sets = [s + [-1] if i in hub_members else s for i, s in enumerate(sets)]
+    got = intersection_graph(sets)
+    want = _all_pairs_graph(sets)
+    assert got.vertex_count == want.vertex_count == len(sets)
+    assert [got.neighbors(v) for v in got.vertices()] == [
+        want.neighbors(v) for v in want.vertices()]

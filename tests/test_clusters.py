@@ -269,3 +269,42 @@ def test_convergence_bound_holds_on_random_models():
 
 def test_weight_decay_threshold_value():
     assert weight_decay_threshold(0.0, 2) == pytest.approx(1 / (5 * math.e))
+
+
+def test_weight_threads_capped_by_cpu_count_and_polymer_count(monkeypatch):
+    # A fake pool records the thread count it is asked for, so a huge
+    # --threads value is tested without starting those threads.
+    import llcount.clusters as clusters
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(clusters, "ThreadPoolExecutor", RecordingPool)
+
+    def run(cpus):
+        monkeypatch.setattr(clusters.os, "cpu_count", lambda: cpus)
+        oracle = WeightOracle(lambda p: 0.01 ** len(p))
+        check_weight_condition(P3, oracle, 3, 0.1, threads=10_000)
+        return truncated_expansion(P3, WeightOracle(lambda p: 0.01 ** len(p)),
+                                   2, threads=10_000)
+
+    serial = truncated_expansion(P3, WeightOracle(lambda p: 0.01 ** len(p)), 2)
+    assert run(4) == serial
+    assert requested == [4, 4]
+    # P3 has 6 connected sets of size <= 3 and 5 of size <= 2
+    assert run(64) == serial
+    assert requested[2:] == [6, 5]
+    assert run(None) == serial
+    assert len(requested) == 4
