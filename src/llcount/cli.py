@@ -22,11 +22,12 @@ from . import cnf as cnfmod
 from . import formats, oracles, qsat
 from .clusters import (ApproxResult, ConditionCheck,
                        approx_partition_function, check_weight_condition,
-                       choose_truncation_order, holder_delta)
+                       choose_truncation_order)
 from .errors import LLCountError, SpecParseError
 from .graphs import greedy_coloring
+# verify_commuting stays bound here because perfbench/tracing.py patches it
 from .projectors import (ProjectorSet, support_dependency_graph,
-                         verify_commuting)
+                         verify_commuting)  # noqa: F401
 
 
 def _read(path: str) -> str:
@@ -65,7 +66,7 @@ def _conditions_json(checks) -> list[dict]:
 
 
 def _approx_fields(approx: ApproxResult) -> dict:
-    return {
+    fields = {
         "m": approx.truncation_order,
         "delta_used": approx.delta,
         "epsilon": approx.epsilon,
@@ -78,7 +79,11 @@ def _approx_fields(approx: ApproxResult) -> dict:
         "conditions": _conditions_json(approx.checks),
         "forced": approx.forced,
         "status": "forced" if approx.forced else "ok",
+        "elapsed_s": approx.elapsed,
     }
+    if approx.exact_log is not None:
+        fields["log_value_exact"] = str(approx.exact_log)
+    return fields
 
 
 def _emit(report: dict, fmt: str, stream=None) -> None:
@@ -206,6 +211,11 @@ def _load_projectors(text: str, args) -> ProjectorSet:
     return ps
 
 
+def _reject_coloring(args, where: str) -> None:
+    if args.coloring:
+        raise SpecParseError(f"--coloring does not apply to {where}")
+
+
 def _maybe_coloring(args, graph_of):
     """The ``--coloring`` file parsed against the graph ``graph_of()``, which
     is built only when the flag is given; None without the flag."""
@@ -220,16 +230,12 @@ def _run_count_sat(args) -> dict:
     res = cnfmod.count_satisfying(
         f, args.epsilon, args.delta, coloring=coloring, force=args.force,
         threads=args.threads, exact=args.exact_rational)
-    report = {"command": "count-sat", "input": args.input,
-              "value": res.count, "normalized_value": res.probability,
-              "absolute_value": res.count, "chi": res.chi_used,
-              "variable_count": res.variable_count,
-              "delta_requested": res.delta_requested}
-    report.update(_approx_fields(res.approx))
-    if res.approx.exact_log is not None:
-        report["log_value_exact"] = str(res.approx.exact_log)
-    report["elapsed_s"] = res.approx.elapsed
-    return report
+    return {"command": "count-sat", "input": args.input,
+            "value": res.count, "normalized_value": res.probability,
+            "absolute_value": res.count, "chi": res.chi_used,
+            "variable_count": res.variable_count,
+            "delta_requested": res.delta_requested,
+            **_approx_fields(res.approx)}
 
 
 def _run_prob_intersection(args) -> dict:
@@ -246,12 +252,10 @@ def _run_prob_intersection(args) -> dict:
     res = cnfmod.approx_probability_intersection(
         source, args.epsilon, args.delta, coloring=coloring,
         force=args.force, threads=args.threads)
-    report = {"command": "prob-intersection", "input": args.input,
-              "value": res.probability, "normalized_value": res.probability,
-              "chi": res.chi_used, "delta_requested": res.delta_requested}
-    report.update(_approx_fields(res.approx))
-    report["elapsed_s"] = res.approx.elapsed
-    return report
+    return {"command": "prob-intersection", "input": args.input,
+            "value": res.probability, "normalized_value": res.probability,
+            "chi": res.chi_used, "delta_requested": res.delta_requested,
+            **_approx_fields(res.approx)}
 
 
 def _run_qsat_commuting(args) -> dict:
@@ -265,20 +269,19 @@ def _run_qsat_commuting(args) -> dict:
 
 def _dim_report(command: str, args, res: qsat.DimensionResult,
                 ps: ProjectorSet) -> dict:
-    report = {"command": command, "input": args.input,
-              "value": res.normalized, "normalized_value": res.normalized,
-              "absolute_value": res.absolute,
-              "log2_absolute_value": res.log2_absolute, "chi": res.chi_used,
-              "d": ps.d, "qudit_count": ps.qudit_count,
-              "method": res.method, "delta_requested": res.delta_requested}
-    report.update(_approx_fields(res.approx))
-    report["elapsed_s"] = res.approx.elapsed
-    return report
+    return {"command": command, "input": args.input,
+            "value": res.normalized, "normalized_value": res.normalized,
+            "absolute_value": res.absolute,
+            "log2_absolute_value": res.log2_absolute, "chi": res.chi_used,
+            "d": ps.d, "qudit_count": ps.qudit_count,
+            "method": res.method, "delta_requested": res.delta_requested,
+            **_approx_fields(res.approx)}
 
 
 def _run_qsat_general(args) -> dict:
     ps = _load_projectors(_read(args.input), args)
     if args.mode == "stability":
+        _reject_coloring(args, "qsat-general --mode stability")
         res = qsat.approx_dim_general(ps, args.epsilon, args.delta,
                                       force=args.force, threads=args.threads)
         return _dim_report("qsat-general", args, res, ps)
@@ -288,117 +291,82 @@ def _run_qsat_general(args) -> dict:
         lambda_star=args.lambda_star)
     res = qsat.approx_dim_detectability(ps, params, args.delta,
                                         force=args.force, threads=args.threads)
-    report = {"command": "qsat-general", "input": args.input,
-              "mode": "detectability", "value": res.z,
-              "normalized_value": res.z, "absolute_value": res.absolute_z,
-              "log2_absolute_value": res.log2_absolute_z,
-              "chi": res.chi_used, "d": ps.d, "qudit_count": ps.qudit_count,
-              "t": res.t, "lambda_star": res.lambda_star,
-              "relative_coefficient": res.relative_coefficient,
-              "additive_part": res.additive_part,
-              "worst_case_total": res.worst_case_total,
-              "delta_requested": res.delta_requested}
-    report.update(_approx_fields(res.approx))
-    report["elapsed_s"] = res.approx.elapsed
-    return report
+    return {"command": "qsat-general", "input": args.input,
+            "mode": "detectability", "value": res.z,
+            "normalized_value": res.z, "absolute_value": res.absolute_z,
+            "log2_absolute_value": res.log2_absolute_z,
+            "chi": res.chi_used, "d": ps.d, "qudit_count": ps.qudit_count,
+            "t": res.t, "lambda_star": res.lambda_star,
+            "relative_coefficient": res.relative_coefficient,
+            "additive_part": res.additive_part,
+            "worst_case_total": res.worst_case_total,
+            "delta_requested": res.delta_requested,
+            **_approx_fields(res.approx)}
 
 
 def _run_polymer_z(args) -> dict:
     graph, oracle, _ = formats.parse_weights_spec(_read(args.input))
+    _reject_coloring(args, "polymer-z")
     approx = approx_partition_function(graph, oracle, args.epsilon, args.delta,
                                        force=args.force, threads=args.threads)
-    report = {"command": "polymer-z", "input": args.input,
-              "value": approx.value.real,
-              "value_im": approx.value.imag,
-              "delta_requested": args.delta}
-    report.update(_approx_fields(approx))
-    report["elapsed_s"] = approx.elapsed
-    return report
+    return {"command": "polymer-z", "input": args.input,
+            "value": approx.value.real, "value_im": approx.value.imag,
+            "delta_requested": args.delta, **_approx_fields(approx)}
 
 
 def _run_check(args) -> dict:
+    """The run commands' hypothesis checks, from the same problem builders."""
     text = _read(args.input)
     kind = _sniff(text)
-    checks = []
-    extra: dict = {}
+    if kind == "table":
+        kind, parsed = _load_table_spec(text)
     if kind == "cnf":
         f = cnfmod.parse_dimacs(text)
         graph = cnfmod.cnf_dependency_graph(f)
-        col = _maybe_coloring(args, lambda: graph) or greedy_coloring(graph)
-        dmax = graph.max_degree()
-        checks.append(cnfmod.k_condition_check(f, args.delta, dmax,
-                                               col.num_colors))
-        per_event = [float(cnfmod.joint_false_probability(f, (v,)))
-                     for v in graph.vertices()]
-        checks.append(cnfmod._per_event_check(per_event, args.delta, dmax,
-                                              col.num_colors))
-        delta_used = holder_delta(max(per_event, default=0.0),
-                                  col.num_colors, dmax, args.delta,
-                                  checks[-1].passed)
-        extra = {"chi": col.num_colors, "graph_order": graph.vertex_count,
-                 "max_degree": dmax, "delta_used": delta_used,
-                 "m": choose_truncation_order(graph.vertex_count, dmax,
-                                              delta_used, args.epsilon)}
+        problem = cnfmod.count_problem(
+            f, graph, _maybe_coloring(args, lambda: graph), args.delta)
+        checks = problem.checks
+        extra = {"chi": problem.chi, "delta_used": problem.delta_used,
+                 "m": choose_truncation_order(
+                     graph.vertex_count, graph.max_degree(),
+                     problem.delta_used, args.epsilon)}
+    elif kind == "events":
+        graph = parsed.graph
+        problem = cnfmod.intersection_problem(
+            parsed, graph, _maybe_coloring(args, lambda: graph), args.delta)
+        checks, extra = problem.checks, {"chi": problem.chi}
     elif kind == "projectors":
         # Parsing validates every projector and rejects the spec on the
         # first failure, so a parsed set has passed validation.
         ps = _load_projectors(text, args)
         graph = support_dependency_graph(ps)
-        col = _maybe_coloring(args, lambda: graph) or greedy_coloring(graph)
-        checks.append(ConditionCheck(
-            "projector-validation", True, 0.0,
-            f"{len(ps)} projectors validated"))
-        comm = verify_commuting(ps)
-        checks.append(ConditionCheck(
-            "pairwise-commutation", comm.commuting,
-            0.0 if comm.commuting else -1.0,
-            f"{comm.pairs_checked} overlapping pairs, failures "
-            f"{list(comm.failures)}"))
-        rank_chk, _ = qsat._rank_check(ps, args.delta, graph.max_degree(),
-                                       col.num_colors)
-        checks.append(rank_chk)
-        stab = qsat.stability_check(ps, args.stability_cap, args.delta)
-        checks.append(stab.as_check())
+        coloring = _maybe_coloring(args, lambda: graph)
+        problem = qsat.commuting_problem(ps, graph, coloring, args.delta)
+        checks = [ConditionCheck("projector-validation", True, 0.0,
+                                 f"{len(ps)} projectors validated"),
+                  *problem.checks,
+                  qsat.stability_check(ps, args.stability_cap,
+                                       args.delta).as_check()]
         if args.t:
-            dmax = graph.max_degree()
-            thr = (1.0 / (math.exp(1.0 + args.delta)
-                          * (2 * args.t * (dmax + 1) - 1))) ** (args.t * col.num_colors)
-            dchk, _ = qsat._rank_check(ps, args.delta, dmax, col.num_colors,
-                                       name="detectability-rank-condition",
-                                       threshold=thr)
-            checks.append(dchk)
-        extra = {"chi": col.num_colors, "graph_order": graph.vertex_count,
-                 "max_degree": graph.max_degree(),
-                 "suggested_delta": qsat.suggest_delta_general(ps, args.epsilon)}
-    elif kind == "table":
-        kind2, parsed = _load_table_spec(text)
-        if kind2 == "events":
-            oracle = parsed
-            graph = oracle.graph
-            col = _maybe_coloring(args, lambda: graph) or greedy_coloring(graph)
-            checks.append(cnfmod._per_event_check(
-                oracle.per_event_probabilities(), args.delta,
-                graph.max_degree(), col.num_colors))
-            extra = {"chi": col.num_colors, "graph_order": graph.vertex_count,
-                     "max_degree": graph.max_degree()}
-        else:
-            graph, oracle, max_size = parsed
-            m = choose_truncation_order(graph.vertex_count,
-                                        graph.max_degree(), args.delta,
-                                        args.epsilon)
-            rep = check_weight_condition(graph, oracle, min(m, max_size),
-                                         args.delta)
-            checks.append(rep.as_check())
-            extra = {"graph_order": graph.vertex_count,
-                     "max_degree": graph.max_degree(), "m": m,
-                     "delta_used": args.delta}
+            checks += qsat.detectability_problem(ps, graph, coloring, args.t,
+                                                 args.delta).checks
+        extra = {"chi": problem.chi, "suggested_delta":
+                 qsat.suggest_delta_general(ps, args.epsilon)}
+    elif kind == "weights":
+        _reject_coloring(args, "check on a weights-spec")
+        graph, oracle, max_size = parsed
+        m = choose_truncation_order(graph.vertex_count, graph.max_degree(),
+                                    args.delta, args.epsilon)
+        checks = [check_weight_condition(graph, oracle, min(m, max_size),
+                                         args.delta).as_check()]
+        extra = {"m": m, "delta_used": args.delta}
     else:
         raise SpecParseError("unrecognized input format")
-    report = {"command": "check", "input": args.input,
-              "status": "pass" if all(c.passed for c in checks) else "fail",
-              "conditions": _conditions_json(checks)}
-    report.update(extra)
-    return report
+    return {"command": "check", "input": args.input,
+            "status": "pass" if all(c.passed for c in checks) else "fail",
+            "conditions": _conditions_json(checks),
+            "graph_order": graph.vertex_count,
+            "max_degree": graph.max_degree(), **extra}
 
 
 def _run_oracle(args) -> dict:
@@ -462,8 +430,12 @@ def _validate_args(args) -> None:
     if epsilon is not None and not 0.0 < epsilon <= 1.0:
         raise SpecParseError("--epsilon must lie in (0, 1]")
     delta = getattr(args, "delta", None)
-    if delta is not None and delta <= 0.0:
-        raise SpecParseError("--delta must be positive")
+    if delta is not None and not (math.isfinite(delta) and delta > 0.0):
+        raise SpecParseError("--delta must be finite and positive")
+    lambda_star = getattr(args, "lambda_star", None)
+    if lambda_star is not None and not (math.isfinite(lambda_star)
+                                        and lambda_star >= 0.0):
+        raise SpecParseError("--lambda-star must be finite and non-negative")
     t = getattr(args, "t", None)
     if t is not None and t < 1:
         raise SpecParseError("--t must be a positive integer")
@@ -498,13 +470,11 @@ def main(argv=None) -> int:
         _emit({"command": args.command, "error": f"linear algebra failure: {exc}",
                "exit_code": 5}, fmt, sys.stderr)
         return 5
-    if "elapsed_s" not in report:
-        report["elapsed_s"] = time.perf_counter() - start
+    report.setdefault("elapsed_s", time.perf_counter() - start)
     _emit(report, fmt)
     if args.command == "check" and report.get("status") != "pass":
         return 2
     return 0
-
 
 
 if __name__ == "__main__":

@@ -48,14 +48,12 @@ def incompatible(a: Polymer, b: Polymer, g: DependencyGraph) -> bool:
 class WeightOracle:
     """Maps a polymer to a complex weight; pure in the vertex set.
 
-    ``decay_base`` is the claimed eta with |w_gamma| <= eta^|gamma|, used only
-    for reporting.  Evaluations are memoized by polymer tuple, so the oracle
-    is safe for concurrent use (pure function plus an idempotent cache).
+    Evaluations are memoized by polymer tuple, so the oracle is safe for
+    concurrent use (pure function plus an idempotent cache).
     """
 
-    def __init__(self, fn: Callable[[Polymer], complex], decay_base: float | None = None):
+    def __init__(self, fn: Callable[[Polymer], complex]):
         self._fn = fn
-        self.decay_base = decay_base
         self._memo: dict[Polymer, complex] = {}
 
     def weight(self, polymer: Polymer):
@@ -445,6 +443,25 @@ class ConditionCheck:
     passed: bool
     margin: float
     detail: str
+
+
+@dataclass
+class Problem:
+    """A polymer model, its hypothesis checks, their certified delta, chi."""
+
+    graph: DependencyGraph
+    oracle: WeightOracle
+    checks: list[ConditionCheck]
+    delta_used: float
+    chi: int
+
+
+def require(checks: Sequence[ConditionCheck], force: bool) -> None:
+    """Unless ``force``, raise on the first failed check, attaching them all."""
+    failed = [c for c in checks if not c.passed]
+    if failed and not force:
+        raise HypothesisViolation(
+            f"{failed[0].name} fails: {failed[0].detail}", checks)
 
 
 @dataclass

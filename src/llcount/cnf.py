@@ -9,15 +9,16 @@ table path this is an unverifiable promise of the input).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .clusters import (ApproxResult, ConditionCheck, WeightOracle,
-                       approx_partition_function, holder_delta,
+from .clusters import (ApproxResult, ConditionCheck, Problem, WeightOracle,
+                       approx_partition_function, holder_delta, require,
                        weight_decay_threshold)
-from .errors import HypothesisViolation, SpecParseError
+from .errors import SpecParseError
 from .graphs import (Coloring, DependencyGraph, greedy_coloring,
                      intersection_graph)
 
@@ -45,6 +46,17 @@ class CnfFormula:
 
     def min_width(self) -> int | None:
         return min((len(c) for c in self.clauses), default=None)
+
+    @functools.cached_property
+    def forcings(self) -> tuple[tuple[int, int, int], ...]:
+        """Per clause, (offset, mask, pattern): ``clause_forcing`` shifted right
+        by offset = smallest variable - 1, so no cached int is n bits wide."""
+        out = []
+        for c in self.clauses:
+            offset = min((abs(lit) for lit in c), default=1) - 1
+            mask, pattern = clause_forcing(c)
+            out.append((offset, mask >> offset, pattern >> offset))
+        return tuple(out)
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -130,10 +142,12 @@ def clause_forcing(clause: Sequence[int]) -> tuple[int, int]:
 
 def joint_false_probability(f: CnfFormula, clause_indices: Sequence[int]) -> Fraction:
     """Exact probability that all listed clauses are simultaneously false."""
-    mask = 0
-    pattern = 0
+    base = min((f.forcings[i][0] for i in clause_indices), default=0)
+    mask = pattern = 0
     for i in clause_indices:
-        cm, cp = clause_forcing(f.clauses[i])
+        offset, cm, cp = f.forcings[i]
+        cm <<= offset - base
+        cp <<= offset - base
         if (mask & cm) & (pattern ^ cp):
             return Fraction(0)
         mask |= cm
@@ -171,10 +185,6 @@ class EventTableOracle:
                 f"events table has no entry for connected set {key}; "
                 f"declared max-size is {self.max_size}") from None
 
-    def per_event_probabilities(self) -> list[float]:
-        return [self.joint_complement_probability((v,))
-                for v in self.graph.vertices()]
-
 
 @dataclass
 class ProbabilityResult:
@@ -184,17 +194,6 @@ class ProbabilityResult:
     probability: float
     chi_used: int
     delta_requested: float
-
-
-def _per_event_check(probs: Sequence[float], delta: float, max_degree: int,
-                     chi: int) -> ConditionCheck:
-    bound = weight_decay_threshold(delta, max_degree) ** chi
-    worst = max(probs, default=0.0)
-    detail = (f"max Pr[complement] = {worst:.6g} vs "
-              f"(1/(e^(1+delta)(2D+1)))^chi = {bound:.6g} "
-              f"(delta={delta}, D={max_degree}, chi={chi})")
-    return ConditionCheck("per-event-probability", worst <= bound,
-                          bound - worst, detail)
 
 
 def k_condition_check(f: CnfFormula, delta: float, max_degree: int,
@@ -209,6 +208,43 @@ def k_condition_check(f: CnfFormula, delta: float, max_degree: int,
     detail = (f"k = {k} vs required {required:.4f} "
               f"(chi={chi}, D={max_degree}, delta={delta}){note}")
     return ConditionCheck("k-condition", k >= required, k - required, detail)
+
+
+def _proper_coloring(graph: DependencyGraph, coloring: Coloring | None
+                     ) -> Coloring:
+    """``coloring`` verified against ``graph``; greedy when None."""
+    if coloring is None:
+        return greedy_coloring(graph)
+    coloring.assert_proper(graph)
+    return coloring
+
+
+def intersection_problem(source, graph: DependencyGraph,
+                         coloring: Coloring | None, delta: float) -> Problem:
+    """The events of ``source`` (a CnfFormula or an event oracle) as a
+    polymer model, under max Pr[complement] <= (1/(e^(1+delta)(2D+1)))^chi."""
+    is_cnf = isinstance(source, CnfFormula)
+    prob = (functools.partial(joint_false_probability, source) if is_cnf
+            else source.joint_complement_probability)
+    per_event = [float(prob((v,))) for v in graph.vertices()]
+
+    def weight_fn(polymer):
+        if is_cnf:
+            return cnf_polymer_weight(source, polymer)
+        p = prob(polymer)
+        return -p if len(polymer) % 2 else p
+
+    chi = _proper_coloring(graph, coloring).num_colors
+    dmax = graph.max_degree()
+    bound = weight_decay_threshold(delta, dmax) ** chi
+    worst = max(per_event, default=0.0)
+    check = ConditionCheck(
+        "per-event-probability", worst <= bound, bound - worst,
+        f"max Pr[complement] = {worst:.6g} vs "
+        f"(1/(e^(1+delta)(2D+1)))^chi = {bound:.6g} "
+        f"(delta={delta}, D={dmax}, chi={chi})")
+    return Problem(graph, WeightOracle(weight_fn), [check],
+                   holder_delta(worst, chi, dmax, delta, check.passed), chi)
 
 
 def approx_probability_intersection(source, epsilon: float, delta: float, *,
@@ -232,46 +268,12 @@ def approx_probability_intersection(source, epsilon: float, delta: float, *,
         exact = False
     else:
         raise TypeError("source must be a CnfFormula or an event oracle")
-    if coloring is None:
-        coloring = greedy_coloring(graph)
-    else:
-        coloring.assert_proper(graph)
-    return _approx_intersection(source, graph, coloring, epsilon, delta,
-                                force, threads, exact)
-
-
-def _approx_intersection(source, graph: DependencyGraph, coloring: Coloring,
-                         epsilon: float, delta: float, force: bool,
-                         threads: int, exact: bool) -> ProbabilityResult:
-    """The shared step of the two entry points, on a built dependency graph
-    and a proper coloring of it."""
-    if isinstance(source, CnfFormula):
-        per_event = [float(joint_false_probability(source, (v,)))
-                     for v in graph.vertices()]
-
-        def weight_fn(polymer):
-            return cnf_polymer_weight(source, polymer)
-    else:
-        per_event = [float(source.joint_complement_probability((v,)))
-                     for v in graph.vertices()]
-
-        def weight_fn(polymer):
-            p = source.joint_complement_probability(polymer)
-            return -p if len(polymer) % 2 else p
-
-    chi = coloring.num_colors
-    dmax = graph.max_degree()
-    check = _per_event_check(per_event, delta, dmax, chi)
-    if not check.passed and not force:
-        raise HypothesisViolation(
-            "per-event probability bound fails: " + check.detail, [check])
-    delta_used = holder_delta(max(per_event, default=0.0), chi, dmax, delta,
-                              check.passed)
-    oracle = WeightOracle(weight_fn)
+    problem = intersection_problem(source, graph, coloring, delta)
+    require(problem.checks, force)
     approx = approx_partition_function(
-        graph, oracle, epsilon, delta_used, force=force, threads=threads,
-        exact=exact, extra_checks=[check])
-    return ProbabilityResult(approx, approx.real_value(), chi, delta)
+        graph, problem.oracle, epsilon, problem.delta_used, force=force,
+        threads=threads, exact=exact, extra_checks=problem.checks)
+    return ProbabilityResult(approx, approx.real_value(), problem.chi, delta)
 
 
 @dataclass
@@ -286,6 +288,14 @@ class CountResult:
     delta_requested: float
 
 
+def count_problem(f: CnfFormula, graph: DependencyGraph,
+                  coloring: Coloring | None, delta: float) -> Problem:
+    """The k-condition, then ``intersection_problem`` of the clauses."""
+    problem = intersection_problem(f, graph, coloring, delta)
+    kcheck = k_condition_check(f, delta, graph.max_degree(), problem.chi)
+    return replace(problem, checks=[kcheck] + problem.checks)
+
+
 def count_satisfying(f: CnfFormula, epsilon: float, delta: float, *,
                      coloring: Coloring | None = None, force: bool = False,
                      threads: int = 1, exact: bool = False) -> CountResult:
@@ -295,16 +305,11 @@ def count_satisfying(f: CnfFormula, epsilon: float, delta: float, *,
     count is 2^n times the approximate probability of satisfying all clauses.
     """
     graph = cnf_dependency_graph(f)
-    col = coloring if coloring is not None else greedy_coloring(graph)
-    if coloring is not None:
-        col.assert_proper(graph)
-    kcheck = k_condition_check(f, delta, graph.max_degree(), col.num_colors)
-    if not kcheck.passed and not force:
-        raise HypothesisViolation(
-            "k-condition fails: " + kcheck.detail, [kcheck])
-    prob = _approx_intersection(f, graph, col, epsilon, delta, force,
-                                threads, exact)
-    prob.approx.checks.insert(0, kcheck)
-    count = math.ldexp(prob.probability, f.variable_count)
-    return CountResult(prob.approx, count, prob.probability,
-                       f.variable_count, prob.chi_used, delta)
+    problem = count_problem(f, graph, coloring, delta)
+    require(problem.checks, force)
+    approx = approx_partition_function(
+        graph, problem.oracle, epsilon, problem.delta_used, force=force,
+        threads=threads, exact=exact, extra_checks=problem.checks)
+    p = approx.real_value()
+    return CountResult(approx, math.ldexp(p, f.variable_count), p,
+                       f.variable_count, problem.chi, delta)

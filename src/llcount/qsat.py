@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .clusters import (DEFAULT_MAX_ORDER, DELTA_CEILING, ApproxResult,
-                       ConditionCheck, WeightOracle, approx_partition_function,
-                       certified_delta, check_weight_condition,
-                       choose_truncation_order, holder_delta,
-                       weight_decay_threshold)
+                       ConditionCheck, Problem, WeightOracle,
+                       approx_partition_function, certified_delta,
+                       check_weight_condition, choose_truncation_order,
+                       holder_delta, require, weight_decay_threshold)
 from .errors import HypothesisViolation, ResourceCapExceeded
-from .graphs import (Coloring, greedy_coloring,
+from .graphs import (Coloring, DependencyGraph, greedy_coloring,
                      strong_product_with_complete)
 from .projectors import (ProjectorSet, kernel_intersection_dim,
                          normalized_product_trace, rank_normalized,
@@ -54,11 +54,17 @@ class DimensionResult:
     delta_requested: float
 
 
-def _rank_check(ps: ProjectorSet, delta: float, max_degree: int, chi: int,
-                name: str = "rank-condition",
-                threshold: float | None = None) -> tuple[ConditionCheck, float]:
-    if threshold is None:
-        threshold = weight_decay_threshold(delta, max_degree) ** chi
+def _proper_coloring(graph: DependencyGraph, coloring: Coloring | None
+                     ) -> Coloring:
+    """``coloring`` verified against ``graph``; greedy when None."""
+    if coloring is None:
+        return greedy_coloring(graph)
+    coloring.assert_proper(graph)
+    return coloring
+
+
+def _rank_check(ps: ProjectorSet, name: str, threshold: float, delta: float,
+                max_degree: int, chi: int) -> tuple[ConditionCheck, float]:
     ranks = [rank_normalized(p, ps.d) for p in ps.projectors]
     worst = max(ranks, default=0.0)
     detail = (f"max normalized rank = {worst:.6g} vs bound = {threshold:.6g} "
@@ -73,44 +79,42 @@ def commuting_weight(ps: ProjectorSet, polymer: Sequence[int]) -> float:
     return -tr if len(polymer) % 2 else tr
 
 
+def commuting_problem(ps: ProjectorSet, graph: DependencyGraph,
+                      coloring: Coloring | None, delta: float) -> Problem:
+    """The commuting family's polymer model, under pairwise commutation and
+    max normalized rank <= (1/(e^(1+delta)(2D+1)))^chi."""
+    chi = _proper_coloring(graph, coloring).num_colors
+    dmax = graph.max_degree()
+    comm = verify_commuting(ps)
+    commutation = ConditionCheck(
+        "pairwise-commutation", comm.commuting,
+        0.0 if comm.commuting else -1.0,
+        f"{comm.pairs_checked} overlapping pairs checked; "
+        f"failures: {list(comm.failures)}")
+    rank_chk, worst_rank = _rank_check(
+        ps, "rank-condition", weight_decay_threshold(delta, dmax) ** chi,
+        delta, dmax, chi)
+    return Problem(graph, WeightOracle(lambda p: commuting_weight(ps, p)),
+                   [commutation, rank_chk],
+                   holder_delta(worst_rank, chi, dmax, delta, rank_chk.passed),
+                   chi)
+
+
 def approx_dim_commuting(ps: ProjectorSet, epsilon: float, delta: float, *,
                          coloring: Coloring | None = None, force: bool = False,
-                         threads: int = 1, commuting_declared: bool = False,
-                         commute_tol: float = 1e-8) -> DimensionResult:
+                         threads: int = 1) -> DimensionResult:
     """FPTAS for the normalized kernel-intersection dimension of a commuting
     projector family, under the per-projector rank bound."""
-    graph = support_dependency_graph(ps)
-    col = coloring if coloring is not None else greedy_coloring(graph)
-    if coloring is not None:
-        col.assert_proper(graph)
-    chi = col.num_colors
-    dmax = graph.max_degree()
-    checks = []
-    if not commuting_declared:
-        commrep = verify_commuting(ps, commute_tol)
-        checks.append(ConditionCheck(
-            "pairwise-commutation", commrep.commuting,
-            0.0 if commrep.commuting else -1.0,
-            f"{commrep.pairs_checked} overlapping pairs checked; "
-            f"failures: {list(commrep.failures)}"))
-        if not commrep.commuting and not force:
-            raise HypothesisViolation(
-                f"projector pairs do not commute: {list(commrep.failures)}",
-                checks)
-    rank_chk, worst_rank = _rank_check(ps, delta, dmax, chi)
-    checks.append(rank_chk)
-    if not rank_chk.passed and not force:
-        raise HypothesisViolation("rank condition fails: " + rank_chk.detail,
-                                  checks)
-    delta_used = holder_delta(worst_rank, chi, dmax, delta, rank_chk.passed)
-    oracle = WeightOracle(lambda p: commuting_weight(ps, p))
+    problem = commuting_problem(ps, support_dependency_graph(ps), coloring,
+                                delta)
+    require(problem.checks, force)
     approx = approx_partition_function(
-        graph, oracle, epsilon, delta_used, force=force, threads=threads,
-        extra_checks=checks)
+        problem.graph, problem.oracle, epsilon, problem.delta_used,
+        force=force, threads=threads, extra_checks=problem.checks)
     normalized = approx.real_value()
     return DimensionResult(approx, normalized,
                            *_absolute_dimension(normalized, ps),
-                           chi, "commuting", delta)
+                           problem.chi, "commuting", delta)
 
 
 class _KernelDimCache:
@@ -315,6 +319,25 @@ def detectability_additive_part(epsilon: float, lambda_star: float, chi: int,
     return (1.0 + epsilon) * (1.0 / (1.0 + lambda_star / chi ** 2)) ** (t / 2.0)
 
 
+def detectability_problem(ps: ProjectorSet, graph: DependencyGraph,
+                          coloring: Coloring | None, t: int,
+                          delta: float) -> Problem:
+    """The t-round polymer model on the support graph times K_t, under max
+    normalized rank <= (1/(e^(1+delta)(2t(D+1)-1)))^(t chi), chi >= 1."""
+    product = strong_product_with_complete(graph, t)
+    col = _proper_coloring(graph, coloring)
+    chi = max(col.num_colors, 1)
+    dmax = graph.max_degree()
+    threshold = (1.0 / (math.exp(1.0 + delta) * (2 * t * (dmax + 1) - 1))
+                 ) ** (t * chi)
+    rank_chk, worst_rank = _rank_check(
+        ps, "detectability-rank-condition", threshold, delta, dmax, chi)
+    delta_used = holder_delta(worst_rank, t * chi, product.max_degree(),
+                              delta, rank_chk.passed)
+    oracle = WeightOracle(lambda p: detectability_weight(ps, col, t, p))
+    return Problem(product, oracle, [rank_chk], delta_used, chi)
+
+
 def approx_dim_detectability(ps: ProjectorSet, params: DetectabilityParams,
                              delta: float, *, force: bool = False,
                              threads: int = 1,
@@ -323,40 +346,23 @@ def approx_dim_detectability(ps: ProjectorSet, params: DetectabilityParams,
     detectability trace, computed by the cluster engine on the strong product
     of the dependency graph with a complete graph on t rounds."""
     t = params.t
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    graph = support_dependency_graph(ps)
-    col = params.coloring if params.coloring is not None else greedy_coloring(graph)
-    if params.coloring is not None:
-        col.assert_proper(graph)
-    chi = max(col.num_colors, 1)
-    dmax = graph.max_degree()
-    product_base = 2 * t * (dmax + 1) - 1
-    threshold = (1.0 / (math.exp(1.0 + delta) * product_base)) ** (t * chi)
-    rank_chk, worst_rank = _rank_check(
-        ps, delta, dmax, chi, name="detectability-rank-condition",
-        threshold=threshold)
-    checks = [rank_chk]
-    if not rank_chk.passed and not force:
-        raise HypothesisViolation(
-            "detectability rank condition fails: " + rank_chk.detail, checks)
+    problem = detectability_problem(ps, support_dependency_graph(ps),
+                                    params.coloring, t, delta)
+    require(problem.checks, force)
     lam = params.lambda_star
     if lam is None:
         lam = spectral_gap_or_error(ps)
-    product = strong_product_with_complete(graph, t)
-    delta_used = holder_delta(worst_rank, t * chi, product.max_degree(),
-                              delta, rank_chk.passed)
-    oracle = WeightOracle(lambda p: detectability_weight(ps, col, t, p))
     approx = approx_partition_function(
-        product, oracle, params.epsilon, delta_used, force=force,
-        threads=threads, max_order=max_order, extra_checks=checks)
+        problem.graph, problem.oracle, params.epsilon, problem.delta_used,
+        force=force, threads=threads, max_order=max_order,
+        extra_checks=problem.checks)
     z = approx.real_value()
-    additive = detectability_additive_part(params.epsilon, lam, chi, t)
+    additive = detectability_additive_part(params.epsilon, lam, problem.chi, t)
     absolute_z, log2_absolute_z = _absolute_dimension(z, ps)
     return AffineResult(
         z=z, relative_coefficient=params.epsilon, additive_part=additive,
         worst_case_total=params.epsilon + additive, lambda_star=lam, t=t,
-        chi_used=chi, approx=approx, absolute_z=absolute_z,
+        chi_used=problem.chi, approx=approx, absolute_z=absolute_z,
         log2_absolute_z=log2_absolute_z, delta_requested=delta)
 
 
