@@ -21,8 +21,8 @@ from numpy.linalg import LinAlgError
 from . import cnf as cnfmod
 from . import formats, oracles, qsat
 from .clusters import (ApproxResult, ConditionCheck,
-                       approx_partition_function, check_weight_condition,
-                       choose_truncation_order)
+                       approx_partition_function, capped_truncation_order,
+                       check_weight_condition)
 from .errors import LLCountError, SpecParseError
 from .graphs import greedy_coloring
 # verify_commuting stays bound here because perfbench/tracing.py patches it
@@ -326,10 +326,13 @@ def _run_check(args) -> dict:
         problem = cnfmod.count_problem(
             f, graph, _maybe_coloring(args, lambda: graph), args.delta)
         checks = problem.checks
-        extra = {"chi": problem.chi, "delta_used": problem.delta_used,
-                 "m": choose_truncation_order(
-                     graph.vertex_count, graph.max_degree(),
-                     problem.delta_used, args.epsilon)}
+        extra = {"chi": problem.chi, "delta_used": problem.delta_used}
+        if all(c.passed for c in checks):
+            # count-sat reaches the truncation order, and its cap, only once
+            # its hypotheses hold
+            extra["m"] = capped_truncation_order(
+                graph.vertex_count, graph.max_degree(), problem.delta_used,
+                args.epsilon)
     elif kind == "events":
         graph = parsed.graph
         problem = cnfmod.intersection_problem(
@@ -354,10 +357,10 @@ def _run_check(args) -> dict:
                  qsat.suggest_delta_general(ps, args.epsilon)}
     elif kind == "weights":
         _reject_coloring(args, "check on a weights-spec")
-        graph, oracle, max_size = parsed
-        m = choose_truncation_order(graph.vertex_count, graph.max_degree(),
+        graph, oracle, _ = parsed
+        m = capped_truncation_order(graph.vertex_count, graph.max_degree(),
                                     args.delta, args.epsilon)
-        checks = [check_weight_condition(graph, oracle, min(m, max_size),
+        checks = [check_weight_condition(graph, oracle, m,
                                          args.delta).as_check()]
         extra = {"m": m, "delta_used": args.delta}
     else:

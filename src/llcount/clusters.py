@@ -19,10 +19,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HypothesisViolation, NumericFailure, ResourceCapExceeded
-from .graphs import DependencyGraph, enumerate_connected_subgraphs
+from .graphs import (DependencyGraph, connected_masks,
+                     enumerate_connected_subgraphs, induced_masks, mask_bits)
 
 Polymer = tuple[int, ...]
 
@@ -64,8 +67,7 @@ class WeightOracle:
         return w
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """A sorted multiset of polymers with connected incompatibility graph."""
 
     polymers: tuple[Polymer, ...]
@@ -164,42 +166,101 @@ def enumerate_clusters(g: DependencyGraph, m: int) -> Iterator[Cluster]:
     Those clusters depend only on the induced subgraph G[U].  Each distinct
     shape, keyed by the local adjacency bitmasks of the sorted U, is
     enumerated once per call; every other union of that shape relabels the
-    cached clusters through the order-preserving map i -> U[i], which keeps
+    shape's clusters through the order-preserving map i -> U[i], which keeps
     the emission order of a per-union enumeration.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    # shape key -> (local polymers, [(polymer indices, total_size, orderings,
-    # incompatibility_masks)])
-    shapes: dict[tuple[int, ...], tuple[list[Polymer], list[tuple]]] = {}
+    new = tuple.__new__  # skips NamedTuple's Python-level __new__
+    # shape key -> (one getter per local polymer, [(polymers getter,
+    # total_size, orderings, incompatibility_masks)])
+    shapes: dict[tuple[int, ...], tuple[list[itemgetter], list[tuple]]] = {}
     for union in sorted(enumerate_connected_subgraphs(g, m)):
-        local_index = {v: i for i, v in enumerate(union)}
-        key = tuple(sum(1 << local_index[w] for w in g.neighbors(v)
-                        if w in local_index) for v in union)
+        key = tuple(induced_masks(g, union))
         shape = shapes.get(key)
         if shape is None:
-            shape = shapes[key] = _shape_clusters(key, m)
-        local_polymers, local_clusters = shape
-        polymers = [tuple([union[i] for i in p]) for p in local_polymers]
-        for indices, total_size, orderings, masks in local_clusters:
-            yield Cluster(tuple([polymers[i] for i in indices]), total_size,
-                          orderings, masks)
+            local_polymers, local_clusters = _shape_clusters(key, m)
+            shape = shapes[key] = (
+                [_tuple_getter(p) for p in local_polymers],
+                [(_tuple_getter(indices), *rest)
+                 for indices, *rest in local_clusters])
+        relabel, local_clusters = shape
+        polymers = tuple([get(union) for get in relabel])
+        for get, total_size, orderings, masks in local_clusters:
+            yield new(Cluster, (get(polymers), total_size, orderings, masks))
+
+
+def _tuple_getter(indices: Sequence[int]) -> itemgetter:
+    """An itemgetter returning the tuple of a tuple's items at ``indices``."""
+    if len(indices) == 1:
+        # a one-item itemgetter returns the item itself; a slice keeps a tuple
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
 
 
 def _shape_clusters(key: tuple[int, ...], m: int
                     ) -> tuple[list[Polymer], list[tuple]]:
     """Clusters covering the whole graph with adjacency bitmasks ``key``, with
-    each polymer given by its index in the returned polymer list."""
+    each polymer given by its index in the returned polymer list.
+
+    Emits what ``_clusters_with_union`` emits on that graph, in its order, on
+    bitmasks: a polymer is a vertex mask with its closed-neighbourhood mask,
+    so two polymers are incompatible iff one's vertex mask meets the other's
+    closed neighbourhood.  The polymer list holds the polymers that occur, in
+    order of first occurrence.
+    """
     k = len(key)
-    induced = DependencyGraph(k, [[j for j in range(k) if mask >> j & 1]
-                                  for mask in key])
-    index: dict[Polymer, int] = {}
+    full = (1 << k) - 1
+    # every connected subset, in the order of the sorted vertex tuples
+    tuples = sorted(tuple(mask_bits(s)) for root in range(k)
+                    for s in connected_masks(key, k, root))
+    vertex_masks = [sum(1 << v for v in p) for p in tuples]
+    closed = []
+    for reach, p in zip(vertex_masks, tuples):
+        for v in p:
+            reach |= key[v]
+        closed.append(reach)
+    sizes = [len(p) for p in tuples]
+    count = len(tuples)
+    index: dict[int, int] = {}
     clusters = []
-    for c in _clusters_with_union(induced, tuple(range(k)), m):
-        indices = tuple([index.setdefault(p, len(index)) for p in c.polymers])
-        clusters.append((indices, c.total_size, c.orderings,
-                         c.incompatibility_masks))
-    return list(index), clusters
+    chosen: list[int] = []
+
+    def finish() -> None:
+        t = len(chosen)
+        masks = [0] * t
+        for a in range(t):
+            reach = closed[chosen[a]]
+            for b in range(a + 1, t):
+                if vertex_masks[chosen[b]] & reach:
+                    masks[a] |= 1 << b
+                    masks[b] |= 1 << a
+        if not _connected_masks(masks):
+            return
+        # chosen is sorted, so equal polymers form runs
+        orderings = math.factorial(t)
+        for _, run in groupby(chosen):
+            orderings //= math.factorial(len(list(run)))
+        clusters.append((
+            tuple([index.setdefault(i, len(index)) for i in chosen]),
+            sum([sizes[i] for i in chosen]), orderings, tuple(masks)))
+
+    def rec(start: int, covered: int, total: int) -> None:
+        if covered == full:
+            finish()
+        for i in range(start, count):
+            new_total = total + sizes[i]
+            if new_total > m:
+                continue
+            new_covered = covered | vertex_masks[i]
+            if new_total + k - new_covered.bit_count() > m:
+                continue
+            chosen.append(i)
+            rec(i, new_covered, new_total)
+            chosen.pop()
+
+    rec(0, 0, 0)
+    return [tuples[i] for i in index], clusters
 
 
 def _polymers_inside(g: DependencyGraph, union: Polymer) -> list[Polymer]:
@@ -294,21 +355,6 @@ class _KahanComplex:
         return complex(self.re, self.im)
 
 
-class _ExactSum:
-    """Exact rational accumulator with the interface of ``_KahanComplex``."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = Fraction(0)
-
-    def add(self, q: Fraction) -> None:
-        self.value += q
-
-    def total(self) -> Fraction:
-        return self.value
-
-
 def _as_complex(w) -> complex:
     if isinstance(w, Fraction):
         return complex(float(w))
@@ -327,6 +373,20 @@ def _evaluate_weights(oracle: WeightOracle, polymers: Sequence[Polymer], threads
             oracle.weight(p)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
                   exact: bool = False):
     """Sum coefficient times weight product over the clusters, in their order.
@@ -335,27 +395,44 @@ def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
     complex, or to Fraction when ``exact``) once, and so is each distinct
     Ursell coefficient, keyed by incompatibility masks and orderings.
     """
+    return _count_and_sum(clusters, oracle, exact)[1]
+
+
+def _count_and_sum(clusters: Iterable[Cluster], oracle: WeightOracle,
+                   exact: bool):
+    """``_sum_clusters`` with the number of clusters read; the float sum is
+    ``_KahanComplex.add`` inlined, step for step."""
     convert = Fraction if exact else _as_complex
-    acc = _ExactSum() if exact else _KahanComplex()
     one = Fraction(1) if exact else complex(1.0)
-    weights: dict[Polymer, complex | Fraction] = {}
-    coeffs: dict[tuple[tuple[int, ...], int], float | Fraction] = {}
-    for c in clusters:
-        key = (c.incompatibility_masks, c.orderings)
-        coeff = coeffs.get(key)
-        if coeff is None:
-            coeff = _ursell_from_masks(c.incompatibility_masks) * c.orderings
-            if not exact:
-                coeff = float(coeff)
-            coeffs[key] = coeff
+    weights = _Memo(lambda p: convert(oracle.weight(p)))
+
+    def coefficient(key):
+        masks, orderings = key
+        coeff = _ursell_from_masks(masks) * orderings
+        return coeff if exact else float(coeff)
+
+    coeffs = _Memo(coefficient)
+    count = 0
+    exact_total = Fraction(0)
+    re = im = cre = cim = 0.0
+    for polymers, _, orderings, masks in clusters:
+        count += 1
         prod = one
-        for p in c.polymers:
-            w = weights.get(p)
-            if w is None:
-                w = weights[p] = convert(oracle.weight(p))
-            prod *= w
-        acc.add(coeff * prod)
-    return acc.total()
+        for p in polymers:
+            prod *= weights[p]
+        z = coeffs[masks, orderings] * prod
+        if exact:
+            exact_total += z
+            continue
+        y = z.real - cre
+        t = re + y
+        cre = (t - re) - y
+        re = t
+        y = z.imag - cim
+        t = im + y
+        cim = (t - im) - y
+        im = t
+    return count, exact_total if exact else complex(re, im)
 
 
 def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
@@ -432,6 +509,18 @@ def choose_truncation_order(graph_order: int, max_degree: int, delta: float,
         m -= 1
     while convergence_bound(graph_order, max_degree, delta, m) > target:
         m += 1
+    return m
+
+
+def capped_truncation_order(graph_order: int, max_degree: int, delta: float,
+                            epsilon: float,
+                            max_order: int = DEFAULT_MAX_ORDER) -> int:
+    """``choose_truncation_order``, refusing an order above ``max_order``."""
+    m = choose_truncation_order(graph_order, max_degree, delta, epsilon)
+    if m > max_order:
+        raise ResourceCapExceeded(
+            f"truncation order {m} exceeds cap {max_order}; "
+            "increase delta or epsilon, or raise the cap")
     return m
 
 
@@ -564,11 +653,8 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
     """
     start = time.perf_counter()
     dmax = g.max_degree() if max_degree is None else max_degree
-    m = choose_truncation_order(g.vertex_count, dmax, delta, epsilon)
-    if m > max_order:
-        raise ResourceCapExceeded(
-            f"truncation order {m} exceeds cap {max_order}; "
-            "increase delta or epsilon, or raise the cap")
+    m = capped_truncation_order(g.vertex_count, dmax, delta, epsilon,
+                                max_order)
     report = check_weight_condition(g, oracle, m, delta,
                                     max_degree=dmax, threads=threads)
     checks = list(extra_checks) + [report.as_check()]
@@ -579,15 +665,8 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
             f"|w| = {aw:.6g} > {allowed:.6g}", checks)
     # check_weight_condition has evaluated every polymer of size <= m, so
     # the clusters stream straight into the sum
-    cluster_count = 0
-
-    def counted() -> Iterator[Cluster]:
-        nonlocal cluster_count
-        for cluster in enumerate_clusters(g, m):
-            cluster_count += 1
-            yield cluster
-
-    total = _sum_clusters(counted(), oracle, exact=exact)
+    cluster_count, total = _count_and_sum(enumerate_clusters(g, m), oracle,
+                                          exact)
     exact_log = total if exact else None
     log_value = complex(float(total)) if exact else total
     if not (math.isfinite(log_value.real) and math.isfinite(log_value.imag)):

@@ -184,30 +184,88 @@ def enumerate_connected_subgraphs(g: DependencyGraph, m: int) -> Iterator[tuple[
     rooted sets from each vertex, with vertices below the root forbidden so
     each set is emitted only from its smallest vertex.  The order of emission
     is deterministic (DFS, ascending extensions).
+
+    A root's sets are grown on bitmasks over its ball: the vertices above the
+    root that lie within m - 1 steps of it through such vertices, numbered in
+    ascending order, so bit 0 is the root and ascending bits are ascending
+    vertices.  The cost per root is its ball plus the sets it emits.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     for root in g.vertices():
-        forbidden = set(range(root))
-        yield from _grow(g, {root}, forbidden, m)
+        ball = _ball(g, root, m - 1)
+        for subset in connected_masks(induced_masks(g, ball), m, 0):
+            yield tuple([ball[i] for i in mask_bits(subset)])
 
 
-def _grow(g: DependencyGraph, subset: set[int], forbidden: set[int],
-          m: int) -> Iterator[tuple[int, ...]]:
-    yield tuple(sorted(subset))
-    if len(subset) == m:
-        return
-    ext = set()
-    for v in subset:
+def induced_masks(g: DependencyGraph, vertices: Sequence[int]) -> list[int]:
+    """Adjacency bitmasks of the induced subgraph G[vertices], with bit i
+    standing for vertices[i]."""
+    index = {v: i for i, v in enumerate(vertices)}
+    out = []
+    for v in vertices:
+        mask = 0
         for w in g.neighbors(v):
-            if w not in subset and w not in forbidden:
-                ext.add(w)
-    banned = set(forbidden)
-    for u in sorted(ext):
-        subset.add(u)
-        yield from _grow(g, subset, banned, m)
-        subset.remove(u)
-        banned.add(u)
+            i = index.get(w)
+            if i is not None:
+                mask |= 1 << i
+        out.append(mask)
+    return out
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _ball(g: DependencyGraph, root: int, radius: int) -> list[int]:
+    """Sorted vertices >= root within ``radius`` steps of root through
+    vertices > root."""
+    seen = {root}
+    frontier = [root]
+    for _ in range(radius):
+        grown = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if w > root and w not in seen:
+                    seen.add(w)
+                    grown.append(w)
+        if not grown:
+            break
+        frontier = grown
+    return sorted(seen)
+
+
+def connected_masks(adj: Sequence[int], m: int, root: int) -> Iterator[int]:
+    """Bitmasks of the connected vertex sets of order 1..m whose smallest
+    vertex is ``root``, on the graph with adjacency bitmasks ``adj``.
+
+    Depth-first with ascending extensions, in the order of
+    ``enumerate_connected_subgraphs``: a set's children add one neighbour
+    each, and each child bans its elder siblings, so no set repeats.
+    """
+    # (set, its neighbourhood, banned vertices, order); vertices below the
+    # root are banned from the start
+    stack = [(1 << root, adj[root], (1 << root) - 1, 1)]
+    while stack:
+        subset, reach, banned, size = stack.pop()
+        yield subset
+        if size == m:
+            continue
+        ext = reach & ~(subset | banned)
+        children = []
+        while ext:
+            low = ext & -ext
+            children.append((subset | low, reach | adj[low.bit_length() - 1],
+                             banned, size + 1))
+            banned |= low
+            ext ^= low
+        stack.extend(reversed(children))
 
 
 def induced_components(g: DependencyGraph, vertices: Iterable[int]) -> list[tuple[int, ...]]:

@@ -16,9 +16,10 @@ from typing import Sequence
 
 from .clusters import (DEFAULT_MAX_ORDER, DELTA_CEILING, ApproxResult,
                        ConditionCheck, Problem, WeightOracle,
-                       approx_partition_function, certified_delta,
-                       check_weight_condition, choose_truncation_order,
-                       holder_delta, require, weight_decay_threshold)
+                       approx_partition_function, capped_truncation_order,
+                       certified_delta, check_weight_condition,
+                       choose_truncation_order, holder_delta, require,
+                       weight_decay_threshold)
 from .errors import HypothesisViolation, ResourceCapExceeded
 from .graphs import (Coloring, DependencyGraph, greedy_coloring,
                      strong_product_with_complete)
@@ -209,12 +210,8 @@ def approx_dim_general(ps: ProjectorSet, epsilon: float, delta: float, *,
     graph = support_dependency_graph(ps)
     cache = _KernelDimCache(ps)
     oracle = WeightOracle(lambda p: general_ie_weight(ps, p, cache))
-    m = choose_truncation_order(graph.vertex_count, graph.max_degree(),
-                                delta, epsilon)
-    if m > max_order:
-        raise ResourceCapExceeded(
-            f"truncation order {m} exceeds cap {max_order}; "
-            "increase delta or epsilon, or raise the cap")
+    m = capped_truncation_order(graph.vertex_count, graph.max_degree(),
+                                delta, epsilon, max_order)
     stab = stability_check(ps, m, delta, oracle=oracle, threads=threads)
     if not stab.passed and not force:
         u, aw, allowed = stab.violations[0]

@@ -359,3 +359,48 @@ def test_count_sat_builds_the_dependency_graph_once(tmp_path, capsys,
     # the --coloring file is checked against a graph of its own; the
     # pipeline builds one more and passes it on
     assert len(builds) == (2 if with_coloring else 1)
+
+
+def test_check_applies_the_truncation_order_cap(tmp_path, capsys):
+    # with this 3-coloring the certified delta needs m = 20 > cap 14
+    path = _write_cnf(tmp_path, chain_cnf(random.Random(5), 4, share=6))
+    coloring = tmp_path / "f.col"
+    coloring.write_text("0 0\n1 1\n2 2\n3 0\n")
+    flags = ["--coloring", str(coloring), "--format", "jsonl"]
+    check_code, check_out, check_err = _run(capsys, ["check", path] + flags)
+    run_code, _, run_err = _run(capsys, ["count-sat", path] + flags)
+    assert check_code == run_code == 4
+    assert check_out == ""
+    assert _last_json(check_err)["error"] == _last_json(run_err)["error"]
+    assert _last_json(check_err)["error"].startswith(
+        "truncation order 20 exceeds cap 14")
+
+
+def test_check_on_weights_spec_checks_decay_up_to_m(tmp_path, capsys):
+    # max-size 1 on a 3-vertex path at delta 1.0 (m = 3): the pair and
+    # triple weights lie within the truncation order but are missing
+    g = build_graph(3, [(0, 1), (1, 2)])
+    path = tmp_path / "w.spec"
+    path.write_text(format_weights_spec(
+        g, {(0,): 0.001, (1,): 0.001, (2,): 0.001}, 1))
+    flags = ["--delta", "1.0", "--format", "jsonl"]
+    check_code, check_out, check_err = _run(capsys, ["check", str(path)] + flags)
+    run_code, _, run_err = _run(capsys, ["polymer-z", str(path)] + flags)
+    assert check_code == run_code == 3
+    assert check_out == ""
+    assert _last_json(check_err)["error"] == _last_json(run_err)["error"] == (
+        "weights table has no entry for polymer (0, 1); declared max-size is 1")
+
+
+def test_cluster_count_is_the_number_of_enumerated_clusters(tmp_path, capsys):
+    from llcount.clusters import enumerate_clusters
+    from llcount.cnf import cnf_dependency_graph, parse_dimacs
+
+    path = _write_cnf(tmp_path, chain_cnf(random.Random(7), 20, share=6))
+    code, out, _ = _run(capsys, ["count-sat", path, "--format", "jsonl"])
+    assert code == 0
+    report = _last_json(out)
+    with open(path) as fh:
+        g = cnf_dependency_graph(parse_dimacs(fh.read()))
+    assert report["cluster_count"] == sum(
+        1 for _ in enumerate_clusters(g, report["m"])) > 0

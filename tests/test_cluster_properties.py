@@ -1,6 +1,6 @@
 """Property tests of the cluster engine's fast paths against literal loops:
-shape-cached cluster enumeration, the streamed summation, and the indexed
-intersection graph."""
+shape-cached cluster enumeration, the bitmask shape enumeration, the streamed
+summation, and the indexed intersection graph."""
 
 import random
 from fractions import Fraction
@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llcount.clusters import (WeightOracle, _clusters_with_union,
-                              _KahanComplex, _ursell_from_masks,
-                              enumerate_clusters, truncated_expansion)
-from llcount.graphs import (build_graph, enumerate_connected_subgraphs,
-                            intersection_graph)
+                              _KahanComplex, _shape_clusters,
+                              _ursell_from_masks, enumerate_clusters,
+                              truncated_expansion)
+from llcount.graphs import (DependencyGraph, build_graph,
+                            enumerate_connected_subgraphs, intersection_graph)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -72,6 +73,46 @@ def _list_sum(clusters, oracle, exact):
 @given(multi_component_graphs(), st.integers(1, 6))
 def test_shape_cached_enumeration_equals_per_union_loop(g, m):
     assert list(enumerate_clusters(g, m)) == _uncached_clusters(g, m)
+
+
+@st.composite
+def connected_shapes(draw):
+    """Adjacency bitmasks of a connected graph on 1..7 vertices: a random
+    spanning tree plus random extra edges, with shuffled vertex ids."""
+    k = draw(st.integers(1, 7))
+    label = draw(st.permutations(range(k)))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, k)}
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs), max_size=10))
+    masks = [0] * k
+    for u, v in edges:
+        masks[label[u]] |= 1 << label[v]
+        masks[label[v]] |= 1 << label[u]
+    return tuple(masks)
+
+
+def _reference_shape_clusters(key, m):
+    """``_shape_clusters`` through the literal per-union enumeration: clusters
+    covering the whole shape, each polymer numbered by first occurrence."""
+    k = len(key)
+    induced = DependencyGraph(k, [[j for j in range(k) if mask >> j & 1]
+                                  for mask in key])
+    index = {}
+    clusters = []
+    for c in _clusters_with_union(induced, tuple(range(k)), m):
+        clusters.append((tuple(index.setdefault(p, len(index))
+                               for p in c.polymers),
+                         c.total_size, c.orderings, c.incompatibility_masks))
+    return list(index), clusters
+
+
+@SETTINGS
+@given(connected_shapes(), st.integers(0, 7))
+def test_bitmask_shape_clusters_equal_per_union_loop(key, slack):
+    # below m = len(key) no cluster covers the shape
+    m = min(len(key) + slack, 8)
+    assert _shape_clusters(key, m) == _reference_shape_clusters(key, m)
 
 
 def _weights(g, m, seed, rational):

@@ -308,3 +308,22 @@ def test_weight_threads_capped_by_cpu_count_and_polymer_count(monkeypatch):
     assert requested[2:] == [6, 5]
     assert run(None) == serial
     assert len(requested) == 4
+
+
+def test_cluster_is_a_named_tuple():
+    import llcount
+    from llcount.clusters import Cluster
+
+    assert llcount.Cluster is Cluster
+    assert Cluster._fields == ("polymers", "total_size", "orderings",
+                               "incompatibility_masks")
+    c = Cluster(((0,), (0, 1)), 3, 2, (0b10, 0b01))
+    assert tuple(c) == (((0,), (0, 1)), 3, 2, (0b10, 0b01))
+    assert (c.polymers, c.total_size, c.orderings,
+            c.incompatibility_masks) == tuple(c)
+    assert c == Cluster(((0,), (0, 1)), 3, 2, (0b10, 0b01))
+    assert c != Cluster(((0,), (0, 1)), 3, 1, (0b10, 0b01))
+    assert {c: 1}[Cluster(((0,), (0, 1)), 3, 2, (0b10, 0b01))] == 1
+    emitted = list(enumerate_clusters(P3, 2))
+    assert all(type(e) is Cluster for e in emitted)
+    assert len(set(emitted)) == len(emitted)

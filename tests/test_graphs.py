@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llcount.graphs import (Coloring, build_graph, enumerate_connected_subgraphs,
                             greedy_coloring, induced_components,
@@ -143,3 +145,42 @@ def test_induced_components_examples():
     assert induced_components(p3, {0, 1, 2}) == [(0, 1, 2)]
     k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert induced_components(k3, set()) == []
+
+
+def _set_based_connected_subgraphs(g, m):
+    """Set-based rooted growth: the reference for the emission order of the
+    bitmask enumeration."""
+    for root in g.vertices():
+        yield from _set_based_grow(g, {root}, set(range(root)), m)
+
+
+def _set_based_grow(g, subset, forbidden, m):
+    yield tuple(sorted(subset))
+    if len(subset) == m:
+        return
+    ext = set()
+    for v in subset:
+        for w in g.neighbors(v):
+            if w not in subset and w not in forbidden:
+                ext.add(w)
+    banned = set(forbidden)
+    for u in sorted(ext):
+        subset.add(u)
+        yield from _set_based_grow(g, subset, banned, m)
+        subset.remove(u)
+        banned.add(u)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=20)) if pairs else ()
+    return build_graph(n, edges)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_graphs(), st.integers(1, 7))
+def test_bitmask_enumeration_keeps_the_set_based_order(g, m):
+    assert list(enumerate_connected_subgraphs(g, m)) == list(
+        _set_based_connected_subgraphs(g, m))
