@@ -355,6 +355,13 @@ def _run_check(args) -> dict:
                                                  args.delta).checks
         extra = {"chi": problem.chi, "suggested_delta":
                  qsat.suggest_delta_general(ps, args.epsilon)}
+        if all(c.passed for c in problem.checks):
+            # as for a CNF: qsat-commuting reaches the truncation order, and
+            # its cap, only once its hypotheses hold
+            extra["delta_used"] = problem.delta_used
+            extra["m"] = capped_truncation_order(
+                graph.vertex_count, graph.max_degree(), problem.delta_used,
+                args.epsilon)
     elif kind == "weights":
         _reject_coloring(args, "check on a weights-spec")
         graph, oracle, _ = parsed

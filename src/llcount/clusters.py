@@ -155,7 +155,10 @@ def ursell(h: DependencyGraph) -> Fraction:
 # ---------------------------------------------------------------------------
 # Cluster enumeration
 
-def enumerate_clusters(g: DependencyGraph, m: int) -> Iterator[Cluster]:
+def enumerate_clusters(g: DependencyGraph, m: int,
+                       weight: Callable[[Polymer], object] | None = None, *,
+                       unions: Iterable[Polymer] | None = None,
+                       counted: list[int] | None = None) -> Iterator[Cluster]:
     """Yield every cluster of total size <= m exactly once, deterministically.
 
     A cluster's polymers all lie inside the (connected) union of its vertex
@@ -168,14 +171,26 @@ def enumerate_clusters(g: DependencyGraph, m: int) -> Iterator[Cluster]:
     enumerated once per call; every other union of that shape relabels the
     shape's clusters through the order-preserving map i -> U[i], which keeps
     the emission order of a per-union enumeration.
+
+    With ``weight`` (polymer -> weight), the clusters holding a polymer whose
+    weight is exactly 0 are skipped: their term in the expansion is 0.  The
+    others keep their order.  ``unions`` is the sorted list of connected sets
+    of at most m vertices when the caller has it already.  When given,
+    ``counted[0]`` grows by the number of clusters of each union, the
+    skipped ones included.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     new = tuple.__new__  # skips NamedTuple's Python-level __new__
     # shape key -> (one getter per local polymer, [(polymers getter,
-    # total_size, orderings, incompatibility_masks)])
-    shapes: dict[tuple[int, ...], tuple[list[itemgetter], list[tuple]]] = {}
-    for union in sorted(enumerate_connected_subgraphs(g, m)):
+    # total_size, orderings, incompatibility_masks)], per cluster the mask of
+    # the local polymers it uses, dead-polymer mask -> the clusters it spares)
+    shapes: dict[tuple[int, ...],
+                 tuple[list[itemgetter], list[tuple], list[int],
+                       dict[int, list[tuple]]]] = {}
+    if unions is None:
+        unions = sorted(enumerate_connected_subgraphs(g, m))
+    for union in unions:
         key = tuple(induced_masks(g, union))
         shape = shapes.get(key)
         if shape is None:
@@ -183,9 +198,26 @@ def enumerate_clusters(g: DependencyGraph, m: int) -> Iterator[Cluster]:
             shape = shapes[key] = (
                 [_tuple_getter(p) for p in local_polymers],
                 [(_tuple_getter(indices), *rest)
-                 for indices, *rest in local_clusters])
-        relabel, local_clusters = shape
+                 for indices, *rest in local_clusters],
+                [sum({1 << i for i in indices})
+                 for indices, *_ in local_clusters],
+                {})
+        relabel, local_clusters, uses, spared = shape
         polymers = tuple([get(union) for get in relabel])
+        if counted is not None:
+            counted[0] += len(local_clusters)
+        if weight is not None:
+            dead = 0
+            for i, p in enumerate(polymers):
+                if weight(p) == 0:
+                    dead |= 1 << i
+            if dead:
+                live = spared.get(dead)
+                if live is None:
+                    live = spared[dead] = [
+                        c for c, used in zip(local_clusters, uses)
+                        if not used & dead]
+                local_clusters = live
         for get, total_size, orderings, masks in local_clusters:
             yield new(Cluster, (get(polymers), total_size, orderings, masks))
 
@@ -393,15 +425,9 @@ def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
 
     Streams the clusters.  Each distinct polymer weight is converted (to
     complex, or to Fraction when ``exact``) once, and so is each distinct
-    Ursell coefficient, keyed by incompatibility masks and orderings.
+    Ursell coefficient, keyed by incompatibility masks and orderings.  The
+    float sum is ``_KahanComplex.add`` inlined, step for step.
     """
-    return _count_and_sum(clusters, oracle, exact)[1]
-
-
-def _count_and_sum(clusters: Iterable[Cluster], oracle: WeightOracle,
-                   exact: bool):
-    """``_sum_clusters`` with the number of clusters read; the float sum is
-    ``_KahanComplex.add`` inlined, step for step."""
     convert = Fraction if exact else _as_complex
     one = Fraction(1) if exact else complex(1.0)
     weights = _Memo(lambda p: convert(oracle.weight(p)))
@@ -412,11 +438,9 @@ def _count_and_sum(clusters: Iterable[Cluster], oracle: WeightOracle,
         return coeff if exact else float(coeff)
 
     coeffs = _Memo(coefficient)
-    count = 0
     exact_total = Fraction(0)
     re = im = cre = cim = 0.0
     for polymers, _, orderings, masks in clusters:
-        count += 1
         prod = one
         for p in polymers:
             prod *= weights[p]
@@ -432,7 +456,7 @@ def _count_and_sum(clusters: Iterable[Cluster], oracle: WeightOracle,
         t = im + y
         cim = (t - im) - y
         im = t
-    return count, exact_total if exact else complex(re, im)
+    return exact_total if exact else complex(re, im)
 
 
 def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
@@ -444,10 +468,11 @@ def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
     result is bit-identical for any thread count.
     """
     # every polymer of size <= m is itself a cluster, so this evaluates
-    # exactly the weights the sum reads
-    _evaluate_weights(oracle, list(enumerate_connected_subgraphs(g, m)),
-                      threads)
-    return _sum_clusters(enumerate_clusters(g, m), oracle, exact=exact)
+    # exactly the weights the sum reads, and the zero ones it may skip
+    unions = sorted(enumerate_connected_subgraphs(g, m))
+    _evaluate_weights(oracle, unions, threads)
+    return _sum_clusters(enumerate_clusters(g, m, oracle.weight, unions=unions),
+                         oracle, exact=exact)
 
 
 def weight_decay_threshold(delta: float, max_degree: int) -> float:
@@ -580,15 +605,20 @@ class WeightConditionReport:
 
 def check_weight_condition(g: DependencyGraph, oracle: WeightOracle, m: int,
                            delta: float, *, max_degree: int | None = None,
-                           threads: int = 1) -> WeightConditionReport:
+                           threads: int = 1,
+                           polymers: Sequence[Polymer] | None = None
+                           ) -> WeightConditionReport:
     """Verify |w_gamma| <= eta^|gamma| for every polymer of size <= m.
 
-    The condition over all sizes cannot be checked exhaustively; callers
-    assert it through application-level hypotheses.
+    ``polymers`` is the sorted list of connected sets of at most m vertices
+    when the caller has it already.  The condition over all sizes cannot be
+    checked exhaustively; callers assert it through application-level
+    hypotheses.
     """
     dmax = g.max_degree() if max_degree is None else max_degree
     eta = weight_decay_threshold(delta, dmax)
-    polymers = sorted(enumerate_connected_subgraphs(g, m))
+    if polymers is None:
+        polymers = sorted(enumerate_connected_subgraphs(g, m))
     _evaluate_weights(oracle, polymers, threads)
     max_root: dict[int, float] = {}
     worst: dict[int, Polymer] = {}
@@ -655,8 +685,11 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
     dmax = g.max_degree() if max_degree is None else max_degree
     m = capped_truncation_order(g.vertex_count, dmax, delta, epsilon,
                                 max_order)
-    report = check_weight_condition(g, oracle, m, delta,
-                                    max_degree=dmax, threads=threads)
+    # one sorted list of the polymers of size <= m serves as the polymers
+    # checked and as the cluster unions
+    polymers = sorted(enumerate_connected_subgraphs(g, m))
+    report = check_weight_condition(g, oracle, m, delta, max_degree=dmax,
+                                    threads=threads, polymers=polymers)
     checks = list(extra_checks) + [report.as_check()]
     if report.violations and not force:
         p, aw, allowed = report.violations[0]
@@ -664,9 +697,12 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
             f"weight-decay condition fails at polymer {p}: "
             f"|w| = {aw:.6g} > {allowed:.6g}", checks)
     # check_weight_condition has evaluated every polymer of size <= m, so
-    # the clusters stream straight into the sum
-    cluster_count, total = _count_and_sum(enumerate_clusters(g, m), oracle,
-                                          exact)
+    # the clusters stream straight into the sum, less those holding a
+    # zero-weight polymer; cluster_count still counts every cluster
+    counted = [0]
+    total = _sum_clusters(
+        enumerate_clusters(g, m, oracle.weight, unions=polymers,
+                           counted=counted), oracle, exact=exact)
     exact_log = total if exact else None
     log_value = complex(float(total)) if exact else total
     if not (math.isfinite(log_value.real) and math.isfinite(log_value.imag)):
@@ -678,7 +714,7 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
         additive_log_error_bound=bound, epsilon=epsilon, delta=delta,
         graph_order=g.vertex_count, max_degree=dmax,
         condition_report=report, checks=checks,
-        forced=bool(report.violations), cluster_count=cluster_count,
+        forced=bool(report.violations), cluster_count=counted[0],
         elapsed=time.perf_counter() - start, exact_log=exact_log)
 
 

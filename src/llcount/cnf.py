@@ -50,12 +50,16 @@ class CnfFormula:
     @functools.cached_property
     def forcings(self) -> tuple[tuple[int, int, int], ...]:
         """Per clause, (offset, mask, pattern): ``clause_forcing`` shifted right
-        by offset = smallest variable - 1, so no cached int is n bits wide."""
+        by offset = smallest variable - 1, so no int built is n bits wide.
+
+        The clause's variables are renumbered by the offset before
+        ``clause_forcing`` sees them, which builds the shifted masks directly.
+        """
         out = []
         for c in self.clauses:
             offset = min((abs(lit) for lit in c), default=1) - 1
-            mask, pattern = clause_forcing(c)
-            out.append((offset, mask >> offset, pattern >> offset))
+            out.append((offset, *clause_forcing(
+                [lit - offset if lit > 0 else lit + offset for lit in c])))
         return tuple(out)
 
 

@@ -376,6 +376,55 @@ def test_check_applies_the_truncation_order_cap(tmp_path, capsys):
         "truncation order 20 exceeds cap 14")
 
 
+def _rank_five_spec(tmp_path):
+    # normalized rank 5/16 passes the rank condition at delta 0.1 but
+    # certifies only delta = log(16/5) - 1, which needs m = 15 > cap 14
+    p = np.zeros((16, 16), dtype=complex)
+    for i in (0, 3, 6, 9, 12):
+        p[i, i] = 1.0
+    path = tmp_path / "rank5.spec"
+    path.write_text(format_projector_spec(
+        ProjectorSet(2, 4, [LocalProjector((0, 1, 2, 3), p)])))
+    return str(path)
+
+
+def test_check_on_projector_spec_applies_the_truncation_order_cap(
+        tmp_path, capsys):
+    path = _rank_five_spec(tmp_path)
+    flags = ["--delta", "0.1", "--format", "jsonl"]
+    check_code, check_out, check_err = _run(capsys, ["check", path] + flags)
+    run_code, _, run_err = _run(capsys, ["qsat-commuting", path] + flags)
+    assert check_code == run_code == 4
+    assert check_out == ""
+    assert _last_json(check_err)["error"] == _last_json(run_err)["error"]
+    assert _last_json(check_err)["error"].startswith(
+        "truncation order 15 exceeds cap 14")
+
+
+def test_check_on_projector_spec_reports_the_run_order(tmp_path, capsys):
+    path = _pair_spec(tmp_path)
+    check_code, check_out, _ = _run(capsys, ["check", path, "--format",
+                                             "jsonl"])
+    run_code, run_out, _ = _run(capsys, ["qsat-commuting", path, "--format",
+                                         "jsonl"])
+    assert check_code == run_code == 0
+    check, run = _last_json(check_out), _last_json(run_out)
+    for key in ("m", "delta_used", "chi"):
+        assert check[key] == run[key], key
+
+
+def test_failed_projector_check_reports_no_order(tmp_path, capsys):
+    # a rank-1/2 qubit projector fails the rank condition: no order to cap
+    path = tmp_path / "fat.spec"
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    path.write_text(format_projector_spec(
+        ProjectorSet(2, 1, [LocalProjector((0,), p0)])))
+    code, out, _ = _run(capsys, ["check", str(path), "--format", "jsonl"])
+    assert code == 2
+    report = _last_json(out)
+    assert "m" not in report and "delta_used" not in report
+
+
 def test_check_on_weights_spec_checks_decay_up_to_m(tmp_path, capsys):
     # max-size 1 on a 3-vertex path at delta 1.0 (m = 3): the pair and
     # triple weights lie within the truncation order but are missing

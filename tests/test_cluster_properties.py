@@ -1,17 +1,19 @@
 """Property tests of the cluster engine's fast paths against literal loops:
 shape-cached cluster enumeration, the bitmask shape enumeration, the streamed
-summation, and the indexed intersection graph."""
+summation, the skipping of clusters that hold a zero-weight polymer, and the
+indexed intersection graph."""
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llcount.clusters import (WeightOracle, _clusters_with_union,
-                              _KahanComplex, _shape_clusters,
-                              _ursell_from_masks, enumerate_clusters,
-                              truncated_expansion)
+                              _KahanComplex, _shape_clusters, _sum_clusters,
+                              _ursell_from_masks, approx_partition_function,
+                              enumerate_clusters, truncated_expansion)
 from llcount.graphs import (DependencyGraph, build_graph,
                             enumerate_connected_subgraphs, intersection_graph)
 
@@ -138,6 +140,56 @@ def test_streamed_sum_equals_list_based_loop(g, m, seed, mode):
                      WeightOracle(table.__getitem__), exact)
     assert type(got) is type(want)
     assert got == want
+
+
+def _weights_with_zeros(g, m, seed, zeros):
+    """Nonzero dyadic weights, made exactly 0 on every polymer ("all"), on
+    the single vertices ("singletons"), on about a third of the polymers
+    ("random") or on none ("none")."""
+    rng = random.Random(seed)
+    table = {}
+    for p in enumerate_connected_subgraphs(g, m):
+        w = Fraction(rng.choice((-1, 1)) * rng.randint(1, 64),
+                     1 << rng.randint(4, 12))
+        if (zeros == "all" or (zeros == "singletons" and len(p) == 1)
+                or (zeros == "random" and rng.random() < 0.3)):
+            w = Fraction(0)
+        table[p] = w
+    return table
+
+
+@SETTINGS
+@given(multi_component_graphs(), st.integers(1, 5), st.integers(0, 2**32),
+       st.sampled_from(["none", "all", "singletons", "random"]))
+def test_zero_weight_clusters_are_skipped_exactly(g, m, seed, zeros):
+    table = _weights_with_zeros(g, m, seed, zeros)
+    weight = table.__getitem__
+    full = list(enumerate_clusters(g, m))
+    counted = [0]
+    assert list(enumerate_clusters(g, m, weight, counted=counted)) == [
+        c for c in full if all(weight(p) != 0 for p in c.polymers)]
+    assert counted[0] == len(full)
+
+    exact = truncated_expansion(g, WeightOracle(weight), m, exact=True)
+    assert exact == _sum_clusters(full, WeightOracle(weight), exact=True)
+    got = truncated_expansion(g, WeightOracle(weight), m)
+    want = _sum_clusters(full, WeightOracle(weight))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@SETTINGS
+@given(multi_component_graphs(), st.sampled_from([1.0, 1.5, 3.0]),
+       st.integers(0, 2**32),
+       st.sampled_from(["none", "all", "singletons", "random"]))
+def test_cluster_count_counts_the_skipped_clusters(g, delta, seed, zeros):
+    # forced: random weights need not decay; the order m follows delta
+    table = _weights_with_zeros(g, 14, seed, zeros)
+    res = approx_partition_function(g, WeightOracle(table.__getitem__), 0.5,
+                                    delta, force=True, exact=True)
+    m = res.truncation_order
+    assert res.cluster_count == sum(1 for _ in enumerate_clusters(g, m))
+    assert res.exact_log == _sum_clusters(
+        enumerate_clusters(g, m), WeightOracle(table.__getitem__), exact=True)
 
 
 def _all_pairs_graph(sets):

@@ -327,3 +327,22 @@ def test_cluster_is_a_named_tuple():
     emitted = list(enumerate_clusters(P3, 2))
     assert all(type(e) is Cluster for e in emitted)
     assert len(set(emitted)) == len(emitted)
+
+
+@pytest.mark.parametrize("run", [
+    lambda oracle: approx_partition_function(P3, oracle, 0.5, 1.0),
+    lambda oracle: truncated_expansion(P3, oracle, 3),
+])
+def test_connected_sets_are_enumerated_once_per_call(monkeypatch, run):
+    from llcount import clusters
+
+    calls = []
+
+    def counting(g, m):
+        calls.append(m)
+        return enumerate_connected_subgraphs(g, m)
+
+    monkeypatch.setattr(clusters, "enumerate_connected_subgraphs", counting)
+    oracle = WeightOracle(lambda p: 0.01 ** len(p))
+    run(oracle)
+    assert len(calls) == 1
