@@ -16,18 +16,21 @@ import sys
 import time
 from pathlib import Path
 
-from numpy.linalg import LinAlgError
-
 from . import cnf as cnfmod
-from . import formats, oracles, qsat
+from . import formats
+from ._lazy import lazy_getattr
 from .clusters import (ApproxResult, ConditionCheck,
                        approx_partition_function, capped_truncation_order,
                        check_weight_condition)
 from .errors import LLCountError, SpecParseError
-from .graphs import greedy_coloring
-# verify_commuting stays bound here because perfbench/tracing.py patches it
-from .projectors import (ProjectorSet, support_dependency_graph,
-                         verify_commuting)  # noqa: F401
+from .graphs import greedy_coloring, support_dependency_graph
+
+# The projector stack loads numpy, which no CNF or table command needs, so the
+# projector runners import it where they use it.  Its names stay resolvable
+# on this module for callers that look them up here.
+__getattr__ = lazy_getattr(__name__, {
+    "oracles": "oracles", "qsat": "qsat", "ProjectorSet": "projectors",
+    "verify_commuting": "projectors"})
 
 
 def _read(path: str) -> str:
@@ -203,10 +206,12 @@ def _parser() -> argparse.ArgumentParser:
 def _load_projectors(text: str, args) -> ProjectorSet:
     """Parse and validate a projector spec and set its dense cap: --dense-cap,
     else LLCOUNT_MAX_DENSE_DIM, else the default."""
+    from .oracles import OracleBudget
+
     ps = formats.parse_projector_spec(text)
     cap = getattr(args, "dense_cap", None)
     if cap is None:
-        cap = oracles.OracleBudget.from_env().max_dense_dim
+        cap = OracleBudget.from_env().max_dense_dim
     ps.dense_cap = cap
     return ps
 
@@ -259,6 +264,8 @@ def _run_prob_intersection(args) -> dict:
 
 
 def _run_qsat_commuting(args) -> dict:
+    from . import qsat
+
     ps = _load_projectors(_read(args.input), args)
     res = qsat.approx_dim_commuting(
         ps, args.epsilon, args.delta,
@@ -279,6 +286,8 @@ def _dim_report(command: str, args, res: qsat.DimensionResult,
 
 
 def _run_qsat_general(args) -> dict:
+    from . import qsat
+
     ps = _load_projectors(_read(args.input), args)
     if args.mode == "stability":
         _reject_coloring(args, "qsat-general --mode stability")
@@ -339,6 +348,8 @@ def _run_check(args) -> dict:
             parsed, graph, _maybe_coloring(args, lambda: graph), args.delta)
         checks, extra = problem.checks, {"chi": problem.chi}
     elif kind == "projectors":
+        from . import qsat
+
         # Parsing validates every projector and rejects the spec on the
         # first failure, so a parsed set has passed validation.
         ps = _load_projectors(text, args)
@@ -380,6 +391,8 @@ def _run_check(args) -> dict:
 
 
 def _run_oracle(args) -> dict:
+    from . import oracles
+
     cmd = args.oracle_command
     budget = oracles.OracleBudget.from_env()
     text = _read(args.input)
@@ -473,13 +486,16 @@ def main(argv=None) -> int:
         _emit(err, fmt, sys.stderr)
         return exc.exit_code
     except ValueError as exc:
-        _emit({"command": args.command, "error": f"invalid input: {exc}",
-               "exit_code": 3}, fmt, sys.stderr)
-        return 3
-    except LinAlgError as exc:
-        _emit({"command": args.command, "error": f"linear algebra failure: {exc}",
-               "exit_code": 5}, fmt, sys.stderr)
-        return 5
+        # numpy's LinAlgError subclasses ValueError; it can only have been
+        # raised if a command has loaded numpy.
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(exc, numpy.linalg.LinAlgError):
+            code, error = 5, f"linear algebra failure: {exc}"
+        else:
+            code, error = 3, f"invalid input: {exc}"
+        _emit({"command": args.command, "error": error, "exit_code": code},
+              fmt, sys.stderr)
+        return code
     report.setdefault("elapsed_s", time.perf_counter() - start)
     _emit(report, fmt)
     if args.command == "check" and report.get("status") != "pass":

@@ -15,6 +15,9 @@ Projector specs::
     <row-major rows: 2*side decimal numbers per row, re im pairs>
     end
 
+A support lists distinct qudits in strictly ascending order; the first is the
+most significant digit of the row-major index.  Matrix entries must be finite.
+
 Events specs (joint complement probabilities for connected vertex sets)::
 
     vertices 6
@@ -33,16 +36,20 @@ All numbers are decimal with optional exponent; ``#`` starts a comment.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
-import numpy as np
-
+from ._lazy import lazy_getattr
 from .clusters import WeightOracle
 from .cnf import EventTableOracle
 from .errors import SpecParseError
 from .graphs import (Coloring, DependencyGraph, build_graph,
                      enumerate_connected_subgraphs)
-from .projectors import LocalProjector, ProjectorSet, validate_projector
+
+# numpy and the projector module load with the first projector spec; the
+# graph, events and weights formats need neither.
+__getattr__ = lazy_getattr(__name__, dict.fromkeys(
+    ("LocalProjector", "ProjectorSet", "validate_projector"), "projectors"))
 
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
@@ -104,20 +111,33 @@ def format_edge_list(g: DependencyGraph) -> str:
 # ---------------------------------------------------------------------------
 # Projector specs
 
-def _parse_matrix(block: list[tuple[int, str]], side: int) -> np.ndarray:
+def _non_finite_entry(tok: str, lineno: int) -> SpecParseError:
+    return SpecParseError(f"matrix entry {tok!r} is not finite", lineno)
+
+
+def _parse_matrix(block: list[tuple[int, str]], side: int,
+                  finite: bool) -> np.ndarray:
     """The side x side complex matrix written as ``side`` rows of re/im pairs.
 
     One numpy call converts the whole block.  When it fails, or the block is
     short or ragged, the rows are read again one number at a time with
     ``float()``, which accepts every numeral Python does and names the line
-    of the first bad row.
+    of the first bad row.  With ``finite``, a non-finite entry (``inf``,
+    ``nan``, or a numeral past float range) is rejected with its line.
     """
+    import numpy as np
+
     if len(block) == side:
         try:
             flat = np.loadtxt([s for _, s in block], dtype=np.float64, ndmin=2)
         except ValueError:
             flat = None
         if flat is not None and flat.shape == (side, 2 * side):
+            bad = np.argwhere(~np.isfinite(flat)) if finite else ()
+            if len(bad):
+                k, j = bad[0]
+                lineno, s = block[k]
+                raise _non_finite_entry(s.split()[j], lineno)
             return flat.view(np.complex128)
     rows = []
     for k in range(side):
@@ -129,13 +149,22 @@ def _parse_matrix(block: list[tuple[int, str]], side: int) -> np.ndarray:
             raise SpecParseError(
                 f"matrix row needs {2 * side} numbers (re im pairs), "
                 f"got {len(toks)}", lineno)
-        rows.append([_float(t, lineno, "matrix entry") for t in toks])
+        row = [_float(t, lineno, "matrix entry") for t in toks]
+        for tok, x in zip(toks, row):
+            if finite and not math.isfinite(x):
+                raise _non_finite_entry(tok, lineno)
+        rows.append(row)
     return np.array(rows, dtype=np.float64).view(np.complex128)
 
 
 def parse_projector_spec(text: str, *, validate: bool = True,
                          tol: float = 1e-8) -> ProjectorSet:
-    """Parse a projector-spec file into a validated ProjectorSet."""
+    """Parse a projector-spec file into a validated ProjectorSet.
+
+    ``validate=False`` reads the matrices as written, non-finite entries
+    included, and checks no projector."""
+    from .projectors import LocalProjector, ProjectorSet, validate_projector
+
     lines = list(_lines(text))
     pos = 0
     d = None
@@ -165,13 +194,17 @@ def parse_projector_spec(text: str, *, validate: bool = True,
                                  lines[pos - 1][0])
         lineno, s = lines[pos]
         support = tuple(_int(tok, lineno, "qudit index") for tok in s.split()[1:])
+        if any(a >= b for a, b in zip(support, support[1:])):
+            raise SpecParseError(
+                "support must list its qudits in strictly ascending order",
+                lineno)
         pos += 1
         if pos >= len(lines) or lines[pos][1] != "matrix":
             raise SpecParseError("projector block needs a 'matrix' line",
                                  lineno)
         pos += 1
         side = d ** len(support)
-        matrix = _parse_matrix(lines[pos:pos + side], side)
+        matrix = _parse_matrix(lines[pos:pos + side], side, validate)
         pos += side
         if pos >= len(lines) or lines[pos][1] != "end":
             raise SpecParseError("projector block must close with 'end'",
@@ -195,6 +228,8 @@ def parse_projector_spec(text: str, *, validate: bool = True,
 
 
 def format_projector_spec(ps: ProjectorSet) -> str:
+    import numpy as np
+
     out = [f"d {ps.d}", f"qudits {ps.qudit_count}"]
     for p in ps.projectors:
         out.append("projector")

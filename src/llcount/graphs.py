@@ -98,6 +98,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
     return DependencyGraph(n, adj, labels)
 
 
+def support_dependency_graph(ps) -> DependencyGraph:
+    """One vertex per projector of the ProjectorSet ``ps``; an edge iff the
+    supports intersect.  It lives here, with no numpy import, so that the
+    CLI can bind it without loading the projector stack."""
+    return intersection_graph([p.support for p in ps.projectors])
+
+
 def intersection_graph(sets: Sequence[Iterable[Hashable]]) -> DependencyGraph:
     """One vertex per set; an edge iff two sets share an element.
 

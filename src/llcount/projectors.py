@@ -10,7 +10,8 @@ the reporting layer.
 Embedding convention: qudit indices ascending, row-major composite indexing
 (the first qudit of a support is the most significant digit).
 
-Each projector is diagonalized once.  Its image factor W = V sqrt(lambda),
+Each projector is diagonalized once: read off its diagonal when every nonzero
+entry lies on it, by ``eigh`` otherwise.  Its image factor W = V sqrt(lambda),
 over the eigenpairs above ``EIG_TOL``, satisfies W W^dagger = P up to those
 dropped eigenpairs, and all algebra on a union support U of dimension
 D = d^|U| runs on the embedded factors (D x K, K = sum_i r_i d^(|U| - |s_i|))
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NumericFailure, ResourceCapExceeded
-from .graphs import DependencyGraph, intersection_graph
+from .graphs import support_dependency_graph
 
 EIG_TOL = 1e-9
 IMAG_TOL = 1e-8
@@ -39,18 +40,39 @@ class LocalProjector:
     """Hermitian idempotent matrix acting on the listed qudits.
 
     ``matrix`` has side d^len(support) with row-major composite indexing over
-    the sorted support.  It is diagonalized once, on first use (normally by
-    validation), and must not be modified afterwards.
+    the support, which lists its qudits in strictly ascending order.  It is
+    diagonalized once, on first use (normally by validation), and must not be
+    modified afterwards.
     """
 
     support: tuple[int, ...]
     matrix: np.ndarray
 
     @cached_property
+    def diagonal(self) -> np.ndarray | None:
+        """The diagonal of ``matrix`` when every nonzero entry lies on it
+        (NaN counts as nonzero), else None."""
+        m = np.asarray(self.matrix, dtype=np.complex128)
+        diag = np.diagonal(m)
+        return diag if np.count_nonzero(m) == np.count_nonzero(diag) else None
+
+    @cached_property
     def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        eig, vec = np.linalg.eigh(np.asarray(self.matrix, dtype=np.complex128))
+        diag = self.diagonal
+        if diag is None:
+            eig, vec = np.linalg.eigh(
+                np.asarray(self.matrix, dtype=np.complex128))
+            keep = eig > EIG_TOL
+            return eig, vec[:, keep] * np.sqrt(eig[keep])
+        # eigh of a diagonal matrix: its real diagonal (eigh reads no
+        # imaginary part there) ascending, with unit eigenvectors
+        order = np.argsort(diag.real, kind="stable")
+        eig = diag.real[order]
         keep = eig > EIG_TOL
-        return eig, vec[:, keep] * np.sqrt(eig[keep])
+        w = np.zeros((eig.size, int(np.count_nonzero(keep))),
+                     dtype=np.complex128)
+        w[order[keep], np.arange(w.shape[1])] = np.sqrt(eig[keep])
+        return eig, w
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -80,9 +102,13 @@ class ProjectorSet:
         self.dense_cap = dense_cap
         cleaned = []
         for i, p in enumerate(projectors):
-            support = tuple(sorted(p.support))
-            if len(set(support)) != len(support):
-                raise ValueError(f"projector {i}: repeated qudit in support")
+            # The matrix's digit order is the support's order, so the support
+            # cannot be sorted here without permuting the matrix.
+            support = tuple(p.support)
+            if any(a >= b for a, b in zip(support, support[1:])):
+                raise ValueError(
+                    f"projector {i}: support {support} is not strictly "
+                    "ascending")
             if support and not (0 <= support[0] and support[-1] < qudit_count):
                 raise ValueError(f"projector {i}: support out of range")
             mat = np.asarray(p.matrix, dtype=np.complex128)
@@ -112,24 +138,31 @@ class ProjectorDiagnostics:
 
 
 def validate_projector(p: LocalProjector, tol: float = 1e-8) -> ProjectorDiagnostics:
-    """Check Hermiticity, idempotency and a {0,1} spectrum within tol."""
+    """Check Hermiticity, idempotency and a {0,1} spectrum within tol.
+
+    The spectrum is read only from a Hermitian matrix: otherwise, NaN
+    hermiticity included, its deviation is reported as inf."""
     m = np.asarray(p.matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"projector matrix must be square, got shape {m.shape}")
-    herm = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    idem = float(np.max(np.abs(m @ m - m))) if m.size else 0.0
-    if herm <= tol and m.size:
+    if not m.size:
+        return ProjectorDiagnostics(0.0, 0.0, 0.0, True)
+    diag = p.diagonal
+    # huge or non-finite entries give non-finite deviations, which fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        if diag is None:
+            herm = float(np.max(np.abs(m - m.conj().T)))
+            idem = float(np.max(np.abs(m @ m - m)))
+        else:
+            herm = float(np.max(np.abs(diag - diag.conj())))
+            idem = float(np.max(np.abs(diag * diag - diag)))
+    if herm <= tol:
         eig = p.eigenvalues
         spectrum = float(np.max(np.minimum(np.abs(eig), np.abs(eig - 1.0))))
     else:
-        spectrum = float("inf") if herm > tol else 0.0
+        spectrum = float("inf")
     passed = herm <= tol and idem <= tol and spectrum <= tol
     return ProjectorDiagnostics(herm, idem, spectrum, passed)
-
-
-def support_dependency_graph(ps: ProjectorSet) -> DependencyGraph:
-    """One vertex per projector; an edge iff the supports intersect."""
-    return intersection_graph([p.support for p in ps.projectors])
 
 
 def _digit_order(support: tuple[int, ...], target: tuple[int, ...]) -> list[int]:
@@ -293,6 +326,9 @@ def pair_commutes(ps: ProjectorSet, i: int, j: int, tol: float = 1e-8) -> bool:
     C - C^dagger."""
     union = _union_support(ps, (i, j))
     _check_cap(ps, union)
+    if (ps.projectors[i].diagonal is not None
+            and ps.projectors[j].diagonal is not None):
+        return True  # diagonal matrices commute; C is then real diagonal
     a = _embed_factor(ps.projectors[i], union, ps.d)
     b = _embed_factor(ps.projectors[j], union, ps.d)
     c = (a @ (a.conj().T @ b)) @ b.conj().T

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -453,3 +454,57 @@ def test_cluster_count_is_the_number_of_enumerated_clusters(tmp_path, capsys):
         g = cnf_dependency_graph(parse_dimacs(fh.read()))
     assert report["cluster_count"] == sum(
         1 for _ in enumerate_clusters(g, report["m"])) > 0
+
+
+def test_linear_algebra_failure_exits_5(tmp_path, capsys, monkeypatch):
+    import llcount.qsat
+
+    def fail(ps):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(llcount.qsat, "spectral_gap_or_error", fail)
+    path = tmp_path / "pair.spec"
+    path.write_text(format_projector_spec(
+        overlapping_pair(random.Random(6), 8, 7, 1, conjugated=True)))
+    code, _, err = _run(capsys, ["qsat-general", str(path), "--mode",
+                                 "detectability", "--format", "jsonl"])
+    assert code == 5
+    report = _last_json(err)
+    assert report["exit_code"] == 5
+    assert report["error"] == ("linear algebra failure: Eigenvalues did not "
+                               "converge")
+
+
+def test_unsorted_support_is_a_parse_error(tmp_path, capsys):
+    # |0><0| on qudit 1, tensored with I on qudit 0, over the support "1 0";
+    # with |1><1| on qudit 1 the kernels meet only in 0.  Read over the
+    # sorted support the first matrix would act on qudit 0 instead.
+    rows = ["1 0  0 0  0 0  0 0", "0 0  1 0  0 0  0 0",
+            "0 0  0 0  0 0  0 0", "0 0  0 0  0 0  0 0"]
+    path = tmp_path / "unsorted.spec"
+    path.write_text("\n".join(["d 2", "qudits 2", "projector", "support 1 0",
+                               "matrix", *rows, "end", "projector",
+                               "support 1", "matrix", "0 0  0 0", "0 0  1 0",
+                               "end"]) + "\n")
+    code, out, err = _run(capsys, ["qsat-commuting", str(path),
+                                   "--format", "jsonl"])
+    assert code == 3 and out == ""
+    assert "line 4" in _last_json(err)["error"]
+    assert "strictly ascending" in _last_json(err)["error"]
+
+
+@pytest.mark.parametrize("entry", ["inf", "nan", "1e400"])
+def test_non_finite_matrix_entry_is_a_parse_error(tmp_path, capsys, entry):
+    path = tmp_path / "inf.spec"
+    path.write_text("d 2\nqudits 1\nprojector\nsupport 0\nmatrix\n"
+                    f"1 0  0 0\n0 0  {entry} 0\nend\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["qsat-commuting", str(path),
+                                       "--format", "jsonl"])
+    assert code == 3 and out == "" and caught == []
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["error"] == (f"line 7: matrix entry {entry!r} is not "
+                               "finite")

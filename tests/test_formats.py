@@ -195,3 +195,27 @@ def test_projector_spec_accepts_every_python_numeral():
     assert ps.projectors[0].matrix.tobytes() == P0.tobytes()
     text = HEADER + "1 0  0 0\n0 0  0 ０\nend\n"
     assert parse_projector_spec(text).projectors[0].matrix.tobytes() == P0.tobytes()
+
+
+@pytest.mark.parametrize("support", ["1 0", "0 0"])
+def test_projector_spec_rejects_a_support_that_is_not_ascending(support):
+    rows = "".join("0 0  " * 4 + "\n" for _ in range(4))
+    text = (f"d 2\nqudits 2\nprojector\nsupport {support}\nmatrix\n{rows}"
+            "end\n")
+    with pytest.raises(SpecParseError) as err:
+        parse_projector_spec(text)
+    assert err.value.line == 4
+    assert "strictly ascending" in str(err.value)
+
+
+@pytest.mark.parametrize("body,line,token", [
+    ("1 0  0 0\n0 0  inf 0\nend\n", 7, "inf"),           # one numpy call
+    ("nan 0  0 0\n0 0  0 0\nend\n", 6, "nan"),
+    ("1 0  0 0\n0 0  0 1e400\nend\n", 7, "1e400"),
+    ("1_0 0  0 0\n0 0  0 -Infinity\nend\n", 7, "-Infinity"),  # per number
+])
+def test_projector_spec_rejects_non_finite_entries(body, line, token):
+    with pytest.raises(SpecParseError) as err:
+        parse_projector_spec(HEADER + body)
+    assert err.value.line == line
+    assert f"matrix entry {token!r} is not finite" in str(err.value)

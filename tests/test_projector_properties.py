@@ -197,3 +197,78 @@ def test_gram_side_switch_matches_dense(d, ranks, supports):
     nonzero = eig[eig > cut]
     assert spectral_gap(ps) == pytest.approx(
         float(nonzero[0]) if nonzero.size else 0.0, abs=1e-12)
+
+
+@st.composite
+def diagonal_matrices(draw):
+    """Diagonal matrices with real, complex or non-finite diagonals; the
+    values favour 0 and 1, as projector diagonals do."""
+    side = draw(st.sampled_from((1, 2, 4, 8)))
+    kind = draw(st.sampled_from(("real", "complex", "non-finite")))
+    values = st.one_of(st.sampled_from((0.0, 1.0, -0.0)),
+                       st.floats(-2.0, 2.0))
+    re = np.array(draw(st.lists(values, min_size=side, max_size=side)))
+    im = np.zeros(side)
+    if kind != "real":
+        im = np.array(draw(st.lists(values, min_size=side, max_size=side)))
+    if kind == "non-finite":
+        part = draw(st.sampled_from((re, im)))
+        part[draw(st.integers(0, side - 1))] = draw(
+            st.sampled_from((np.inf, -np.inf, np.nan)))
+    z = np.empty(side, dtype=complex)
+    z.real, z.imag = re, im
+    return np.diag(z)
+
+
+def _same_deviation(fast, dense):
+    """Equal up to rounding; non-finite on both sides counts as equal."""
+    if not (np.isfinite(fast) and np.isfinite(dense)):
+        return not (np.isfinite(fast) or np.isfinite(dense))
+    return abs(fast - dense) <= ROUNDING * max(1.0, abs(dense))
+
+
+@SETTINGS
+@given(diagonal_matrices())
+def test_diagonal_fast_path_matches_eigh(m):
+    p = LocalProjector((0,), m)
+    assert p.diagonal is not None
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = float(np.max(np.abs(m - m.conj().T)))
+        idem = float(np.max(np.abs(m @ m - m)))
+    diag = validate_projector(p)
+    assert _same_deviation(diag.hermiticity_deviation, herm)
+    assert _same_deviation(diag.idempotency_deviation, idem)
+    if not np.all(np.isfinite(m)):
+        assert not diag.passed and diag.spectrum_deviation == np.inf
+        return
+    eig, vec = np.linalg.eigh(m)
+    # Bit for bit up to the sign of a zero: eigh keeps each -0.0 but does not
+    # sort stably, so 0.0 and -0.0 may trade places.
+    assert (p.eigenvalues + 0.0).tobytes() == (eig + 0.0).tobytes()
+    keep = eig > EIG_TOL
+    w = vec[:, keep] * np.sqrt(eig[keep])
+    assert np.array_equal(p.image_factor @ p.image_factor.conj().T,
+                          w @ w.conj().T)
+    if herm <= 1e-8:
+        spectrum = float(np.max(np.minimum(np.abs(eig), np.abs(eig - 1.0))))
+    else:
+        spectrum = np.inf
+    assert _same_deviation(diag.spectrum_deviation, spectrum)
+    assert diag.passed == (herm <= 1e-8 and idem <= 1e-8 and spectrum <= 1e-8)
+
+
+def test_diagonal_projectors_skip_eigh_and_commute(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagonal projector was diagonalized")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    p = LocalProjector((0, 1), np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex))
+    q = LocalProjector((1, 2), np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    assert validate_projector(p).passed and validate_projector(q).passed
+    assert list(p.eigenvalues) == [0.0, 0.0, 1.0, 1.0]
+    assert pair_commutes(ProjectorSet(2, 3, [p, q]), 0, 1)
+    monkeypatch.undo()
+    plus = LocalProjector((1,), np.array([[0.5, 0.5], [0.5, 0.5]],
+                                         dtype=complex))
+    assert plus.diagonal is None
+    assert not pair_commutes(ProjectorSet(2, 3, [p, q, plus]), 0, 2)

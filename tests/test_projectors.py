@@ -199,3 +199,17 @@ def test_dense_cap_enforced():
         normalized_product_trace(ps, (0,))
     with pytest.raises(ResourceCapExceeded):
         spectral_gap(ps)
+
+
+@pytest.mark.parametrize("support", [(1, 0), (0, 0), (2, 0, 1)])
+def test_projector_set_rejects_a_support_that_is_not_ascending(support):
+    side = 2 ** len(support)
+    with pytest.raises(ValueError, match="not strictly ascending"):
+        ProjectorSet(2, 3, [LocalProjector(support, np.zeros((side, side)))])
+
+
+def test_validate_projector_reports_no_spectrum_without_hermiticity():
+    nan = np.array([[np.nan, 0], [0, 0]], dtype=complex)
+    bad = validate_projector(LocalProjector((0,), nan))
+    assert not bad.passed and np.isnan(bad.hermiticity_deviation)
+    assert bad.spectrum_deviation == np.inf
