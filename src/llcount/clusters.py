@@ -423,31 +423,24 @@ def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
                   exact: bool = False):
     """Sum coefficient times weight product over the clusters, in their order.
 
-    Streams the clusters.  Each distinct polymer weight is converted (to
-    complex, or to Fraction when ``exact``) once, and so is each distinct
-    Ursell coefficient, keyed by incompatibility masks and orderings.  The
-    float sum is ``_KahanComplex.add`` inlined, step for step.
+    Streams the clusters.  Each distinct polymer weight is converted once, and
+    so is each distinct Ursell coefficient, keyed by incompatibility masks
+    and orderings.  The float sum is ``_KahanComplex.add`` inlined, step for
+    step.  The exact sum runs on integers: weights and coefficients become
+    (numerator, denominator) pairs, the total is kept over the least common
+    denominator of its terms, and the one ``Fraction`` built at the end is
+    the rational a ``Fraction`` fold gives.
     """
-    convert = Fraction if exact else _as_complex
-    one = Fraction(1) if exact else complex(1.0)
-    weights = _Memo(lambda p: convert(oracle.weight(p)))
-
-    def coefficient(key):
-        masks, orderings = key
-        coeff = _ursell_from_masks(masks) * orderings
-        return coeff if exact else float(coeff)
-
-    coeffs = _Memo(coefficient)
-    exact_total = Fraction(0)
+    if exact:
+        return _sum_clusters_exact(clusters, oracle)
+    weights = _Memo(lambda p: _as_complex(oracle.weight(p)))
+    coeffs = _Memo(lambda key: float(_ursell_from_masks(key[0]) * key[1]))
     re = im = cre = cim = 0.0
     for polymers, _, orderings, masks in clusters:
-        prod = one
+        prod = complex(1.0)
         for p in polymers:
             prod *= weights[p]
         z = coeffs[masks, orderings] * prod
-        if exact:
-            exact_total += z
-            continue
         y = z.real - cre
         t = re + y
         cre = (t - re) - y
@@ -456,7 +449,35 @@ def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
         t = im + y
         cim = (t - im) - y
         im = t
-    return exact_total if exact else complex(re, im)
+    return complex(re, im)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """``Fraction(x)`` as a (numerator, denominator) pair."""
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _sum_clusters_exact(clusters: Iterable[Cluster], oracle: WeightOracle
+                        ) -> Fraction:
+    weights = _Memo(lambda p: _ratio(oracle.weight(p)))
+    coeffs = _Memo(lambda key: _ratio(_ursell_from_masks(key[0]) * key[1]))
+    total, common = 0, 1  # the sum so far is total / common
+    for polymers, _, orderings, masks in clusters:
+        num, den = coeffs[masks, orderings]
+        for p in polymers:
+            wn, wd = weights[p]
+            num *= wn
+            den *= wd
+        scale, rest = divmod(common, den)
+        if rest:
+            g = math.gcd(common, den)
+            total *= den // g
+            common = common // g * den
+            total += num * (common // den)
+        else:
+            total += num * scale
+    return Fraction(total, common)
 
 
 def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
@@ -595,7 +616,9 @@ class WeightConditionReport:
         return not self.violations
 
     def as_check(self) -> ConditionCheck:
-        observed = max(self.max_abs_root_by_size.values(), default=0.0)
+        roots = self.max_abs_root_by_size.values()
+        observed = (math.nan if any(map(math.isnan, roots))
+                    else max(roots, default=0.0))
         detail = (f"max |w|^(1/|polymer|) = {observed:.6g} vs eta = "
                   f"{self.threshold:.6g}, sizes <= {self.verified_up_to}"
                   " (sizes beyond the truncation order are assumed)")
@@ -627,11 +650,13 @@ def check_weight_condition(g: DependencyGraph, oracle: WeightOracle, m: int,
         size = len(p)
         aw = abs(_as_complex(oracle.weight(p)))
         root = aw ** (1.0 / size)
-        if root > max_root.get(size, -1.0):
+        best = max_root.get(size, -1.0)
+        # a NaN root, once seen, stays the worst of its size
+        if not math.isnan(best) and (root > best or math.isnan(root)):
             max_root[size] = root
             worst[size] = p
         allowed = eta ** size
-        if aw > allowed * (1.0 + 1e-9):
+        if not aw <= allowed * (1.0 + 1e-9):
             violations.append((p, aw, allowed))
     return WeightConditionReport(delta, dmax, eta, m, max_root, worst, violations)
 

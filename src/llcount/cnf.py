@@ -67,17 +67,47 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text; raises SpecParseError with a line number.
 
     A clause mentioning the same variable twice is rejected.  The `p cnf`
-    header is optional; without it the variable count is inferred.
+    header is optional; without it the variable count is inferred.  A line
+    starting with `%` opens the SATLIB trailer: after it only blank lines,
+    comments and one lone `0` may follow.
+
+    A line holding exactly one whole clause is read in one pass; any other
+    line (a bad token, several clauses, a clause spanning lines) goes through
+    the per-token loop, which decides every error.
     """
     declared_vars = None
     clauses: list[tuple[int, ...]] = []
     max_var = 0
     current: list[int] = []
     current_line = None
+    trailer = None  # after a '%' line: whether its lone '0' has been seen
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
-        if not s or s.startswith("c") or s.startswith("%"):
+        if not s or s.startswith("c"):
             continue
+        if trailer is not None:
+            if s == "0" and not trailer:
+                trailer = True
+                continue
+            raise SpecParseError(
+                f"unexpected {s!r} after the '%' trailer", lineno)
+        if s.startswith("%"):
+            trailer = False
+            continue
+        if not current:
+            try:
+                lits = list(map(int, s.split()))
+            except ValueError:
+                pass
+            else:
+                if len(lits) > 1 and lits[-1] == 0 and lits.count(0) == 1:
+                    del lits[-1]
+                    variables = set(map(abs, lits))
+                    if len(variables) != len(lits):
+                        _append_clause(clauses, lits, lineno)  # raises
+                    clauses.append(tuple(lits))
+                    max_var = max(max_var, max(variables))
+                    continue
         if s.startswith("p"):
             parts = s.split()
             if len(parts) != 4 or parts[1] != "cnf":
@@ -227,16 +257,18 @@ def intersection_problem(source, graph: DependencyGraph,
                          coloring: Coloring | None, delta: float) -> Problem:
     """The events of ``source`` (a CnfFormula or an event oracle) as a
     polymer model, under max Pr[complement] <= (1/(e^(1+delta)(2D+1)))^chi."""
-    is_cnf = isinstance(source, CnfFormula)
-    prob = (functools.partial(joint_false_probability, source) if is_cnf
-            else source.joint_complement_probability)
-    per_event = [float(prob((v,))) for v in graph.vertices()]
+    if isinstance(source, CnfFormula):
+        # a clause's variables are distinct, so it is false with probability
+        # 2^-width
+        per_event = [math.ldexp(1.0, -len(c)) for c in source.clauses]
+        weight_fn = functools.partial(cnf_polymer_weight, source)
+    else:
+        prob = source.joint_complement_probability
+        per_event = [float(prob((v,))) for v in graph.vertices()]
 
-    def weight_fn(polymer):
-        if is_cnf:
-            return cnf_polymer_weight(source, polymer)
-        p = prob(polymer)
-        return -p if len(polymer) % 2 else p
+        def weight_fn(polymer):
+            p = prob(polymer)
+            return -p if len(polymer) % 2 else p
 
     chi = _proper_coloring(graph, coloring).num_colors
     dmax = graph.max_degree()

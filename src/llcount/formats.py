@@ -74,6 +74,13 @@ def _float(tok: str, lineno: int, what: str) -> float:
         raise SpecParseError(f"expected number {what}, got {tok!r}", lineno) from None
 
 
+def _finite(tok: str, lineno: int) -> float:
+    x = _float(tok, lineno, "value")
+    if not math.isfinite(x):
+        raise SpecParseError(f"value {tok!r} is not finite", lineno)
+    return x
+
+
 def parse_edge_list(text: str) -> DependencyGraph:
     """Parse the `n m` / `u v` edge-list format."""
     lines = list(_lines(text))
@@ -311,8 +318,8 @@ def _parse_table(lines, pos, keyword: str, graph: DependencyGraph):
         if len(key) > max_size:
             raise SpecParseError(
                 f"key {parts[1]} exceeds declared max-size {max_size}", lineno)
-        re = _float(parts[2], lineno, "value")
-        im = _float(parts[3], lineno, "value") if len(parts) == 4 else 0.0
+        re = _finite(parts[2], lineno)
+        im = _finite(parts[3], lineno) if len(parts) == 4 else 0.0
         if key in table:
             raise SpecParseError(f"duplicate entry for {parts[1]}", lineno)
         table[key] = complex(re, im)

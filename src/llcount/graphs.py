@@ -27,16 +27,22 @@ class DependencyGraph:
         rows = [tuple(sorted(row)) for row in adjacency]
         if len(rows) != vertex_count:
             raise ValueError("adjacency length does not match vertex_count")
-        nbr = []
+        nbr = [frozenset(row) for row in rows]
         for v, row in enumerate(rows):
-            for w in row:
-                if not 0 <= w < vertex_count:
-                    raise ValueError(f"neighbor {w} of vertex {v} out of range")
-                if w == v:
-                    raise ValueError(f"self-loop at vertex {v}")
-            if any(a == b for a, b in zip(row, row[1:])):
+            # whole-row tests, in the order a scan of the sorted row meets the
+            # faults: a negative neighbour lies before v, one past the end
+            # after it
+            if not row:
+                continue
+            if row[0] < 0:
+                raise ValueError(f"neighbor {row[0]} of vertex {v} out of range")
+            if v in nbr[v]:
+                raise ValueError(f"self-loop at vertex {v}")
+            if row[-1] >= vertex_count:
+                w = next(w for w in row if w >= vertex_count)
+                raise ValueError(f"neighbor {w} of vertex {v} out of range")
+            if len(nbr[v]) != len(row):
                 raise ValueError(f"duplicate neighbor in adjacency of vertex {v}")
-            nbr.append(frozenset(row))
         for v, row in enumerate(rows):
             for w in row:
                 if v not in nbr[w]:
@@ -109,14 +115,15 @@ def intersection_graph(sets: Sequence[Iterable[Hashable]]) -> DependencyGraph:
     """One vertex per set; an edge iff two sets share an element.
 
     Built from an element -> vertex inverted index, so the cost is the total
-    set size plus the edges found, not all pairs of sets.
+    set size plus the edges found, not all pairs of sets.  Elements held by
+    the same sets form one holder group, which updates the adjacency once.
     """
     holders: dict[Hashable, list[int]] = {}
     for v, elements in enumerate(sets):
         for x in elements:
             holders.setdefault(x, []).append(v)
     adj: list[set[int]] = [set() for _ in sets]
-    for vs in holders.values():
+    for vs in set(map(tuple, holders.values())):
         if len(vs) > 1:
             for v in vs:
                 adj[v].update(vs)

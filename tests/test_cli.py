@@ -508,3 +508,19 @@ def test_non_finite_matrix_entry_is_a_parse_error(tmp_path, capsys, entry):
     report = json.loads(lines[0])
     assert report["error"] == (f"line 7: matrix entry {entry!r} is not "
                                "finite")
+
+
+@pytest.mark.parametrize("command", [["check", "--delta", "0.5"],
+                                     ["polymer-z", "--delta", "0.5"]])
+@pytest.mark.parametrize("entry", ["nan", "inf", "0 nan"])
+def test_non_finite_weight_is_a_parse_error(tmp_path, capsys, command, entry):
+    # check used to pass this spec (the NaN left its maximum unseen) while
+    # polymer-z failed in the expansion with exit 5
+    path = tmp_path / "w.spec"
+    path.write_text("vertices 2\nedges 1\n0 1\nmax-size 2\n"
+                    f"weight 0 {entry}\nweight 1 1e-6\nweight 0,1 1e-9\n")
+    code, out, err = _run(capsys, [command[0], str(path), *command[1:],
+                                   "--format", "jsonl"])
+    assert code == 3 and out == ""
+    bad = entry.split()[-1]
+    assert _last_json(err)["error"] == f"line 5: value {bad!r} is not finite"

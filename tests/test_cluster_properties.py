@@ -1,7 +1,7 @@
 """Property tests of the cluster engine's fast paths against literal loops:
 shape-cached cluster enumeration, the bitmask shape enumeration, the streamed
-summation, the skipping of clusters that hold a zero-weight polymer, and the
-indexed intersection graph."""
+summation, the skipping of clusters that hold a zero-weight polymer, the
+indexed intersection graph and the integer exact sum."""
 
 import random
 from fractions import Fraction
@@ -14,8 +14,11 @@ from llcount.clusters import (WeightOracle, _clusters_with_union,
                               _KahanComplex, _shape_clusters, _sum_clusters,
                               _ursell_from_masks, approx_partition_function,
                               enumerate_clusters, truncated_expansion)
+from llcount.cnf import cnf_dependency_graph
 from llcount.graphs import (DependencyGraph, build_graph,
                             enumerate_connected_subgraphs, intersection_graph)
+
+from gen import chain_cnf, ring_cnf
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -210,3 +213,45 @@ def test_intersection_graph_equals_all_pairs(sets, hub_members):
     assert got.vertex_count == want.vertex_count == len(sets)
     assert [got.neighbors(v) for v in got.vertices()] == [
         want.neighbors(v) for v in want.vertices()]
+
+
+def _graph_from_masks(key):
+    return DependencyGraph(len(key), [[j for j in range(len(key)) if mask >> j & 1]
+                                      for mask in key])
+
+
+def _cnf_graph(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        f = chain_cnf(rng, rng.randint(1, 8), k=4, share=2)
+    else:
+        f = ring_cnf(rng, 2 * rng.randint(2, 4), k=4, share=2)
+    return cnf_dependency_graph(f)
+
+
+# host graphs from three catalogs: random multi-component graphs, connected
+# shapes, and the dependency graphs of chain and ring CNFs
+_catalog_graphs = st.one_of(multi_component_graphs(),
+                            connected_shapes().map(_graph_from_masks),
+                            st.integers(0, 2**32).map(_cnf_graph))
+
+
+@SETTINGS
+@given(_catalog_graphs, st.integers(1, 5), st.integers(0, 2**32),
+       st.sampled_from([0.0, 0.3, 1.0]))
+def test_integer_exact_sum_equals_fraction_fold(g, m, seed, zero_share):
+    # signed weights over arbitrary denominators, a share of them exactly 0
+    rng = random.Random(seed)
+    table = {}
+    for p in enumerate_connected_subgraphs(g, m):
+        w = Fraction(rng.randint(-99, 99), rng.randint(1, 720))
+        table[p] = Fraction(0) if rng.random() < zero_share else w
+    oracle = WeightOracle(table.__getitem__)
+    want = _list_sum(list(enumerate_clusters(g, m)), oracle, True)
+    for clusters in (enumerate_clusters(g, m),
+                     enumerate_clusters(g, m, table.__getitem__)):
+        got = _sum_clusters(clusters, oracle, exact=True)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)
+    assert truncated_expansion(g, oracle, m, exact=True) == want

@@ -206,6 +206,27 @@ def test_check_weight_condition_examples():
     assert rep.violations[0][0] == (0,)
 
 
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan),
+                                 complex(math.nan, 1e-9)])
+@pytest.mark.parametrize("where", [(0,), (1,), (0, 1)])
+def test_nan_weight_is_a_weight_decay_violation(bad, where):
+    # a NaN |w| compares false with every bound; it must still fail
+    table = {(0,): 1e-6, (1,): 2e-6, (2,): 1e-6, (0, 1): 1e-9, (1, 2): 1e-9,
+             (0, 1, 2): 1e-12, where: bad}
+    oracle = WeightOracle(table.__getitem__)
+    rep = check_weight_condition(P3, oracle, 3, 0.5)
+    assert not rep.passed
+    assert [v[0] for v in rep.violations] == [where]
+    assert math.isnan(rep.max_abs_root_by_size[len(where)])
+    assert rep.worst_polymer_by_size[len(where)] == where
+    check = rep.as_check()
+    assert not check.passed and not check.margin >= 0
+    assert "max |w|^(1/|polymer|) = nan" in check.detail
+    with pytest.raises(HypothesisViolation, match=rf"polymer \({where[0]},"):
+        approx_partition_function(P3, WeightOracle(table.__getitem__), 0.5,
+                                  0.5)
+
+
 def test_approx_partition_function_trivial_and_small():
     zero = WeightOracle(lambda p: 0.0)
     res = approx_partition_function(P3, zero, 0.01, 0.5)

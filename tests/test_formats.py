@@ -219,3 +219,18 @@ def test_projector_spec_rejects_non_finite_entries(body, line, token):
         parse_projector_spec(HEADER + body)
     assert err.value.line == line
     assert f"matrix entry {token!r} is not finite" in str(err.value)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400", "0.1 nan",
+                                   "-nan 0", "0 -inf"])
+@pytest.mark.parametrize("parse,keyword", [(parse_weights_spec, "weight"),
+                                           (parse_events_spec, "prob")])
+def test_non_finite_table_value_is_a_line_numbered_error(parse, keyword,
+                                                         entry):
+    bad = next(t for t in entry.split() if t.lstrip("-") in ("nan", "inf",
+                                                               "1e400"))
+    text = ("vertices 2\nedges 1\n0 1\nmax-size 2\n"
+            f"{keyword} 0 0.001\n{keyword} 1 {entry}\n{keyword} 0,1 1e-6\n")
+    with pytest.raises(SpecParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line 6: value {bad!r} is not finite"

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llcount.graphs import (Coloring, build_graph, enumerate_connected_subgraphs,
-                            greedy_coloring, induced_components,
-                            strong_product_with_complete)
+from llcount.graphs import (Coloring, DependencyGraph, build_graph,
+                            enumerate_connected_subgraphs, greedy_coloring,
+                            induced_components, strong_product_with_complete)
 
 from gen import random_graph
 
@@ -184,3 +184,61 @@ def small_graphs(draw):
 def test_bitmask_enumeration_keeps_the_set_based_order(g, m):
     assert list(enumerate_connected_subgraphs(g, m)) == list(
         _set_based_connected_subgraphs(g, m))
+
+
+def _reference_validation_error(n, adjacency):
+    """The message of DependencyGraph's checks made one neighbour at a time:
+    every row's range, self-loop and duplicate checks, then symmetry."""
+    rows = [tuple(sorted(row)) for row in adjacency]
+    for v, row in enumerate(rows):
+        for w in row:
+            if not 0 <= w < n:
+                return f"neighbor {w} of vertex {v} out of range"
+            if w == v:
+                return f"self-loop at vertex {v}"
+        if any(a == b for a, b in zip(row, row[1:])):
+            return f"duplicate neighbor in adjacency of vertex {v}"
+    for v, row in enumerate(rows):
+        for w in row:
+            if v not in rows[w]:
+                return f"asymmetric adjacency between {v} and {w}"
+    return None
+
+
+def _validation_error(n, adjacency):
+    try:
+        DependencyGraph(n, adjacency)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("adjacency,message", [
+    # each row is invalid in two ways, or the graph in a row and in symmetry
+    ([[1], [5]], "neighbor 5 of vertex 1 out of range"),
+    ([[1, -1], [0]], "neighbor -1 of vertex 0 out of range"),
+    ([[-1, 0], []], "neighbor -1 of vertex 0 out of range"),
+    ([[0, 2], []], "self-loop at vertex 0"),
+    ([[], [1, 1]], "self-loop at vertex 1"),
+    ([[], [-2, 1, 1]], "neighbor -2 of vertex 1 out of range"),
+    ([[1, 1, 3], [0]], "neighbor 3 of vertex 0 out of range"),
+    ([[1, 1], []], "duplicate neighbor in adjacency of vertex 0"),
+    ([[1], [], [0, 0]], "duplicate neighbor in adjacency of vertex 2"),
+    ([[1], [], [4, 0]], "neighbor 4 of vertex 2 out of range"),
+    ([[2, 1], [], [0]], "asymmetric adjacency between 0 and 1"),
+    ([[], [2], [0]], "asymmetric adjacency between 1 and 2"),
+])
+def test_invalid_adjacency_reports_the_first_failed_check(adjacency, message):
+    n = len(adjacency)
+    assert _reference_validation_error(n, adjacency) == message
+    assert _validation_error(n, adjacency) == message
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-2, n + 1), max_size=4),
+                         min_size=n, max_size=n))))
+def test_adjacency_validation_matches_per_neighbour_checks(case):
+    n, adjacency = case
+    assert _validation_error(n, adjacency) == _reference_validation_error(
+        n, adjacency)
