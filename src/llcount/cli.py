@@ -216,6 +216,27 @@ def _load_projectors(text: str, args) -> ProjectorSet:
     return ps
 
 
+def _validation_check(ps: ProjectorSet) -> ConditionCheck:
+    """Parsing validated every projector and rejects the spec on the first
+    failure; the margin is the tolerance less the largest deviation."""
+    from .projectors import VALIDATION_TOL
+
+    diags = ps.diagnostics
+    detail = f"{len(diags)} projectors validated"
+    if not diags:
+        return ConditionCheck("projector-validation", True, VALIDATION_TOL,
+                              detail)
+    i = max(range(len(diags)), key=lambda k: diags[k].worst_deviation)
+    worst = diags[i]
+    return ConditionCheck(
+        "projector-validation", True,
+        VALIDATION_TOL - worst.worst_deviation,
+        f"{detail}; largest deviation at projector {i}: hermiticity "
+        f"{worst.hermiticity_deviation:.3e}, idempotency "
+        f"{worst.idempotency_deviation:.3e}, spectrum "
+        f"{worst.spectrum_deviation:.3e}")
+
+
 def _reject_coloring(args, where: str) -> None:
     if args.coloring:
         raise SpecParseError(f"--coloring does not apply to {where}")
@@ -350,15 +371,11 @@ def _run_check(args) -> dict:
     elif kind == "projectors":
         from . import qsat
 
-        # Parsing validates every projector and rejects the spec on the
-        # first failure, so a parsed set has passed validation.
         ps = _load_projectors(text, args)
         graph = support_dependency_graph(ps)
         coloring = _maybe_coloring(args, lambda: graph)
         problem = qsat.commuting_problem(ps, graph, coloring, args.delta)
-        checks = [ConditionCheck("projector-validation", True, 0.0,
-                                 f"{len(ps)} projectors validated"),
-                  *problem.checks,
+        checks = [_validation_check(ps), *problem.checks,
                   qsat.stability_check(ps, args.stability_cap,
                                        args.delta).as_check()]
         if args.t:

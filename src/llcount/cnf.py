@@ -27,11 +27,26 @@ from .graphs import (Coloring, DependencyGraph, greedy_coloring,
 class CnfFormula:
     """CNF over variables 1..variable_count with DIMACS-style signed literals.
 
-    Each clause is a tuple of nonzero ints with pairwise distinct variables.
+    Each clause is a tuple of nonzero ints with pairwise distinct variables;
+    construction raises ValueError otherwise, or for a literal whose
+    variable lies outside 1..variable_count.
     """
 
     variable_count: int
     clauses: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        n = self.variable_count
+        for i, c in enumerate(self.clauses):
+            variables = set(map(abs, c))
+            if len(variables) != len(c):
+                v = next(abs(lit) for j, lit in enumerate(c)
+                         if abs(lit) in map(abs, c[:j]))
+                raise ValueError(f"clause {i}: variable {v} repeated")
+            if variables and (0 in variables or max(variables) > n):
+                v = 0 if 0 in variables else max(variables)
+                raise ValueError(
+                    f"clause {i}: variable {v} outside 1..{n}")
 
     @property
     def clause_count(self) -> int:
@@ -138,7 +153,11 @@ def parse_dimacs(text: str) -> CnfFormula:
     if max_var > n:
         raise SpecParseError(
             f"variable {max_var} exceeds declared count {n}")
-    return CnfFormula(n, tuple(clauses))
+    # each clause was checked as it closed: skip __post_init__'s second pass
+    formula = object.__new__(CnfFormula)
+    object.__setattr__(formula, "variable_count", n)
+    object.__setattr__(formula, "clauses", tuple(clauses))
+    return formula
 
 
 def _append_clause(clauses: list, literals: list[int], lineno: int) -> None:

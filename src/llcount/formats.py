@@ -165,12 +165,15 @@ def _parse_matrix(block: list[tuple[int, str]], side: int,
 
 
 def parse_projector_spec(text: str, *, validate: bool = True,
-                         tol: float = 1e-8) -> ProjectorSet:
+                         tol: float | None = None) -> ProjectorSet:
     """Parse a projector-spec file into a validated ProjectorSet.
 
-    ``validate=False`` reads the matrices as written, non-finite entries
-    included, and checks no projector."""
-    from .projectors import LocalProjector, ProjectorSet, validate_projector
+    Each projector is validated within ``tol`` (default ``VALIDATION_TOL``)
+    and the set keeps the diagnostics as ``diagnostics``.  ``validate=False``
+    reads the matrices as written, non-finite entries included, and checks
+    no projector."""
+    from .projectors import (VALIDATION_TOL, LocalProjector, ProjectorSet,
+                             validate_projector)
 
     lines = list(_lines(text))
     pos = 0
@@ -223,6 +226,8 @@ def parse_projector_spec(text: str, *, validate: bool = True,
     except ValueError as exc:
         raise SpecParseError(str(exc)) from None
     if validate:
+        tol = VALIDATION_TOL if tol is None else tol
+        diagnostics = []
         for i, p in enumerate(ps.projectors):
             diag = validate_projector(p, tol)
             if not diag.passed:
@@ -231,6 +236,8 @@ def parse_projector_spec(text: str, *, validate: bool = True,
                     f"{diag.hermiticity_deviation:.3e}, idempotency dev "
                     f"{diag.idempotency_deviation:.3e}, spectrum dev "
                     f"{diag.spectrum_deviation:.3e}")
+            diagnostics.append(diag)
+        ps.diagnostics = tuple(diagnostics)
     return ps
 
 

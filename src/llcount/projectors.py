@@ -10,20 +10,34 @@ the reporting layer.
 Embedding convention: qudit indices ascending, row-major composite indexing
 (the first qudit of a support is the most significant digit).
 
-Each projector is diagonalized once: read off its diagonal when every nonzero
-entry lies on it, by ``eigh`` otherwise.  Its image factor W = V sqrt(lambda),
-over the eigenpairs above ``EIG_TOL``, satisfies W W^dagger = P up to those
-dropped eigenpairs, and all algebra on a union support U of dimension
-D = d^|U| runs on the embedded factors (D x K, K = sum_i r_i d^(|U| - |s_i|))
-instead of D x D embedded projectors: the kernel of a sum is read from the
-K x K Gram matrix, and a product trace from chained K_a x K_b blocks.
+Each projector is factored once.  A projector whose nonzero entries all lie
+on its diagonal is read off that diagonal.  Any other one of side D and rank
+r gets a thin factorization in O(D^2 r): a pivoted Cholesky (largest
+residual diagonal first, until it is at most ``EIG_TOL``) whose k columns are
+orthonormalized to Q, then Rayleigh-Ritz on the k x k compression
+M = Q^dagger P Q.  The Frobenius norm rho of the residual P - Q M Q^dagger
+bounds, by Weyl's inequality, how far each eigenvalue of P lies from a Ritz
+value or a padded zero.  Validation reads certified deviations from the Ritz
+values and rho; the eigenvalues and the image factor W = (Q U) sqrt(mu), over
+the Ritz pairs (mu, U) above ``EIG_TOL``, come from the same factorization.
+``eigh`` on the D x D matrix runs only as the exact fallback: when rho
+exceeds ``EIG_TOL`` (an indefinite or unvalidated matrix), when the pivoting
+shows the matrix is no thin projector (its residual trace, the rank still to
+be found, exceeds D/2 less the columns taken, or is gone while a residual
+diagonal stays above ``EIG_TOL``), or when a validation bound exceeds its
+tolerance.
+
+All algebra on a union support U of dimension D = d^|U| runs on the embedded
+factors (D x K, K = sum_i r_i d^(|U| - |s_i|)) instead of D x D embedded
+projectors: the kernel of a sum is read from the K x K Gram matrix, and a
+product trace from chained K_a x K_b blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +46,70 @@ from .graphs import support_dependency_graph
 
 EIG_TOL = 1e-9
 IMAG_TOL = 1e-8
+VALIDATION_TOL = 1e-8
 DEFAULT_DENSE_CAP = 2 ** 14
+
+
+class ThinFactor(NamedTuple):
+    """Rayleigh-Ritz factorization of a matrix P of side D on the span Q of
+    k pivoted Cholesky columns."""
+
+    vectors: np.ndarray  # Q U: D x k orthonormal Ritz vectors
+    ritz: np.ndarray     # mu: eigenvalues of M = Q^dagger P Q = U mu U^dagger
+    residual: float      # rho >= ||P - Q M Q^dagger||_2
+
+
+def _factorize(m: np.ndarray) -> ThinFactor | None:
+    """The thin factorization of ``m``, or None when ``m`` has a non-finite
+    entry or the pivoting shows it is no thin projector.
+
+    On a projector each pivot removes a rank-one projector from the
+    residual, whose trace is then the rank still to be found.  So pivoting
+    gives up, before any further column, when that trace exceeds what D/2
+    columns leave room for (a rank above D/2, say I - |psi><psi|), or is
+    1/2 or less while a residual diagonal stays above EIG_TOL (errors in
+    the entries that no rank explains, say P + 2e-9 I).  ``eigh`` is then
+    the exact path, after O(D^2 (r + 1)) work here.
+
+    ``residual`` is the Frobenius norm of P - Q M Q^dagger plus a rounding
+    allowance of 4 D eps (1 + ||M||) for forming it and for the
+    orthonormality of Q, which keeps the bounds read from it above the
+    values ``eigh`` and the D x D product compute."""
+    side = m.shape[0]
+    if not np.isfinite(m).all():
+        return None
+    limit = side // 2
+    resid = m.diagonal().real.copy()
+    cols = np.empty((side, min(limit, 4)), dtype=np.complex128)
+    k = 0
+    # huge entries overflow to a non-finite residual, which gives None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            j = int(np.argmax(resid))
+            pivot = resid[j]
+            if not pivot > EIG_TOL:
+                break
+            if not 0.5 < float(resid.sum()) <= limit - k + 0.5:
+                return None
+            if k == cols.shape[1]:
+                cols = np.hstack([cols, np.empty(
+                    (side, min(limit, 2 * k) - k), dtype=np.complex128)])
+            c = m[:, j] - cols[:, :k] @ cols[j, :k].conj()
+            c /= np.sqrt(pivot)
+            cols[:, k] = c
+            resid -= c.real ** 2 + c.imag ** 2
+            resid[j] = 0.0  # exact; rounding must not pick it again
+            k += 1
+        q, _ = np.linalg.qr(cols[:, :k])
+        mk = q.conj().T @ (m @ q)
+        mk = (mk + mk.conj().T) / 2.0
+        rho = float(np.linalg.norm(m - (q @ mk) @ q.conj().T))
+    if not np.isfinite(rho):
+        return None
+    ritz, vectors = np.linalg.eigh(mk)
+    norm = float(np.max(np.abs(ritz), initial=0.0))
+    rho += 4.0 * side * float(np.finfo(np.float64).eps) * (1.0 + norm)
+    return ThinFactor(q @ vectors, ritz, rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +118,7 @@ class LocalProjector:
 
     ``matrix`` has side d^len(support) with row-major composite indexing over
     the support, which lists its qudits in strictly ascending order.  It is
-    diagonalized once, on first use (normally by validation), and must not be
+    factored once, on first use (normally by validation), and must not be
     modified afterwards.
     """
 
@@ -57,7 +134,27 @@ class LocalProjector:
         return diag if np.count_nonzero(m) == np.count_nonzero(diag) else None
 
     @cached_property
+    def factorization(self) -> ThinFactor | None:
+        """The thin factorization of ``matrix``; None for a diagonal matrix,
+        which is read exactly, and where ``_factorize`` gives none."""
+        if self.diagonal is not None:
+            return None
+        return _factorize(np.asarray(self.matrix, dtype=np.complex128))
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        f = self.factorization
+        if f is None or f.residual > EIG_TOL:
+            return self._eigen
+        zeros = np.zeros(f.vectors.shape[0] - f.ritz.size)
+        keep = f.ritz > EIG_TOL
+        w = f.vectors[:, keep] * np.sqrt(f.ritz[keep])
+        return np.sort(np.concatenate([f.ritz, zeros])), w
+
+    @cached_property
     def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exact spectrum and image factor: from the diagonal, else
+        from ``eigh``."""
         diag = self.diagonal
         if diag is None:
             eig, vec = np.linalg.eigh(
@@ -76,15 +173,23 @@ class LocalProjector:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of ``matrix``, ascending."""
-        return self._eigen[0]
+        """Eigenvalues of ``matrix``, ascending.
+
+        From a thin factorization they are the Ritz values padded with
+        zeros, each within the residual rho <= EIG_TOL of an exact eigenvalue
+        (Weyl); from the diagonal or the ``eigh`` fallback they are exact."""
+        return self._spectrum[0]
 
     @property
     def image_factor(self) -> np.ndarray:
         """W with W W^dagger = ``matrix`` (Hermitian, as validation checks)
-        less its eigenpairs at or below EIG_TOL; one column per kept
-        eigenpair."""
-        return self._eigen[1]
+        less its eigenpairs at or below EIG_TOL; one column per kept pair.
+
+        From a thin factorization W = (Q U) sqrt(mu) over the Ritz pairs
+        above EIG_TOL, so W W^dagger lies within rho plus the dropped Ritz
+        values of ``matrix``; the diagonal and ``eigh`` paths drop exact
+        eigenpairs."""
+        return self._spectrum[1]
 
 
 class ProjectorSet:
@@ -100,6 +205,8 @@ class ProjectorSet:
         self.d = d
         self.qudit_count = qudit_count
         self.dense_cap = dense_cap
+        # one ProjectorDiagnostics per projector when a parser validated them
+        self.diagnostics: tuple[ProjectorDiagnostics, ...] | None = None
         cleaned = []
         for i, p in enumerate(projectors):
             # The matrix's digit order is the support's order, so the support
@@ -137,30 +244,71 @@ class ProjectorDiagnostics:
     passed: bool
 
 
-def validate_projector(p: LocalProjector, tol: float = 1e-8) -> ProjectorDiagnostics:
+    @property
+    def worst_deviation(self) -> float:
+        return max(self.hermiticity_deviation, self.idempotency_deviation,
+                   self.spectrum_deviation)
+
+
+def _distance_to_01(eig: np.ndarray) -> float:
+    return float(np.max(np.minimum(np.abs(eig), np.abs(eig - 1.0)),
+                        initial=0.0))
+
+
+def validate_projector(p: LocalProjector,
+                       tol: float = VALIDATION_TOL) -> ProjectorDiagnostics:
     """Check Hermiticity, idempotency and a {0,1} spectrum within tol.
 
-    The spectrum is read only from a Hermitian matrix: otherwise, NaN
-    hermiticity included, its deviation is reported as inf."""
+    The hermiticity deviation max|P - P^dagger| is exact.  The spectrum is
+    read only from a Hermitian matrix: otherwise, NaN hermiticity included,
+    its deviation is reported as inf.  For a non-diagonal matrix the other
+    two deviations are read from its thin factorization (Ritz values mu,
+    residual rho, M = Q^dagger P Q) as certified upper bounds:
+
+    - spectrum: the largest distance of a Ritz value (or a padded zero) from
+      {0, 1}, plus rho and the Frobenius norm of the part of P that ``eigh``
+      does not read (its strict upper triangle against the conjugate of the
+      lower one, and the imaginary part of the diagonal), by Weyl's
+      inequality;
+    - idempotency: max|mu^2 - mu| + (2 ||M|| + rho + 1) rho, which bounds the
+      spectral norm, and hence every entry, of P^2 - P.
+
+    Only a bound above ``tol``, or a matrix without a thin factorization,
+    costs the exact D x D quantity (``eigh``, or the product P P); so every
+    accept or reject is the exact decision, and a reported deviation is at
+    least the exact one and, when the projector passes, at most ``tol``.
+    Validation costs O(D^2 r) for a thin projector of rank r."""
     m = np.asarray(p.matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"projector matrix must be square, got shape {m.shape}")
     if not m.size:
         return ProjectorDiagnostics(0.0, 0.0, 0.0, True)
     diag = p.diagonal
+    inf = float("inf")
     # huge or non-finite entries give non-finite deviations, which fail
     with np.errstate(over="ignore", invalid="ignore"):
-        if diag is None:
-            herm = float(np.max(np.abs(m - m.conj().T)))
-            idem = float(np.max(np.abs(m @ m - m)))
-        else:
+        if diag is not None:
             herm = float(np.max(np.abs(diag - diag.conj())))
             idem = float(np.max(np.abs(diag * diag - diag)))
-    if herm <= tol:
-        eig = p.eigenvalues
-        spectrum = float(np.max(np.minimum(np.abs(eig), np.abs(eig - 1.0))))
-    else:
-        spectrum = float("inf")
+            spectrum = _distance_to_01(p.eigenvalues) if herm <= tol else inf
+        else:
+            skew = m - m.conj().T
+            herm = float(np.max(np.abs(skew)))
+            idem = spectrum = inf
+            f = p.factorization if herm <= tol else None
+            if f is not None:
+                mu, rho = f.ritz, f.residual
+                # eigh reads the Hermitian matrix Hl built from the lower
+                # triangle of P: ||Hl - P||_F <= ||P - P^dagger||_F / sqrt(2)
+                unread = float(np.linalg.norm(skew)) / 2.0 ** 0.5
+                spectrum = _distance_to_01(mu) + rho + unread
+                norm = float(np.max(np.abs(mu), initial=0.0))
+                idem = (float(np.max(np.abs(mu * mu - mu), initial=0.0))
+                        + (2.0 * norm + rho + 1.0) * rho)
+            if herm <= tol and not spectrum <= tol:
+                spectrum = _distance_to_01(p._eigen[0])
+            if not idem <= tol:
+                idem = float(np.max(np.abs(m @ m - m)))
     passed = herm <= tol and idem <= tol and spectrum <= tol
     return ProjectorDiagnostics(herm, idem, spectrum, passed)
 

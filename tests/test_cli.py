@@ -264,19 +264,37 @@ def test_check_validates_each_projector_once(tmp_path, capsys, monkeypatch):
     original = llcount.projectors.validate_projector
 
     def counting(p, *args, **kwargs):
-        calls.append(id(p))
+        calls.append(p)
         return original(p, *args, **kwargs)
 
     monkeypatch.setattr(llcount.formats, "validate_projector", counting)
     monkeypatch.setattr(llcount.projectors, "validate_projector", counting)
-    code, out, _ = _run(capsys, ["check", _pair_spec(tmp_path),
-                                 "--format", "jsonl"])
-    assert code == 0
-    assert len(calls) == 2 and len(set(calls)) == 2
-    cond = {c["name"]: c for c in _last_json(out)["conditions"]}
-    assert cond["projector-validation"] == {
-        "name": "projector-validation", "passed": True, "margin": 0.0,
-        "detail": "2 projectors validated"}
+    dense = tmp_path / "dense.spec"
+    dense.write_text(format_projector_spec(
+        overlapping_pair(random.Random(4), 8, 7, 1, conjugated=True)))
+    # the diagonal fast path is exact; the dense pair is factored thin
+    for path, exact in ((_pair_spec(tmp_path), True), (str(dense), False)):
+        calls.clear()
+        code, out, _ = _run(capsys, ["check", path, "--format", "jsonl"])
+        assert code == 0
+        assert len(calls) == 2 and len(set(map(id, calls))) == 2
+        # the same diagnostics again, from the factorizations already cached
+        diags = [original(p) for p in calls]
+        i = max(range(2), key=lambda k: diags[k].worst_deviation)
+        worst = diags[i]
+        if exact:
+            assert i == 0 and worst.worst_deviation == 0.0
+        else:
+            assert 0.0 < worst.worst_deviation < 1e-8
+        cond = {c["name"]: c for c in _last_json(out)["conditions"]}
+        assert cond["projector-validation"] == {
+            "name": "projector-validation", "passed": True,
+            "margin": 1e-8 - worst.worst_deviation,
+            "detail": f"2 projectors validated; largest deviation at "
+                      f"projector {i}: hermiticity "
+                      f"{worst.hermiticity_deviation:.3e}, idempotency "
+                      f"{worst.idempotency_deviation:.3e}, spectrum "
+                      f"{worst.spectrum_deviation:.3e}"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -287,23 +305,39 @@ def test_check_validates_each_projector_once(tmp_path, capsys, monkeypatch):
 ])
 def test_each_projector_is_diagonalized_once_per_call(tmp_path, capsys,
                                                       monkeypatch, argv):
+    """Each dense rank-1 projector is factored exactly once, and ``eigh``
+    sees only the 1 x 1 Ritz compressions: no projector's full matrix, nor
+    any matrix wider than its rank, reaches ``eigh`` or ``eigvalsh``."""
+    import llcount.projectors
+
     proj = overlapping_pair(random.Random(6), 8, 7, 1, conjugated=True)
     path = tmp_path / "pair.spec"
     path.write_text(format_projector_spec(proj))
-    seen = []
-    for name in ("eigh", "eigvalsh"):
+    factored, seen = [], {"eigh": [], "eigvalsh": []}
+    original_factorize = llcount.projectors._factorize
+
+    def counting_factorize(m):
+        factored.append(np.asarray(m).tobytes())
+        return original_factorize(m)
+
+    monkeypatch.setattr(llcount.projectors, "_factorize", counting_factorize)
+    for name in seen:
         original = getattr(np.linalg, name)
 
-        def counting(a, *args, _original=original, **kwargs):
-            seen.append(np.asarray(a).tobytes())
+        def counting(a, *args, _original=original, _name=name, **kwargs):
+            seen[_name].append(np.asarray(a))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
     code, _, _ = _run(capsys, [argv[0], str(path)] + argv[1:]
                       + ["--format", "jsonl"])
     assert code == 0
-    for p in proj.projectors:
-        assert seen.count(np.asarray(p.matrix, dtype=complex).tobytes()) == 1
+    matrices = [np.asarray(p.matrix, dtype=complex).tobytes()
+                for p in proj.projectors]
+    assert sorted(factored) == sorted(matrices)
+    assert seen["eigh"] and all(a.shape == (1, 1) for a in seen["eigh"])
+    assert not any(a.tobytes() in matrices
+                   for a in seen["eigh"] + seen["eigvalsh"])
 
 
 def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):

@@ -40,6 +40,20 @@ def test_parse_dimacs_errors_carry_line_numbers():
         parse_dimacs("p cnf 1 1\n5 0\n")
 
 
+@pytest.mark.parametrize("n,clauses,message", [
+    (2, ((1, -1),), "clause 0: variable 1 repeated"),   # a tautology
+    (3, ((1, 2), (3, 2, -3)), "clause 1: variable 3 repeated"),
+    (2, ((1, 3),), "clause 0: variable 3 outside 1..2"),
+    (2, ((-3,),), "clause 0: variable 3 outside 1..2"),
+    (2, ((0, 1),), "clause 0: variable 0 outside 1..2"),
+])
+def test_cnf_formula_rejects_what_its_clauses_may_not_hold(n, clauses,
+                                                          message):
+    # a tautology used to get joint_false_probability 1/2 instead of 0
+    with pytest.raises(ValueError, match=message):
+        CnfFormula(n, clauses)
+
+
 def test_parse_dimacs_clause_spanning_lines_and_no_header():
     f = parse_dimacs("1 2\n3 0\n")
     assert f.variable_count == 3

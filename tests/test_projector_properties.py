@@ -23,7 +23,8 @@ from llcount.projectors import (EIG_TOL, IMAG_TOL, LocalProjector,
                                 ProjectorSet, embed_operator,
                                 kernel_intersection_dim,
                                 normalized_product_trace, pair_commutes,
-                                spectral_gap, validate_projector)
+                                rank_normalized, spectral_gap,
+                                validate_projector)
 
 # Spectral norm of the perturbation: inside the 1e-8 validation tolerance.
 PERTURBATION = 0.9e-8
@@ -241,14 +242,15 @@ def test_diagonal_fast_path_matches_eigh(m):
     if not np.all(np.isfinite(m)):
         assert not diag.passed and diag.spectrum_deviation == np.inf
         return
-    eig, vec = np.linalg.eigh(m)
-    # Bit for bit up to the sign of a zero: eigh keeps each -0.0 but does not
-    # sort stably, so 0.0 and -0.0 may trade places.
-    assert (p.eigenvalues + 0.0).tobytes() == (eig + 0.0).tobytes()
-    keep = eig > EIG_TOL
-    w = vec[:, keep] * np.sqrt(eig[keep])
+    # Bit for bit, the exact spectrum of a diagonal matrix as eigh reads it:
+    # its real diagonal, stably sorted.  eigh itself may miss it by an ulp
+    # where LAPACK rescales a matrix of tiny or huge entries (2.7e-151).
+    exact = np.sort(np.diag(m).real, kind="stable")
+    assert p.eigenvalues.tobytes() == exact.tobytes()
+    root = np.sqrt(np.where(np.diag(m).real > EIG_TOL, np.diag(m).real, 0.0))
     assert np.array_equal(p.image_factor @ p.image_factor.conj().T,
-                          w @ w.conj().T)
+                          np.diag(root * root))
+    eig = np.linalg.eigh(m)[0]
     if herm <= 1e-8:
         spectrum = float(np.max(np.minimum(np.abs(eig), np.abs(eig - 1.0))))
     else:
@@ -272,3 +274,140 @@ def test_diagonal_projectors_skip_eigh_and_commute(monkeypatch):
                                          dtype=complex))
     assert plus.diagonal is None
     assert not pair_commutes(ProjectorSet(2, 3, [p, q, plus]), 0, 2)
+
+
+def _exact_diagnostics(m, tol=1e-8):
+    """Hermiticity, idempotency and spectrum deviations from the full D x D
+    product and ``eigh`` (``eigvalsh`` may round differently), and the
+    decision they give."""
+    herm = float(np.max(np.abs(m - m.conj().T)))
+    idem = float(np.max(np.abs(m @ m - m)))
+    eig = np.linalg.eigh(m)[0]
+    spectrum = float(np.max(np.minimum(np.abs(eig), np.abs(eig - 1.0))))
+    return herm, idem, spectrum, max(herm, idem, spectrum) <= tol
+
+
+@st.composite
+def thin_projectors(draw):
+    """Dense Hermitian projectors of side 2-256 and rank 1..side/2, exact,
+    perturbed inside the validation tolerance, or perturbed past it."""
+    side = draw(st.integers(2, 256))
+    rank = draw(st.integers(1, side // 2))
+    npr = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = _projector(npr, side, rank, False)
+    scale = draw(st.sampled_from((0.0, 1.0, 10.0, 1e4)))
+    if scale:
+        h = npr.normal(size=(side, side)) + 1j * npr.normal(size=(side, side))
+        h = (h + h.conj().T) / 2.0
+        m = m + scale * PERTURBATION * h / np.linalg.norm(h, 2)
+    return m
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(thin_projectors())
+def test_thin_validation_is_the_exact_decision(m):
+    herm, idem, spectrum, passed = _exact_diagnostics(m)
+    p = LocalProjector((0,), m)
+    diag = validate_projector(p)
+    assert diag.passed == passed
+    assert diag.hermiticity_deviation == herm
+    assert diag.idempotency_deviation >= idem
+    assert diag.spectrum_deviation >= spectrum
+    if diag.passed:
+        assert diag.worst_deviation <= 1e-8
+    side = m.shape[0]
+    eig = np.linalg.eigh(m)[0]
+    assert rank_normalized(p, side) == np.sum(eig >= 0.5) / side
+    # the thin factor is used while rho <= EIG_TOL, eigh's otherwise (and
+    # where a perturbation past the tolerance leaves no thin factorization)
+    f = p.factorization
+    rho = f.residual if f is not None and f.residual <= EIG_TOL else 0.0
+    # Weyl: the Ritz values padded with zeros lie within rho of eigh's
+    assert p.eigenvalues.shape == (side,)
+    assert np.max(np.abs(p.eigenvalues - eig)) <= rho + ROUNDING
+    w = p.image_factor
+    gap = np.linalg.norm(w @ w.conj().T - m, 2)
+    assert gap <= rho + _dropped(m) + ROUNDING
+
+
+def test_bound_above_tol_falls_back_to_the_exact_values(monkeypatch):
+    """P + eps (I - P) with 2 eps under EIG_TOL: the Schur complement after
+    the first pivot has diagonal at most 2 eps, so the pivoted Cholesky stops
+    at rank 1, but the residual over the 511-dimensional kernel, eps sqrt(511),
+    gives bounds above the tolerance; the exact values decide, and pass."""
+    npr = np.random.default_rng(3)
+    side, eps = 512, 0.49e-9
+    proj = _projector(npr, side, 1, False)
+    m = proj + eps * (np.eye(side) - proj)
+    full = []
+    original = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if np.asarray(a).shape == (side, side):
+            full.append(a)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    p = LocalProjector((0,), m)
+    f = p.factorization
+    assert f.ritz.size == 1
+    assert f.residual > 1e-8
+    diag = validate_projector(p)
+    assert len(full) == 1   # the spectrum's fallback
+    # rho > EIG_TOL: the image factor comes from the same eigh
+    assert p.image_factor.shape == (side, 1) and len(full) == 1
+    monkeypatch.undo()
+    herm, idem, spectrum, passed = _exact_diagnostics(m)
+    assert passed and diag.passed
+    assert (diag.hermiticity_deviation, diag.idempotency_deviation,
+            diag.spectrum_deviation) == (herm, idem, spectrum)
+
+
+def test_spectrum_bound_covers_the_triangle_eigh_reads():
+    """P = |0><0| + L, L = eps times the strict lower triangle of J/n: P is
+    Hermitian only within eps/n, and ``eigh`` reads |0><0| + L + L^dagger,
+    whose kernel eigenvalue eps (n - 2)/n exceeds ||L||_F = eps / sqrt(2)
+    and so the residual; the bound must add the unread part."""
+    side, eps = 64, 6e-9
+    m = np.zeros((side, side), dtype=complex)
+    m[0, 0] = 1.0
+    m += eps * np.tril(np.ones((side, side)), -1) / side
+    herm, idem, spectrum, passed = _exact_diagnostics(m)
+    assert passed and spectrum > eps * 0.9
+    p = LocalProjector((0,), m)
+    diag = validate_projector(p)
+    assert p.factorization.residual < spectrum
+    assert diag.passed
+    assert spectrum <= diag.spectrum_deviation <= 1e-8
+
+
+def test_pivoting_gives_up_at_once_without_a_thin_factor(monkeypatch):
+    """A rank above D/2 (I - |psi><psi|), or a residual diagonal above
+    EIG_TOL that no rank explains (P + 2e-9 I), ends the pivoting before
+    any further column; the exact values decide, and both pass."""
+    npr = np.random.default_rng(5)
+    side = 64
+    proj = _projector(npr, side, 1, False)
+    original = np.argmax
+    steps = []
+
+    def counting(a, *args, **kwargs):
+        steps.append(1)
+        return original(a, *args, **kwargs)
+
+    for m, pivots in ((np.eye(side) - proj, 0),
+                      (proj + 2e-9 * np.eye(side), 1)):
+        p = LocalProjector((0,), m)
+        steps.clear()
+        monkeypatch.setattr(np, "argmax", counting)
+        assert p.factorization is None
+        monkeypatch.undo()
+        assert len(steps) == pivots + 1
+        herm, idem, spectrum, passed = _exact_diagnostics(m)
+        diag = validate_projector(p)
+        assert passed and diag.passed
+        assert (diag.hermiticity_deviation, diag.idempotency_deviation,
+                diag.spectrum_deviation) == (herm, idem, spectrum)
+        eig = np.linalg.eigh(m)[0]
+        assert rank_normalized(p, side) == np.sum(eig >= 0.5) / side
+        assert p.image_factor.shape == (side, np.sum(eig > EIG_TOL))
