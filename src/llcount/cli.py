@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -40,9 +41,14 @@ def _read(path: str) -> str:
         raise SpecParseError(f"cannot read {path}: {exc}") from None
 
 
+# A run of characters that ``str.splitlines`` does not split at: the
+# non-empty lines, found one at a time.
+_LINE = re.compile("[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]+")
+
+
 def _sniff(text: str) -> str:
-    for raw in text.splitlines():
-        s = raw.split("#", 1)[0].strip()
+    for match in _LINE.finditer(text):
+        s = match[0].split("#", 1)[0].strip()
         if not s:
             continue
         first = s.split()[0]
@@ -375,14 +381,16 @@ def _run_check(args) -> dict:
         graph = support_dependency_graph(ps)
         coloring = _maybe_coloring(args, lambda: graph)
         problem = qsat.commuting_problem(ps, graph, coloring, args.delta)
+        # the stability probe and the delta suggestion read one oracle
+        oracle = qsat.general_oracle(ps)
         checks = [_validation_check(ps), *problem.checks,
-                  qsat.stability_check(ps, args.stability_cap,
-                                       args.delta).as_check()]
+                  qsat.stability_check(ps, args.stability_cap, args.delta,
+                                       oracle=oracle).as_check()]
         if args.t:
             checks += qsat.detectability_problem(ps, graph, coloring, args.t,
                                                  args.delta).checks
         extra = {"chi": problem.chi, "suggested_delta":
-                 qsat.suggest_delta_general(ps, args.epsilon)}
+                 qsat.suggest_delta_general(ps, args.epsilon, oracle=oracle)}
         if all(c.passed for c in problem.checks):
             # as for a CNF: qsat-commuting reaches the truncation order, and
             # its cap, only once its hypotheses hold
@@ -476,15 +484,11 @@ def _validate_args(args) -> None:
     if lambda_star is not None and not (math.isfinite(lambda_star)
                                         and lambda_star >= 0.0):
         raise SpecParseError("--lambda-star must be finite and non-negative")
-    t = getattr(args, "t", None)
-    if t is not None and t < 1:
-        raise SpecParseError("--t must be a positive integer")
-    threads = getattr(args, "threads", None)
-    if threads is not None and threads < 1:
-        raise SpecParseError("--threads must be a positive integer")
-    dense_cap = getattr(args, "dense_cap", None)
-    if dense_cap is not None and dense_cap < 1:
-        raise SpecParseError("--dense-cap must be a positive integer")
+    for flag in ("t", "threads", "dense_cap", "stability_cap"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise SpecParseError(
+                f"--{flag.replace('_', '-')} must be a positive integer")
 
 
 def main(argv=None) -> int:

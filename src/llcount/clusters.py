@@ -559,14 +559,13 @@ def choose_truncation_order(graph_order: int, max_degree: int, delta: float,
 
 
 def capped_truncation_order(graph_order: int, max_degree: int, delta: float,
-                            epsilon: float,
-                            max_order: int = DEFAULT_MAX_ORDER) -> int:
-    """``choose_truncation_order``, refusing an order above ``max_order``."""
+                            epsilon: float) -> int:
+    """``choose_truncation_order``, refusing m > ``DEFAULT_MAX_ORDER``."""
     m = choose_truncation_order(graph_order, max_degree, delta, epsilon)
-    if m > max_order:
+    if m > DEFAULT_MAX_ORDER:
         raise ResourceCapExceeded(
-            f"truncation order {m} exceeds cap {max_order}; "
-            "increase delta or epsilon, or raise the cap")
+            f"truncation order {m} exceeds cap {DEFAULT_MAX_ORDER}; "
+            "increase delta or epsilon")
     return m
 
 
@@ -698,18 +697,19 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
                               max_degree: int | None = None,
                               force: bool = False, threads: int = 1,
                               exact: bool = False,
-                              max_order: int = DEFAULT_MAX_ORDER,
                               extra_checks: Sequence[ConditionCheck] = ()) -> ApproxResult:
     """Multiplicative epsilon-approximation of the polymer partition function.
 
-    The guarantee is conditional on the weight-decay bound holding at every
-    polymer size; sizes up to the truncation order are verified and a
-    violation aborts unless ``force`` is set.
+    The guarantee is conditional on the problem's hypotheses ``extra_checks``
+    and on the weight-decay bound holding at every polymer size; sizes up to
+    the truncation order are verified.  A failed hypothesis aborts before the
+    truncation order is chosen, and a decay violation aborts after it, unless
+    ``force`` is set; a forced run that fails any check is marked ``forced``.
     """
     start = time.perf_counter()
+    require(extra_checks, force)
     dmax = g.max_degree() if max_degree is None else max_degree
-    m = capped_truncation_order(g.vertex_count, dmax, delta, epsilon,
-                                max_order)
+    m = capped_truncation_order(g.vertex_count, dmax, delta, epsilon)
     # one sorted list of the polymers of size <= m serves as the polymers
     # checked and as the cluster unions
     polymers = sorted(enumerate_connected_subgraphs(g, m))
@@ -739,7 +739,7 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
         additive_log_error_bound=bound, epsilon=epsilon, delta=delta,
         graph_order=g.vertex_count, max_degree=dmax,
         condition_report=report, checks=checks,
-        forced=bool(report.violations), cluster_count=counted[0],
+        forced=not all(c.passed for c in checks), cluster_count=counted[0],
         elapsed=time.perf_counter() - start, exact_log=exact_log)
 
 

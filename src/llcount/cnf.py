@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .clusters import (ApproxResult, ConditionCheck, Problem, WeightOracle,
-                       approx_partition_function, holder_delta, require,
+                       approx_partition_function, holder_delta,
                        weight_decay_threshold)
 from .errors import SpecParseError
 from .graphs import (Coloring, DependencyGraph, greedy_coloring,
@@ -82,15 +82,16 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text; raises SpecParseError with a line number.
 
     A clause mentioning the same variable twice is rejected.  The `p cnf`
-    header is optional; without it the variable count is inferred.  A line
-    starting with `%` opens the SATLIB trailer: after it only blank lines,
-    comments and one lone `0` may follow.
+    header is optional; without it the variable count is inferred.  At most
+    one header may appear, and its clause count must match the clauses read.
+    A line starting with `%` opens the SATLIB trailer: after it only blank
+    lines, comments and one lone `0` may follow.
 
     A line holding exactly one whole clause is read in one pass; any other
     line (a bad token, several clauses, a clause spanning lines) goes through
     the per-token loop, which decides every error.
     """
-    declared_vars = None
+    declared_vars = declared_clauses = None
     clauses: list[tuple[int, ...]] = []
     max_var = 0
     current: list[int] = []
@@ -127,9 +128,11 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = s.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise SpecParseError(f"bad problem line {s!r}", lineno)
+            if declared_vars is not None:
+                raise SpecParseError(f"second problem line {s!r}", lineno)
             try:
                 declared_vars = int(parts[2])
-                int(parts[3])
+                declared_clauses = int(parts[3])
             except ValueError:
                 raise SpecParseError(f"bad problem line {s!r}", lineno) from None
             continue
@@ -153,6 +156,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     if max_var > n:
         raise SpecParseError(
             f"variable {max_var} exceeds declared count {n}")
+    if declared_clauses is not None and declared_clauses != len(clauses):
+        raise SpecParseError(f"header declares {declared_clauses} clauses, "
+                             f"found {len(clauses)}")
     # each clause was checked as it closed: skip __post_init__'s second pass
     formula = object.__new__(CnfFormula)
     object.__setattr__(formula, "variable_count", n)
@@ -324,7 +330,6 @@ def approx_probability_intersection(source, epsilon: float, delta: float, *,
     else:
         raise TypeError("source must be a CnfFormula or an event oracle")
     problem = intersection_problem(source, graph, coloring, delta)
-    require(problem.checks, force)
     approx = approx_partition_function(
         graph, problem.oracle, epsilon, problem.delta_used, force=force,
         threads=threads, exact=exact, extra_checks=problem.checks)
@@ -361,7 +366,6 @@ def count_satisfying(f: CnfFormula, epsilon: float, delta: float, *,
     """
     graph = cnf_dependency_graph(f)
     problem = count_problem(f, graph, coloring, delta)
-    require(problem.checks, force)
     approx = approx_partition_function(
         graph, problem.oracle, epsilon, problem.delta_used, force=force,
         threads=threads, exact=exact, extra_checks=problem.checks)

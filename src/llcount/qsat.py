@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .clusters import (DEFAULT_MAX_ORDER, DELTA_CEILING, ApproxResult,
-                       ConditionCheck, Problem, WeightOracle,
-                       approx_partition_function, capped_truncation_order,
+                       ConditionCheck, Problem, WeightConditionReport,
+                       WeightOracle, approx_partition_function,
                        certified_delta, check_weight_condition,
-                       choose_truncation_order, holder_delta, require,
+                       choose_truncation_order, holder_delta,
                        weight_decay_threshold)
-from .errors import HypothesisViolation, ResourceCapExceeded
+from .errors import ResourceCapExceeded
 from .graphs import (Coloring, DependencyGraph, greedy_coloring,
                      strong_product_with_complete)
 from .projectors import (ProjectorSet, kernel_intersection_dim,
@@ -108,7 +108,6 @@ def approx_dim_commuting(ps: ProjectorSet, epsilon: float, delta: float, *,
     projector family, under the per-projector rank bound."""
     problem = commuting_problem(ps, support_dependency_graph(ps), coloring,
                                 delta)
-    require(problem.checks, force)
     approx = approx_partition_function(
         problem.graph, problem.oracle, epsilon, problem.delta_used,
         force=force, threads=threads, extra_checks=problem.checks)
@@ -133,16 +132,20 @@ class _KernelDimCache:
         return got
 
 
+# Largest polymer whose inclusion-exclusion sum (2^size kernel dimensions)
+# ``general_ie_weight`` evaluates.
+SUBSET_CAP = 20
+
+
 def general_ie_weight(ps: ProjectorSet, polymer: Sequence[int],
-                      cache: _KernelDimCache | None = None,
-                      subset_cap: int = 20) -> float:
+                      cache: _KernelDimCache | None = None) -> float:
     """Alternating sum over subsets of the polymer of kernel-intersection
     dimensions; the empty subset contributes the full space, 1."""
     polymer = tuple(sorted(polymer))
-    if len(polymer) > subset_cap:
+    if len(polymer) > SUBSET_CAP:
         raise ResourceCapExceeded(
             f"polymer of size {len(polymer)} needs 2^{len(polymer)} kernel "
-            f"computations (cap {subset_cap})")
+            f"computations (cap {SUBSET_CAP})")
     if cache is None:
         cache = _KernelDimCache(ps)
     total = 0.0
@@ -154,73 +157,54 @@ def general_ie_weight(ps: ProjectorSet, polymer: Sequence[int],
     return -total if t % 2 else total
 
 
-@dataclass
-class StabilityReport:
-    """Observed inclusion-exclusion sums for connected sets up to a size cap.
+def general_oracle(ps: ProjectorSet) -> WeightOracle:
+    """The general family's polymer weights, ``general_ie_weight``, over one
+    kernel-dimension cache."""
+    cache = _KernelDimCache(ps)
+    return WeightOracle(lambda p: general_ie_weight(ps, p, cache))
+
+
+class StabilityReport(WeightConditionReport):
+    """Observed inclusion-exclusion sums for connected sets up to a size cap,
+    ``verified_up_to``.
 
     The certified guarantee's hypothesis quantifies over every subset; only
     connected sets up to the cap (what the truncated expansion consumes) are
     checked, the rest is assumed.
     """
 
-    size_cap: int
-    delta: float
-    threshold: float
-    max_abs_root_by_size: dict[int, float]
-    violations: list[tuple[tuple[int, ...], float, float]]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
     def as_check(self) -> ConditionCheck:
         observed = max(self.max_abs_root_by_size.values(), default=0.0)
         detail = (f"max |IE sum|^(1/|U|) = {observed:.6g} vs eta = "
                   f"{self.threshold:.6g} over connected U with |U| <= "
-                  f"{self.size_cap}; larger and disconnected U assumed")
+                  f"{self.verified_up_to}; larger and disconnected U assumed")
         return ConditionCheck("stability", self.passed,
                               self.threshold - observed, detail)
 
 
 def stability_check(ps: ProjectorSet, size_cap: int, delta: float, *,
-                    oracle: WeightOracle | None = None,
-                    threads: int = 1) -> StabilityReport:
+                    oracle: WeightOracle | None = None) -> StabilityReport:
     """Check the inclusion-exclusion stability bound on connected sets.
 
     The checked quantity for a connected U is exactly the polymer weight
-    magnitude |w_U| of the general-projector polymer model.
+    magnitude |w_U| of the general-projector polymer model, read from
+    ``oracle`` (``general_oracle(ps)`` when None).
     """
-    graph = support_dependency_graph(ps)
-    if oracle is None:
-        cache = _KernelDimCache(ps)
-        oracle = WeightOracle(lambda p: general_ie_weight(ps, p, cache))
-    rep = check_weight_condition(graph, oracle, size_cap, delta,
-                                 threads=threads)
-    return StabilityReport(size_cap, delta, rep.threshold,
-                           rep.max_abs_root_by_size,
-                           [(p, aw, allowed) for p, aw, allowed in rep.violations])
+    oracle = general_oracle(ps) if oracle is None else oracle
+    return StabilityReport(**vars(check_weight_condition(
+        support_dependency_graph(ps), oracle, size_cap, delta)))
 
 
 def approx_dim_general(ps: ProjectorSet, epsilon: float, delta: float, *,
-                       force: bool = False, threads: int = 1,
-                       max_order: int = DEFAULT_MAX_ORDER) -> DimensionResult:
+                       force: bool = False,
+                       threads: int = 1) -> DimensionResult:
     """FPTAS for the normalized kernel-intersection dimension of general
     projectors, conditional on the global stability hypothesis at the given
-    delta (verified on connected sets up to the truncation order)."""
+    delta: the engine checks it as weight decay (the weights are the
+    inclusion-exclusion sums) on connected sets up to the truncation order."""
     graph = support_dependency_graph(ps)
-    cache = _KernelDimCache(ps)
-    oracle = WeightOracle(lambda p: general_ie_weight(ps, p, cache))
-    m = capped_truncation_order(graph.vertex_count, graph.max_degree(),
-                                delta, epsilon, max_order)
-    stab = stability_check(ps, m, delta, oracle=oracle, threads=threads)
-    if not stab.passed and not force:
-        u, aw, allowed = stab.violations[0]
-        raise HypothesisViolation(
-            f"stability condition fails at connected set {u}: "
-            f"|IE sum| = {aw:.6g} > {allowed:.6g}", [stab.as_check()])
-    approx = approx_partition_function(
-        graph, oracle, epsilon, delta, force=force, threads=threads,
-        max_order=max_order, extra_checks=[stab.as_check()])
+    approx = approx_partition_function(graph, general_oracle(ps), epsilon,
+                                       delta, force=force, threads=threads)
     normalized = approx.real_value()
     chi = greedy_coloring(graph).num_colors
     return DimensionResult(approx, normalized,
@@ -228,32 +212,38 @@ def approx_dim_general(ps: ProjectorSet, epsilon: float, delta: float, *,
                            chi, "general-stability", delta)
 
 
+# ``suggest_delta_general``'s first probe size, and its back-off
+SUGGEST_INITIAL_PROBE = 3
+SUGGEST_SAFETY = 0.02
+
+
 def suggest_delta_general(ps: ProjectorSet, epsilon: float, *,
-                          initial_probe: int = 3, safety: float = 0.02,
-                          max_order: int = DEFAULT_MAX_ORDER) -> float:
+                          oracle: WeightOracle | None = None) -> float:
     """Near-largest delta consistent with the observed inclusion-exclusion
-    decay, backed off by ``safety`` so the stability check is not knife-edge.
+    decay, backed off by ``SUGGEST_SAFETY`` so the stability check is not
+    knife-edge.  Weights come from ``oracle`` (``general_oracle(ps)`` when
+    None).
 
     Probes connected sets up to the truncation order the suggestion itself
     implies; the result certifies nothing beyond the probed sizes.
     """
     graph = support_dependency_graph(ps)
     dmax = graph.max_degree()
-    cache = _KernelDimCache(ps)
-    oracle = WeightOracle(lambda p: general_ie_weight(ps, p, cache))
-    probe = max(1, initial_probe)
+    oracle = general_oracle(ps) if oracle is None else oracle
+    probe = SUGGEST_INITIAL_PROBE
     while True:
         rep = check_weight_condition(graph, oracle, probe, 0.0)
         observed = max(rep.max_abs_root_by_size.values(), default=0.0)
         if observed <= 0.0:
             return DELTA_CEILING
-        delta = min(certified_delta(observed, dmax) - safety, DELTA_CEILING)
+        delta = min(certified_delta(observed, dmax) - SUGGEST_SAFETY,
+                    DELTA_CEILING)
         if delta <= 0.0:
             return delta
         m = choose_truncation_order(graph.vertex_count, dmax, delta, epsilon)
-        if m <= probe or probe >= max_order:
+        if m <= probe or probe >= DEFAULT_MAX_ORDER:
             return delta
-        probe = min(m, max_order)
+        probe = min(m, DEFAULT_MAX_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +327,21 @@ def detectability_problem(ps: ProjectorSet, graph: DependencyGraph,
 
 def approx_dim_detectability(ps: ProjectorSet, params: DetectabilityParams,
                              delta: float, *, force: bool = False,
-                             threads: int = 1,
-                             max_order: int = DEFAULT_MAX_ORDER) -> AffineResult:
+                             threads: int = 1) -> AffineResult:
     """Affine approximation of the kernel-intersection dimension via the
     detectability trace, computed by the cluster engine on the strong product
     of the dependency graph with a complete graph on t rounds."""
     t = params.t
     problem = detectability_problem(ps, support_dependency_graph(ps),
                                     params.coloring, t, delta)
-    require(problem.checks, force)
+    approx = approx_partition_function(
+        problem.graph, problem.oracle, params.epsilon, problem.delta_used,
+        force=force, threads=threads, extra_checks=problem.checks)
+    # after the engine has enforced the rank condition, so a failed
+    # hypothesis exits 2 before a capped gap can exit 4
     lam = params.lambda_star
     if lam is None:
         lam = spectral_gap_or_error(ps)
-    approx = approx_partition_function(
-        problem.graph, problem.oracle, params.epsilon, problem.delta_used,
-        force=force, threads=threads, max_order=max_order,
-        extra_checks=problem.checks)
     z = approx.real_value()
     additive = detectability_additive_part(params.epsilon, lam, problem.chi, t)
     absolute_z, log2_absolute_z = _absolute_dimension(z, ps)

@@ -7,13 +7,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from llcount.cli import main
+from llcount.cli import _sniff, main
 from llcount.formats import format_projector_spec, format_weights_spec
 from llcount.graphs import build_graph
 from llcount.projectors import LocalProjector, ProjectorSet
 
-from gen import chain_cnf, overlapping_pair, single_fat_projector
+from gen import (chain_cnf, noncommuting_pair, overlapping_pair,
+                 single_fat_projector)
 
 
 def _write_cnf(tmp_path, f, name="f.cnf"):
@@ -558,3 +561,99 @@ def test_non_finite_weight_is_a_parse_error(tmp_path, capsys, command, entry):
     assert code == 3 and out == ""
     bad = entry.split()[-1]
     assert _last_json(err)["error"] == f"line 5: value {bad!r} is not finite"
+
+
+def test_forced_run_is_marked_forced_when_a_hypothesis_fails(tmp_path,
+                                                             capsys):
+    # k = 6 fails the k-condition and Pr[false] = 2^-6 the per-event bound
+    path = _write_cnf(tmp_path, chain_cnf(random.Random(5), 4, k=6, share=3))
+    code, out, _ = _run(capsys, ["count-sat", path, "--force", "--epsilon",
+                                 "1", "--delta", "1.0", "--format", "jsonl"])
+    assert code == 0
+    report = _last_json(out)
+    failed = [c["name"] for c in report["conditions"] if not c["passed"]]
+    assert failed == ["k-condition", "per-event-probability"]
+    assert report["forced"] is True and report["status"] == "forced"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("p cnf 3 5\n1 2 0\n", "header declares 5 clauses, found 1"),
+    ("p cnf 3 1\n1 2 0\np cnf 9 1\n",
+     "line 3: second problem line 'p cnf 9 1'"),
+])
+def test_dimacs_header_mismatch_exits_3(tmp_path, capsys, text, error):
+    path = tmp_path / "bad.cnf"
+    path.write_text(text)
+    for command in ("count-sat", "check"):
+        code, _, err = _run(capsys, [command, str(path), "--format", "jsonl"])
+        assert code == 3
+        assert _last_json(err)["error"] == error
+
+
+def test_general_weights_are_checked_and_computed_once(tmp_path, capsys,
+                                                       monkeypatch):
+    """qsat-general --mode stability checks the weights once, in the engine;
+    check on a projector spec computes each kernel dimension once, for its
+    stability probe and its delta suggestion together."""
+    import llcount.clusters
+    import llcount.qsat
+
+    checked, kdims = [], []
+    original_check = llcount.clusters.check_weight_condition
+    original_kdim = llcount.qsat.kernel_intersection_dim
+
+    def counting_check(*args, **kwargs):
+        checked.append(args[2])
+        return original_check(*args, **kwargs)
+
+    def counting_kdim(ps, indices):
+        kdims.append(tuple(indices))
+        return original_kdim(ps, indices)
+
+    for module in (llcount.clusters, llcount.qsat):
+        monkeypatch.setattr(module, "check_weight_condition", counting_check)
+    monkeypatch.setattr(llcount.qsat, "kernel_intersection_dim", counting_kdim)
+    single = tmp_path / "single.spec"
+    single.write_text(format_projector_spec(
+        single_fat_projector(random.Random(11), qubits=7)))
+    code, out, _ = _run(capsys, ["qsat-general", str(single), "--delta", "1.0",
+                                 "--format", "jsonl"])
+    assert code == 0
+    assert len(checked) == 1
+    assert [c["name"] for c in _last_json(out)["conditions"]] == [
+        "weight-decay"]
+    noncomm = tmp_path / "noncomm.spec"
+    noncomm.write_text(format_projector_spec(
+        noncommuting_pair(random.Random(4), 0.05)))
+    kdims.clear()
+    code, _, _ = _run(capsys, ["check", str(noncomm), "--format", "jsonl"])
+    assert code == 2
+    assert sorted(kdims) == [(0,), (0, 1), (1,)]
+
+
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+
+
+def _sniff_by_splitlines(text):
+    for raw in text.splitlines():
+        s = raw.split("#", 1)[0].strip()
+        if not s:
+            continue
+        first = s.split()[0]
+        if first in ("p", "c") or first.lstrip("-").isdigit():
+            return "cnf"
+        if first == "d":
+            return "projectors"
+        if first == "vertices":
+            return "table"
+        return "unknown"
+    return "unknown"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_SEPARATORS + [
+    " ", "\t", "\x1f", "#", "# x", "p", "c", "d", "-3", "12", "vertices",
+    "weight", "x"]), max_size=12).map("".join))
+def test_sniff_matches_splitlines(text):
+    assert _sniff(text) == _sniff_by_splitlines(text)

@@ -19,8 +19,9 @@ SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 def _reference_parse(text):
     """DIMACS read one token at a time: each literal is converted, each
-    clause closed and checked for a repeated variable at its `0`."""
-    declared = None
+    clause closed and checked for a repeated variable at its `0`.  One
+    `p cnf` header at most, whose clause count must match."""
+    declared = declared_clauses = None
     clauses = []
     max_var = 0
     current = []
@@ -43,9 +44,11 @@ def _reference_parse(text):
             parts = s.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise SpecParseError(f"bad problem line {s!r}", lineno)
+            if declared is not None:
+                raise SpecParseError(f"second problem line {s!r}", lineno)
             try:
                 declared = int(parts[2])
-                int(parts[3])
+                declared_clauses = int(parts[3])
             except ValueError:
                 raise SpecParseError(f"bad problem line {s!r}", lineno) from None
             continue
@@ -68,6 +71,9 @@ def _reference_parse(text):
     n = declared if declared is not None else max_var
     if max_var > n:
         raise SpecParseError(f"variable {max_var} exceeds declared count {n}")
+    if declared_clauses is not None and declared_clauses != len(clauses):
+        raise SpecParseError(f"header declares {declared_clauses} clauses, "
+                             f"found {len(clauses)}")
     return CnfFormula(n, tuple(clauses))
 
 
@@ -113,6 +119,27 @@ _lines = st.lists(st.one_of(_clause_line, _clause_line, _any_line, _special),
 @example(["+3 1_0 0", "1 2 3 0 2 2 0"], "")   # numerals; a later repeat
 @example(["c x", "p cnf 3 1", "1 -2 3 0", "%", "0"], "")
 def test_parse_dimacs_matches_per_token_reader(lines, pad):
+    text = "\n".join(pad + s + pad for s in lines) + "\n"
+    assert _outcome(parse_dimacs, text) == _outcome(_reference_parse, text)
+
+
+@st.composite
+def _headed(draw):
+    """Lines under a `p cnf 9 M` header whose M is the number of clauses they
+    close (whole clause lines, comments and blanks), or off by one."""
+    body = draw(st.lists(st.one_of(_clause_line, _clause_line,
+                                   st.sampled_from(["", "c a comment"])),
+                         max_size=12))
+    count = sum(s.endswith(" 0") for s in body)
+    count += draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return [f"p cnf 9 {count}"] + body
+
+
+@SETTINGS
+@given(_headed(), st.sampled_from(["", "  ", "\t"]))
+@example(["p cnf 9 2", "1 -2 0", "c x", "3 4 5 0"], "")
+@example(["p cnf 9 1", "1 -2 0", "3 4 5 0"], "")      # declares too few
+def test_parse_dimacs_with_header_matches_per_token_reader(lines, pad):
     text = "\n".join(pad + s + pad for s in lines) + "\n"
     assert _outcome(parse_dimacs, text) == _outcome(_reference_parse, text)
 

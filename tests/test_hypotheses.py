@@ -184,6 +184,11 @@ def test_check_weights_spec_matches_polymer_z(tmp_path, capsys, scale):
     (["qsat-general", "pair.spec", "--mode", "detectability", "--t", "2",
       "--lambda-star", "1"], "detectability-rank-condition",
      ["detectability-rank-condition"]),
+    # the 2^9 gap computation exceeds the dense cap: the failed rank
+    # condition still decides the exit code
+    (["qsat-general", "pair.spec", "--mode", "detectability", "--t", "2",
+      "--dense-cap", "256"], "detectability-rank-condition",
+     ["detectability-rank-condition"]),
 ])
 def test_failed_run_names_the_check_and_lists_its_problem(tmp_path, capsys,
                                                           argv, failing, names):
@@ -237,7 +242,8 @@ def test_coloring_is_rejected_where_no_hypothesis_uses_it(tmp_path, capsys,
     ("--delta", "nan"), ("--delta", "inf"), ("--delta", "-inf"),
     ("--delta", "0"), ("--delta", "-1"),
     ("--lambda-star", "-1"), ("--lambda-star", "-2"),
-    ("--lambda-star", "nan"), ("--lambda-star", "inf")])
+    ("--lambda-star", "nan"), ("--lambda-star", "inf"),
+    ("--stability-cap", "0"), ("--stability-cap", "-1")])
 def test_out_of_range_delta_and_lambda_star_exit_3(tmp_path, capsys, flag,
                                                    value):
     path = _write(tmp_path, "pair.spec", format_projector_spec(
@@ -246,6 +252,8 @@ def test_out_of_range_delta_and_lambda_star_exit_3(tmp_path, capsys, flag,
                  _cnf_text(chain_cnf(random.Random(5), 4, share=6)))
     if flag == "--delta":
         argvs = [["count-sat", cnf], ["check", cnf], ["qsat-commuting", path]]
+    elif flag == "--stability-cap":
+        argvs = [["check", path]]
     else:
         argvs = [["qsat-general", path, "--mode", "detectability"]]
     for argv in argvs:
