@@ -381,16 +381,18 @@ def _run_check(args) -> dict:
         graph = support_dependency_graph(ps)
         coloring = _maybe_coloring(args, lambda: graph)
         problem = qsat.commuting_problem(ps, graph, coloring, args.delta)
-        # the stability probe and the delta suggestion read one oracle
+        # the stability probe and the delta suggestion read one oracle and
+        # the one graph
         oracle = qsat.general_oracle(ps)
         checks = [_validation_check(ps), *problem.checks,
                   qsat.stability_check(ps, args.stability_cap, args.delta,
-                                       oracle=oracle).as_check()]
+                                       oracle=oracle, graph=graph).as_check()]
         if args.t:
             checks += qsat.detectability_problem(ps, graph, coloring, args.t,
                                                  args.delta).checks
         extra = {"chi": problem.chi, "suggested_delta":
-                 qsat.suggest_delta_general(ps, args.epsilon, oracle=oracle)}
+                 qsat.suggest_delta_general(ps, args.epsilon, oracle=oracle,
+                                            graph=graph)}
         if all(c.passed for c in problem.checks):
             # as for a CNF: qsat-commuting reaches the truncation order, and
             # its cap, only once its hypotheses hold

@@ -13,13 +13,15 @@ orderings, which is the multiplicity of the multiset among ordered tuples.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -155,6 +157,77 @@ def ursell(h: DependencyGraph) -> Fraction:
 # ---------------------------------------------------------------------------
 # Cluster enumeration
 
+class _ShapeTable:
+    """Prepared cluster tables of union shapes, shared by every call in the
+    process.
+
+    A shape is keyed by the local adjacency bitmasks of a sorted union and by
+    the truncation order m.  Its entry holds one getter per local polymer;
+    the shape's clusters as (polymers getter, total_size, orderings,
+    incompatibility_masks); per cluster, the mask of the local polymers it
+    uses; and a dict from dead-polymer mask to the clusters that mask spares.
+    Like ``_URSELL_MEMO`` this is combinatorics that no input's weights
+    change, so a report does not depend on what the table holds.
+
+    ``cap`` bounds the cluster entries held, spares included.  Adding a
+    shape that would pass it empties the table first, so the table holds at
+    most ``cap`` entries, or one larger shape, plus the spares found since
+    the last shape was added.  A caller that may meet a shape again after
+    the table has dropped it holds the entry itself and ``keep``s it.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.shapes: dict[tuple[tuple[int, ...], int], tuple] = {}
+        self.size = 0
+
+    def clear(self) -> None:
+        self.shapes.clear()
+        self.size = 0
+
+    def shape(self, key: tuple[int, ...], m: int) -> tuple:
+        """The prepared entry of shape ``key`` at order ``m``."""
+        shape = self.shapes.get((key, m))
+        if shape is None:
+            local_polymers, local_clusters = _shape_clusters(key, m)
+            shape = (
+                [_tuple_getter(p) for p in local_polymers],
+                [(_tuple_getter(indices), *rest)
+                 for indices, *rest in local_clusters],
+                [sum({1 << i for i in indices})
+                 for indices, *_ in local_clusters],
+                {})
+            self._add(key, m, shape)
+        return shape
+
+    def keep(self, key: tuple[int, ...], m: int, shape: tuple) -> None:
+        """Hold ``shape``, prepared by ``shape(key, m)``, if it was dropped."""
+        if (key, m) not in self.shapes:
+            self._add(key, m, shape)
+
+    def _add(self, key: tuple[int, ...], m: int, shape: tuple) -> None:
+        entries = len(shape[1]) + sum(map(len, shape[3].values()))
+        if self.size + entries > self.cap:
+            self.clear()
+        self.size += entries
+        self.shapes[key, m] = shape
+
+    def spared(self, shape: tuple, dead: int) -> list[tuple]:
+        """The clusters of ``shape`` that use no polymer in mask ``dead``."""
+        _, local_clusters, uses, spares = shape
+        live = spares.get(dead)
+        if live is None:
+            live = spares[dead] = [c for c, used in zip(local_clusters, uses)
+                                   if not used & dead]
+            self.size += len(live)
+        return live
+
+
+# About 350 bytes per cluster entry, so a full table is some 45 MB.
+SHAPE_TABLE_CAP = 1 << 17
+_SHAPE_TABLE = _ShapeTable(SHAPE_TABLE_CAP)
+
+
 def enumerate_clusters(g: DependencyGraph, m: int,
                        weight: Callable[[Polymer], object] | None = None, *,
                        unions: Iterable[Polymer] | None = None,
@@ -168,9 +241,10 @@ def enumerate_clusters(g: DependencyGraph, m: int,
 
     Those clusters depend only on the induced subgraph G[U].  Each distinct
     shape, keyed by the local adjacency bitmasks of the sorted U, is
-    enumerated once per call; every other union of that shape relabels the
-    shape's clusters through the order-preserving map i -> U[i], which keeps
-    the emission order of a per-union enumeration.
+    enumerated once into the process-wide ``_SHAPE_TABLE`` (bounded by
+    ``SHAPE_TABLE_CAP`` cluster entries); every union of that shape relabels
+    the shape's clusters through the order-preserving map i -> U[i], which
+    keeps the emission order of a per-union enumeration.
 
     With ``weight`` (polymer -> weight), the clusters holding a polymer whose
     weight is exactly 0 are skipped: their term in the expansion is 0.  The
@@ -182,27 +256,12 @@ def enumerate_clusters(g: DependencyGraph, m: int,
     if m < 1:
         raise ValueError("m must be a positive integer")
     new = tuple.__new__  # skips NamedTuple's Python-level __new__
-    # shape key -> (one getter per local polymer, [(polymers getter,
-    # total_size, orderings, incompatibility_masks)], per cluster the mask of
-    # the local polymers it uses, dead-polymer mask -> the clusters it spares)
-    shapes: dict[tuple[int, ...],
-                 tuple[list[itemgetter], list[tuple], list[int],
-                       dict[int, list[tuple]]]] = {}
+    table = _SHAPE_TABLE
     if unions is None:
         unions = sorted(enumerate_connected_subgraphs(g, m))
     for union in unions:
-        key = tuple(induced_masks(g, union))
-        shape = shapes.get(key)
-        if shape is None:
-            local_polymers, local_clusters = _shape_clusters(key, m)
-            shape = shapes[key] = (
-                [_tuple_getter(p) for p in local_polymers],
-                [(_tuple_getter(indices), *rest)
-                 for indices, *rest in local_clusters],
-                [sum({1 << i for i in indices})
-                 for indices, *_ in local_clusters],
-                {})
-        relabel, local_clusters, uses, spared = shape
+        shape = table.shape(tuple(induced_masks(g, union)), m)
+        relabel, local_clusters = shape[0], shape[1]
         polymers = tuple([get(union) for get in relabel])
         if counted is not None:
             counted[0] += len(local_clusters)
@@ -212,12 +271,7 @@ def enumerate_clusters(g: DependencyGraph, m: int,
                 if weight(p) == 0:
                     dead |= 1 << i
             if dead:
-                live = spared.get(dead)
-                if live is None:
-                    live = spared[dead] = [
-                        c for c, used in zip(local_clusters, uses)
-                        if not used & dead]
-                local_clusters = live
+                local_clusters = table.spared(shape, dead)
         for get, total_size, orderings, masks in local_clusters:
             yield new(Cluster, (get(polymers), total_size, orderings, masks))
 
@@ -432,15 +486,38 @@ def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
     the rational a ``Fraction`` fold gives.
     """
     if exact:
-        return _sum_clusters_exact(clusters, oracle)
-    weights = _Memo(lambda p: _as_complex(oracle.weight(p)))
-    coeffs = _Memo(lambda key: float(_ursell_from_masks(key[0]) * key[1]))
-    re = im = cre = cim = 0.0
+        return Fraction(*_fold_exact(
+            clusters, _Memo(lambda p: _ratio(oracle.weight(p))),
+            _Memo(_exact_coefficient)))
+    return _kahan(_terms(clusters,
+                         _Memo(lambda p: _as_complex(oracle.weight(p))),
+                         _Memo(_float_coefficient)))
+
+
+def _float_coefficient(key: tuple[tuple[int, ...], int]) -> float:
+    masks, orderings = key
+    return float(_ursell_from_masks(masks) * orderings)
+
+
+def _exact_coefficient(key: tuple[tuple[int, ...], int]) -> tuple[int, int]:
+    masks, orderings = key
+    return _ratio(_ursell_from_masks(masks) * orderings)
+
+
+def _terms(clusters: Iterable[Cluster], weights, coeffs) -> Iterator[complex]:
+    """Each cluster's term, with ``weights`` and ``coeffs`` mapping polymers
+    and (masks, orderings) to converted values."""
     for polymers, _, orderings, masks in clusters:
         prod = complex(1.0)
         for p in polymers:
             prod *= weights[p]
-        z = coeffs[masks, orderings] * prod
+        yield coeffs[masks, orderings] * prod
+
+
+def _kahan(terms: Iterable[complex]) -> complex:
+    """The compensated sum of ``terms`` in their order."""
+    re = im = cre = cim = 0.0
+    for z in terms:
         y = z.real - cre
         t = re + y
         cre = (t - re) - y
@@ -458,10 +535,10 @@ def _ratio(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _sum_clusters_exact(clusters: Iterable[Cluster], oracle: WeightOracle
-                        ) -> Fraction:
-    weights = _Memo(lambda p: _ratio(oracle.weight(p)))
-    coeffs = _Memo(lambda key: _ratio(_ursell_from_masks(key[0]) * key[1]))
+def _fold_exact(clusters: Iterable[Cluster], weights, coeffs
+                ) -> tuple[int, int]:
+    """The clusters' exact sum as an unreduced (numerator, denominator) pair,
+    with ``weights`` and ``coeffs`` giving (numerator, denominator) pairs."""
     total, common = 0, 1  # the sum so far is total / common
     for polymers, _, orderings, masks in clusters:
         num, den = coeffs[masks, orderings]
@@ -469,15 +546,97 @@ def _sum_clusters_exact(clusters: Iterable[Cluster], oracle: WeightOracle
             wn, wd = weights[p]
             num *= wn
             den *= wd
-        scale, rest = divmod(common, den)
-        if rest:
-            g = math.gcd(common, den)
-            total *= den // g
-            common = common // g * den
-            total += num * (common // den)
-        else:
-            total += num * scale
-    return Fraction(total, common)
+        total, common = _add_ratio(total, common, num, den)
+    return total, common
+
+
+def _add_ratio(total: int, common: int, num: int, den: int
+               ) -> tuple[int, int]:
+    """total/common + num/den as a pair over lcm(common, den)."""
+    scale, rest = divmod(common, den)
+    if rest:
+        g = math.gcd(common, den)
+        total *= den // g
+        common = common // g * den
+        return total + num * (common // den), common
+    return total + num * scale, common
+
+
+def _converted_weights(oracle: WeightOracle, polymers: Sequence[Polymer],
+                       threads: int, exact: bool = False) -> dict:
+    """Each polymer's weight, evaluated on up to ``threads`` threads, as a
+    complex, or under ``exact`` as a (numerator, denominator) pair."""
+    _evaluate_weights(oracle, polymers, threads)
+    convert = _ratio if exact else _as_complex
+    weight = oracle.weight
+    return {p: convert(weight(p)) for p in polymers}
+
+
+def _expansion(g: DependencyGraph, m: int, unions: Sequence[Polymer],
+               weights: dict, *, exact: bool = False) -> tuple[object, int]:
+    """The truncated expansion over the sorted ``unions``, one union at a
+    time; returns the sum and the number of clusters, skipped ones included.
+
+    A union's clusters, and so its share of the sum, depend only on its shape
+    and on the converted weights of its local polymers, in their local order.
+    A share is computed from ``enumerate_clusters`` over its one union, with
+    the call's single weight and coefficient memos, and kept while a later
+    union has the same (shape, local weights) pair.  ``weights`` maps every
+    union to its converted weight (see ``_converted_weights``).
+
+    A float share is the list of its clusters' terms, and every term goes
+    into one compensated sum in the order of the clusters, as in
+    ``_sum_clusters``; an exact share is its (numerator, denominator) pair,
+    added into the integer common-denominator sum.  So the result does not
+    depend on what the shape table held.
+    """
+    table = _SHAPE_TABLE
+    count = 0
+    pairs = []
+    held = {}  # the call's shapes, kept for enumerate_clusters
+    for union in unions:
+        key = tuple(induced_masks(g, union))
+        shape = held.get(key)
+        if shape is None:
+            shape = held[key] = table.shape(key, m)
+        count += len(shape[1])
+        pairs.append((key, tuple([weights[get(union)] for get in shape[0]])))
+    # enumerate_clusters skips the clusters of a polymer whose weight == 0:
+    # a pair's numerator, or the converted complex
+    if exact:
+        coeffs = _Memo(_exact_coefficient)
+        weight = functools.partial(_numerator, weights)
+    else:
+        coeffs = _Memo(_float_coefficient)
+        weight = weights.__getitem__
+    uses = Counter(pairs)
+
+    def shares():
+        kept = {}
+        for union, pair in zip(unions, pairs):
+            share = kept.get(pair)
+            if share is None:
+                table.keep(pair[0], m, held[pair[0]])
+                clusters = enumerate_clusters(g, m, weight, unions=(union,))
+                share = (_fold_exact(clusters, weights, coeffs) if exact
+                         else _terms(clusters, weights, coeffs))
+                if uses[pair] > 1:
+                    share = kept[pair] = share if exact else list(share)
+            uses[pair] -= 1
+            if not uses[pair]:
+                kept.pop(pair, None)
+            yield share
+
+    if not exact:
+        return _kahan(chain.from_iterable(shares())), count
+    total, common = 0, 1
+    for num, den in shares():
+        total, common = _add_ratio(total, common, num, den)
+    return Fraction(total, common), count
+
+
+def _numerator(weights: dict, polymer: Polymer) -> int:
+    return weights[polymer][0]
 
 
 def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
@@ -488,12 +647,11 @@ def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
     oracle must then return rationals).  The summation order is fixed, so the
     result is bit-identical for any thread count.
     """
-    # every polymer of size <= m is itself a cluster, so this evaluates
-    # exactly the weights the sum reads, and the zero ones it may skip
+    # every polymer of size <= m is itself a cluster, so its unions are
+    # exactly the polymers whose weights the sum reads
     unions = sorted(enumerate_connected_subgraphs(g, m))
-    _evaluate_weights(oracle, unions, threads)
-    return _sum_clusters(enumerate_clusters(g, m, oracle.weight, unions=unions),
-                         oracle, exact=exact)
+    weights = _converted_weights(oracle, unions, threads, exact)
+    return _expansion(g, m, unions, weights, exact=exact)[0]
 
 
 def weight_decay_threshold(delta: float, max_degree: int) -> float:
@@ -628,26 +786,26 @@ class WeightConditionReport:
 def check_weight_condition(g: DependencyGraph, oracle: WeightOracle, m: int,
                            delta: float, *, max_degree: int | None = None,
                            threads: int = 1,
-                           polymers: Sequence[Polymer] | None = None
+                           weights: dict[Polymer, complex] | None = None
                            ) -> WeightConditionReport:
     """Verify |w_gamma| <= eta^|gamma| for every polymer of size <= m.
 
-    ``polymers`` is the sorted list of connected sets of at most m vertices
-    when the caller has it already.  The condition over all sizes cannot be
-    checked exhaustively; callers assert it through application-level
-    hypotheses.
+    ``weights`` maps each connected set of at most m vertices, in sorted
+    order, to its weight as a complex, when the caller has them already.
+    The condition over all sizes cannot be checked exhaustively; callers
+    assert it through application-level hypotheses.
     """
     dmax = g.max_degree() if max_degree is None else max_degree
     eta = weight_decay_threshold(delta, dmax)
-    if polymers is None:
-        polymers = sorted(enumerate_connected_subgraphs(g, m))
-    _evaluate_weights(oracle, polymers, threads)
+    if weights is None:
+        weights = _converted_weights(
+            oracle, sorted(enumerate_connected_subgraphs(g, m)), threads)
     max_root: dict[int, float] = {}
     worst: dict[int, Polymer] = {}
     violations: list[tuple[Polymer, float, float]] = []
-    for p in polymers:
+    for p, w in weights.items():
         size = len(p)
-        aw = abs(_as_complex(oracle.weight(p)))
+        aw = abs(w)
         root = aw ** (1.0 / size)
         best = max_root.get(size, -1.0)
         # a NaN root, once seen, stays the worst of its size
@@ -713,21 +871,20 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
     # one sorted list of the polymers of size <= m serves as the polymers
     # checked and as the cluster unions
     polymers = sorted(enumerate_connected_subgraphs(g, m))
+    weights = _converted_weights(oracle, polymers, threads)
     report = check_weight_condition(g, oracle, m, delta, max_degree=dmax,
-                                    threads=threads, polymers=polymers)
+                                    weights=weights)
     checks = list(extra_checks) + [report.as_check()]
     if report.violations and not force:
         p, aw, allowed = report.violations[0]
         raise HypothesisViolation(
             f"weight-decay condition fails at polymer {p}: "
             f"|w| = {aw:.6g} > {allowed:.6g}", checks)
-    # check_weight_condition has evaluated every polymer of size <= m, so
-    # the clusters stream straight into the sum, less those holding a
-    # zero-weight polymer; cluster_count still counts every cluster
-    counted = [0]
-    total = _sum_clusters(
-        enumerate_clusters(g, m, oracle.weight, unions=polymers,
-                           counted=counted), oracle, exact=exact)
+    # every polymer of size <= m has been evaluated; cluster_count counts
+    # the clusters that hold a zero-weight polymer too
+    if exact:
+        weights = {p: _ratio(oracle.weight(p)) for p in polymers}
+    total, cluster_count = _expansion(g, m, polymers, weights, exact=exact)
     exact_log = total if exact else None
     log_value = complex(float(total)) if exact else total
     if not (math.isfinite(log_value.real) and math.isfinite(log_value.imag)):
@@ -739,7 +896,7 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
         additive_log_error_bound=bound, epsilon=epsilon, delta=delta,
         graph_order=g.vertex_count, max_degree=dmax,
         condition_report=report, checks=checks,
-        forced=not all(c.passed for c in checks), cluster_count=counted[0],
+        forced=not all(c.passed for c in checks), cluster_count=cluster_count,
         elapsed=time.perf_counter() - start, exact_log=exact_log)
 
 

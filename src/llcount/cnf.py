@@ -199,8 +199,9 @@ def clause_forcing(clause: Sequence[int]) -> tuple[int, int]:
     return mask, pattern
 
 
-def joint_false_probability(f: CnfFormula, clause_indices: Sequence[int]) -> Fraction:
-    """Exact probability that all listed clauses are simultaneously false."""
+def _forced_bits(f: CnfFormula, clause_indices: Sequence[int]) -> int | None:
+    """How many variables falsifying all listed clauses forces, or None when
+    no assignment falsifies them all."""
     base = min((f.forcings[i][0] for i in clause_indices), default=0)
     mask = pattern = 0
     for i in clause_indices:
@@ -208,16 +209,32 @@ def joint_false_probability(f: CnfFormula, clause_indices: Sequence[int]) -> Fra
         cm <<= offset - base
         cp <<= offset - base
         if (mask & cm) & (pattern ^ cp):
-            return Fraction(0)
+            return None
         mask |= cm
         pattern |= cp
-    return Fraction(1, 1 << mask.bit_count())
+    return mask.bit_count()
+
+
+_ZERO = Fraction(0)
+
+
+@functools.cache
+def _dyadic(bits: int, negative: bool) -> Fraction:
+    """The shared ``Fraction`` (-1)^negative / 2^bits (Fractions are
+    immutable, so one object serves every polymer with these values)."""
+    return Fraction(-1 if negative else 1, 1 << bits)
+
+
+def joint_false_probability(f: CnfFormula, clause_indices: Sequence[int]) -> Fraction:
+    """Exact probability that all listed clauses are simultaneously false."""
+    bits = _forced_bits(f, clause_indices)
+    return _ZERO if bits is None else _dyadic(bits, False)
 
 
 def cnf_polymer_weight(f: CnfFormula, polymer: Sequence[int]) -> Fraction:
     """(-1)^|polymer| times the probability all clauses in it are false."""
-    p = joint_false_probability(f, polymer)
-    return -p if len(polymer) % 2 else p
+    bits = _forced_bits(f, polymer)
+    return _ZERO if bits is None else _dyadic(bits, len(polymer) % 2 == 1)
 
 
 class EventTableOracle:

@@ -259,6 +259,15 @@ def format_projector_spec(ps: ProjectorSet) -> str:
 # ---------------------------------------------------------------------------
 # Events and weights tables
 
+def _line_at(lines: list[tuple[int, str]], pos: int, expected: str
+             ) -> tuple[int, str]:
+    """``lines[pos]``; past the end, an error naming the last line read."""
+    if pos < len(lines):
+        return lines[pos]
+    raise SpecParseError(f"file ends here; expected {expected!r} next",
+                         lines[pos - 1][0])
+
+
 def _parse_graph_block(lines: list[tuple[int, str]], pos: int):
     lineno, s = lines[pos]
     parts = s.split()
@@ -266,7 +275,7 @@ def _parse_graph_block(lines: list[tuple[int, str]], pos: int):
         raise SpecParseError("expected 'vertices N'", lineno)
     n = _int(parts[1], lineno, "vertex count")
     pos += 1
-    lineno, s = lines[pos]
+    lineno, s = _line_at(lines, pos, "edges M")
     parts = s.split()
     if len(parts) != 2 or parts[0] != "edges":
         raise SpecParseError("expected 'edges M'", lineno)
@@ -304,7 +313,7 @@ def _parse_key(tok: str, lineno: int, n: int) -> tuple[int, ...]:
 
 
 def _parse_table(lines, pos, keyword: str, graph: DependencyGraph):
-    lineno, s = lines[pos]
+    lineno, s = _line_at(lines, pos, "max-size K")
     parts = s.split()
     if len(parts) != 2 or parts[0] != "max-size":
         raise SpecParseError("expected 'max-size K'", lineno)

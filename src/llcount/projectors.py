@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericFailure, ResourceCapExceeded
-from .graphs import support_dependency_graph
+from .graphs import DependencyGraph, support_dependency_graph
 
 EIG_TOL = 1e-9
 IMAG_TOL = 1e-8
@@ -493,9 +493,13 @@ class CommutationReport:
         return not self.failures
 
 
-def verify_commuting(ps: ProjectorSet, tol: float = 1e-8) -> CommutationReport:
-    """Check all overlapping pairs; disjoint supports commute trivially."""
-    g = support_dependency_graph(ps)
+def verify_commuting(ps: ProjectorSet, tol: float = 1e-8, *,
+                     graph: DependencyGraph | None = None) -> CommutationReport:
+    """Check all overlapping pairs; disjoint supports commute trivially.
+
+    ``graph`` is ``support_dependency_graph(ps)`` when the caller has it.
+    """
+    g = support_dependency_graph(ps) if graph is None else graph
     failures = []
     checked = 0
     for u, v in g.edges():

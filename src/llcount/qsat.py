@@ -86,7 +86,7 @@ def commuting_problem(ps: ProjectorSet, graph: DependencyGraph,
     max normalized rank <= (1/(e^(1+delta)(2D+1)))^chi."""
     chi = _proper_coloring(graph, coloring).num_colors
     dmax = graph.max_degree()
-    comm = verify_commuting(ps)
+    comm = verify_commuting(ps, graph=graph)
     commutation = ConditionCheck(
         "pairwise-commutation", comm.commuting,
         0.0 if comm.commuting else -1.0,
@@ -183,16 +183,19 @@ class StabilityReport(WeightConditionReport):
 
 
 def stability_check(ps: ProjectorSet, size_cap: int, delta: float, *,
-                    oracle: WeightOracle | None = None) -> StabilityReport:
+                    oracle: WeightOracle | None = None,
+                    graph: DependencyGraph | None = None) -> StabilityReport:
     """Check the inclusion-exclusion stability bound on connected sets.
 
     The checked quantity for a connected U is exactly the polymer weight
     magnitude |w_U| of the general-projector polymer model, read from
-    ``oracle`` (``general_oracle(ps)`` when None).
+    ``oracle`` (``general_oracle(ps)`` when None), on ``graph``
+    (``support_dependency_graph(ps)`` when None).
     """
     oracle = general_oracle(ps) if oracle is None else oracle
+    graph = support_dependency_graph(ps) if graph is None else graph
     return StabilityReport(**vars(check_weight_condition(
-        support_dependency_graph(ps), oracle, size_cap, delta)))
+        graph, oracle, size_cap, delta)))
 
 
 def approx_dim_general(ps: ProjectorSet, epsilon: float, delta: float, *,
@@ -218,16 +221,17 @@ SUGGEST_SAFETY = 0.02
 
 
 def suggest_delta_general(ps: ProjectorSet, epsilon: float, *,
-                          oracle: WeightOracle | None = None) -> float:
+                          oracle: WeightOracle | None = None,
+                          graph: DependencyGraph | None = None) -> float:
     """Near-largest delta consistent with the observed inclusion-exclusion
     decay, backed off by ``SUGGEST_SAFETY`` so the stability check is not
     knife-edge.  Weights come from ``oracle`` (``general_oracle(ps)`` when
-    None).
+    None), on ``graph`` (``support_dependency_graph(ps)`` when None).
 
     Probes connected sets up to the truncation order the suggestion itself
     implies; the result certifies nothing beyond the probed sizes.
     """
-    graph = support_dependency_graph(ps)
+    graph = support_dependency_graph(ps) if graph is None else graph
     dmax = graph.max_degree()
     oracle = general_oracle(ps) if oracle is None else oracle
     probe = SUGGEST_INITIAL_PROBE

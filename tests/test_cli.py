@@ -414,6 +414,23 @@ def test_check_applies_the_truncation_order_cap(tmp_path, capsys):
         "truncation order 20 exceeds cap 14")
 
 
+@pytest.mark.parametrize("command", ["polymer-z", "prob-intersection",
+                                     "check"])
+@pytest.mark.parametrize("text, message", [
+    ("vertices 3\n", "line 1: file ends here; expected 'edges M' next"),
+    ("vertices 3\nedges 0\n",
+     "line 2: file ends here; expected 'max-size K' next"),
+])
+def test_truncated_table_spec_exits_3(tmp_path, capsys, command, text,
+                                      message):
+    path = tmp_path / "truncated.spec"
+    path.write_text(text)
+    code, out, err = _run(capsys, [command, str(path), "--format", "jsonl"])
+    assert code == 3
+    assert out == ""
+    assert _last_json(err)["error"] == message
+
+
 def _rank_five_spec(tmp_path):
     # normalized rank 5/16 passes the rank condition at delta 0.1 but
     # certifies only delta = log(16/5) - 1, which needs m = 15 > cap 14
@@ -629,6 +646,38 @@ def test_general_weights_are_checked_and_computed_once(tmp_path, capsys,
     code, _, _ = _run(capsys, ["check", str(noncomm), "--format", "jsonl"])
     assert code == 2
     assert sorted(kdims) == [(0,), (0, 1), (1,)]
+
+
+def test_check_on_a_projector_spec_builds_its_graph_once(tmp_path, capsys,
+                                                         monkeypatch):
+    """check on a projector spec builds the support dependency graph once and
+    hands it to the commutation check, the stability probe, the delta
+    suggestion and, with --t, the detectability problem."""
+    import llcount.cli
+    import llcount.graphs
+    import llcount.projectors
+    import llcount.qsat
+
+    builds = []
+    original = llcount.graphs.support_dependency_graph
+
+    def counting_build(ps):
+        builds.append(ps)
+        return original(ps)
+
+    for module in (llcount.graphs, llcount.projectors, llcount.qsat,
+                   llcount.cli):
+        monkeypatch.setattr(module, "support_dependency_graph", counting_build)
+    noncomm = tmp_path / "noncomm.spec"
+    noncomm.write_text(format_projector_spec(
+        noncommuting_pair(random.Random(4), 0.05)))
+    for extra in ([], ["--t", "1"]):
+        builds.clear()
+        code, out, _ = _run(capsys, ["check", str(noncomm), "--format",
+                                     "jsonl", *extra])
+        assert code == 2
+        assert "suggested_delta" in _last_json(out)
+        assert len(builds) == 1
 
 
 _SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",

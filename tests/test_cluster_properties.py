@@ -1,8 +1,11 @@
 """Property tests of the cluster engine's fast paths against literal loops:
 shape-cached cluster enumeration, the bitmask shape enumeration, the streamed
 summation, the skipping of clusters that hold a zero-weight polymer, the
-indexed intersection graph and the integer exact sum."""
+indexed intersection graph, the integer exact sum, and the engine that sums
+one union at a time, memoized by shape and local weights, over the bounded
+process-wide shape table."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -10,15 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import llcount.clusters
+from llcount.cli import main
 from llcount.clusters import (WeightOracle, _clusters_with_union,
-                              _KahanComplex, _shape_clusters, _sum_clusters,
+                              _converted_weights, _expansion, _KahanComplex,
+                              _shape_clusters, _ShapeTable, _sum_clusters,
                               _ursell_from_masks, approx_partition_function,
                               enumerate_clusters, truncated_expansion)
-from llcount.cnf import cnf_dependency_graph
-from llcount.graphs import (DependencyGraph, build_graph,
-                            enumerate_connected_subgraphs, intersection_graph)
+from llcount.cnf import cnf_dependency_graph, cnf_polymer_weight
+from llcount.formats import format_weights_spec
+from llcount.graphs import (DependencyGraph, build_graph, connected_masks,
+                            enumerate_connected_subgraphs, induced_masks,
+                            intersection_graph, mask_bits)
 
-from gen import chain_cnf, ring_cnf
+from gen import chain_cnf, random_graph, random_weight_table, ring_cnf
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -255,3 +263,142 @@ def test_integer_exact_sum_equals_fraction_fold(g, m, seed, zero_share):
         assert (got.numerator, got.denominator) == (want.numerator,
                                                     want.denominator)
     assert truncated_expansion(g, oracle, m, exact=True) == want
+
+
+# ---------------------------------------------------------------------------
+# The engine: one union at a time, memoized by (shape, local weights)
+
+@st.composite
+def engine_models(draw):
+    """(graph, order m, polymer -> weight) from three kinds of model: random
+    graphs whose polymers all weigh differently, so no union repeats another
+    (every union a miss); CNF chains and rings, whose dyadic weights repeat
+    along the chain (mostly hits); and dyadic models with exact zeros."""
+    kind = draw(st.sampled_from(["distinct", "cnf", "zeros"]))
+    m = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32))
+    if kind == "cnf":
+        rng = random.Random(seed)
+        if draw(st.booleans()):
+            f = chain_cnf(rng, draw(st.integers(1, 12)), k=4, share=2)
+        else:
+            f = ring_cnf(rng, 2 * draw(st.integers(2, 6)), k=4, share=2)
+        g = cnf_dependency_graph(f)
+        return g, m, {p: cnf_polymer_weight(f, p)
+                      for p in enumerate_connected_subgraphs(g, m)}
+    g = draw(multi_component_graphs())
+    if kind == "distinct":
+        return g, m, _weights(g, m, seed, draw(st.booleans()))
+    return g, m, _weights_with_zeros(
+        g, m, seed, draw(st.sampled_from(["all", "singletons", "random"])))
+
+
+def _local_weight_key(g, union, table):
+    """A union's (shape, local weights) pair, written out independently of
+    the shape table: its adjacency masks, then the weights of its connected
+    subsets in local coordinates, in sorted order."""
+    key = tuple(induced_masks(g, union))
+    local = sorted(tuple(mask_bits(s)) for root in range(len(key))
+                   for s in connected_masks(key, len(key), root))
+    return key, tuple(table[tuple(union[i] for i in s)] for s in local)
+
+
+@SETTINGS
+@given(engine_models(), st.booleans())
+def test_engine_equals_streamed_reference(model, exact):
+    g, m, table = model
+    if exact and any(isinstance(w, complex) for w in table.values()):
+        exact = False
+    oracle = WeightOracle(table.__getitem__)
+    unions = sorted(enumerate_connected_subgraphs(g, m))
+    got, count = _expansion(g, m, unions,
+                            _converted_weights(oracle, unions, 1, exact),
+                            exact=exact)
+    want = _sum_clusters(enumerate_clusters(g, m), oracle, exact=exact)
+    assert type(got) is type(want)
+    # every term goes into the compensated sum in the reference's order, so
+    # the floats agree to the bit, well inside eps times the sum of |terms|
+    assert got == want
+    assert count == sum(1 for _ in enumerate_clusters(g, m))
+
+
+@SETTINGS
+@given(engine_models(), st.booleans())
+def test_engine_sums_each_distinct_union_once(model, exact):
+    g, m, table = model
+    if exact and any(isinstance(w, complex) for w in table.values()):
+        exact = False
+    oracle = WeightOracle(table.__getitem__)
+    unions = sorted(enumerate_connected_subgraphs(g, m))
+    calls = []
+    original = llcount.clusters.enumerate_clusters
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["unions"])
+        return original(*args, **kwargs)
+
+    llcount.clusters.enumerate_clusters = counting
+    try:
+        _expansion(g, m, unions, _converted_weights(oracle, unions, 1, exact),
+                   exact=exact)
+    finally:
+        llcount.clusters.enumerate_clusters = original
+    assert all(len(u) == 1 for u in calls)
+    assert len(calls) == len({_local_weight_key(g, u, table) for u in unions})
+
+
+@SETTINGS
+@given(st.lists(connected_shapes(), min_size=1, max_size=12),
+       st.integers(1, 40))
+def test_shape_table_stays_within_its_cap(keys, cap):
+    table = _ShapeTable(cap)
+    for key in keys:
+        m = len(key) + 1
+        shape = table.shape(key, m)
+        assert table.shape(key, m) is shape
+        assert [c[1:] for c in shape[1]] == [
+            tuple(c[1:]) for c in _shape_clusters(key, m)[1]]
+        held = sum(len(s[1]) for s in table.shapes.values())
+        assert table.size == held
+        assert held <= cap or len(table.shapes) == 1
+        assert (key, m) in table.shapes
+
+
+def _reports(capsys, argv):
+    """The jsonl report of each run, less its ``elapsed_s``."""
+    assert main(argv + ["--format", "jsonl"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    report = json.loads(lines[-1])
+    del report["elapsed_s"]
+    return report
+
+
+def test_reports_do_not_depend_on_the_shape_table_or_threads(
+        tmp_path, capsys, monkeypatch):
+    """Reports are bit-identical with the shape table cold, warm and emptied
+    at nearly every addition, and for --threads 1 and 2."""
+    rng = random.Random(2024)
+    chain = tmp_path / "chain.cnf"
+    f = chain_cnf(rng, 40, k=12, share=6)
+    chain.write_text(f"p cnf {f.variable_count} {len(f.clauses)}\n" + "".join(
+        " ".join(map(str, c)) + " 0\n" for c in f.clauses))
+    g = random_graph(rng, 9, 3, edge_prob=0.5)
+    table = {p: w for p, w in random_weight_table(rng, g, 1.0).items()
+             if len(p) <= 4}
+    spec = tmp_path / "model.spec"
+    spec.write_text(format_weights_spec(g, table, 4))
+    runs = [["count-sat", str(chain), "--epsilon", "0.001"],
+            ["count-sat", str(chain), "--epsilon", "0.001", "--exact-rational"],
+            ["polymer-z", str(spec), "--epsilon", "0.1", "--delta", "1.0"]]
+    shapes = llcount.clusters._SHAPE_TABLE
+    for argv in runs:
+        shapes.clear()
+        cold = _reports(capsys, argv)
+        assert cold["cluster_count"] > 0
+        assert _reports(capsys, argv) == cold  # warm
+        assert _reports(capsys, argv + ["--threads", "2"]) == cold
+        with monkeypatch.context() as patch:
+            patch.setattr(shapes, "cap", 1)
+            shapes.clear()
+            assert _reports(capsys, argv + ["--threads", "2"]) == cold
+            assert len(shapes.shapes) <= 1
