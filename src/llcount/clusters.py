@@ -17,17 +17,18 @@ import functools
 import math
 import os
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import (Callable, Hashable, Iterable, Iterator, NamedTuple,
+                    Sequence)
 
 from .errors import HypothesisViolation, NumericFailure, ResourceCapExceeded
 from .graphs import (DependencyGraph, connected_masks,
-                     enumerate_connected_subgraphs, induced_masks, mask_bits)
+                     enumerate_connected_subgraphs, induced_masks, mask_bits,
+                     root_ball)
 
 Polymer = tuple[int, ...]
 
@@ -55,11 +56,20 @@ class WeightOracle:
 
     Evaluations are memoized by polymer tuple, so the oracle is safe for
     concurrent use (pure function plus an idempotent cache).
+
+    ``local_key``, when given, maps a sorted vertex list (a root's ball, see
+    ``graphs.root_ball``) to a hashable key, under this contract: if two
+    lists of the same length have equal keys, then every set of positions
+    weighs the same on both, in value and in type.  The engine then reuses
+    one root's part of the expansion for every later root whose ball has
+    the same adjacency and key.  Without a key every root's part is computed.
     """
 
-    def __init__(self, fn: Callable[[Polymer], complex]):
+    def __init__(self, fn: Callable[[Polymer], complex],
+                 local_key: Callable[[Sequence[int]], Hashable] | None = None):
         self._fn = fn
         self._memo: dict[Polymer, complex] = {}
+        self.local_key = local_key
 
     def weight(self, polymer: Polymer):
         w = self._memo.get(polymer)
@@ -416,29 +426,7 @@ def _finish_cluster(g: DependencyGraph, polymers: list[Polymer],
 # ---------------------------------------------------------------------------
 # Truncated expansion and the approximation pipeline
 
-class _KahanComplex:
-    """Compensated complex accumulator for a reproducible summation order."""
-
-    __slots__ = ("re", "im", "cre", "cim")
-
-    def __init__(self):
-        self.re = 0.0
-        self.im = 0.0
-        self.cre = 0.0
-        self.cim = 0.0
-
-    def add(self, z: complex) -> None:
-        y = z.real - self.cre
-        t = self.re + y
-        self.cre = (t - self.re) - y
-        self.re = t
-        y = z.imag - self.cim
-        t = self.im + y
-        self.cim = (t - self.im) - y
-        self.im = t
-
-    def total(self) -> complex:
-        return complex(self.re, self.im)
+_NONFINITE = "nonfinite truncated expansion value"
 
 
 def _as_complex(w) -> complex:
@@ -475,12 +463,13 @@ class _Memo(dict):
 
 def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
                   exact: bool = False):
-    """Sum coefficient times weight product over the clusters, in their order.
+    """Sum coefficient times weight product over the clusters.
 
     Streams the clusters.  Each distinct polymer weight is converted once, and
     so is each distinct Ursell coefficient, keyed by incompatibility masks
-    and orderings.  The float sum is ``_KahanComplex.add`` inlined, step for
-    step.  The exact sum runs on integers: weights and coefficients become
+    and orderings.  The float sum is exact and rounded once (see
+    ``_nearest``), so it does not depend on the order of the clusters.
+    The exact sum runs on integers: weights and coefficients become
     (numerator, denominator) pairs, the total is kept over the least common
     denominator of its terms, and the one ``Fraction`` built at the end is
     the rational a ``Fraction`` fold gives.
@@ -489,9 +478,9 @@ def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
         return Fraction(*_fold_exact(
             clusters, _Memo(lambda p: _ratio(oracle.weight(p))),
             _Memo(_exact_coefficient)))
-    return _kahan(_terms(clusters,
-                         _Memo(lambda p: _as_complex(oracle.weight(p))),
-                         _Memo(_float_coefficient)))
+    return _nearest(_float_share(_terms(
+        clusters, _Memo(lambda p: _as_complex(oracle.weight(p))),
+        _Memo(_float_coefficient))))
 
 
 def _float_coefficient(key: tuple[tuple[int, ...], int]) -> float:
@@ -514,18 +503,35 @@ def _terms(clusters: Iterable[Cluster], weights, coeffs) -> Iterator[complex]:
         yield coeffs[masks, orderings] * prod
 
 
-def _kahan(terms: Iterable[complex]) -> complex:
-    """The compensated sum of ``terms`` in their order."""
-    re = im = cre = cim = 0.0
-    for z in terms:
-        y = z.real - cre
-        t = re + y
-        cre = (t - re) - y
-        re = t
-        y = z.imag - cim
-        t = im + y
-        cim = (t - im) - y
-        im = t
+def _float_share(terms: Iterable[complex]) -> list[tuple[list[float], ...]]:
+    """A float share: the real and the imaginary parts of its ``terms``, the
+    latter empty when all are 0.  Shares are lists, so that ``_fold_floats``
+    can join them; ``_nearest`` sums them."""
+    zs = list(terms)
+    im = [z.imag for z in zs]
+    return [([z.real for z in zs], im if any(im) else [])]
+
+
+def _fold_floats(shares: Iterable[list]) -> list:
+    """The float shares joined into one, each term kept as often as it
+    occurs; the lists of terms are shared, not copied."""
+    return [parts for share in shares for parts in share]
+
+
+def _nearest(share: list[tuple[list[float], ...]]) -> complex:
+    """The complex nearest to the exact sum of a float share.
+
+    ``math.fsum`` adds every term exactly and rounds once, so the value does
+    not depend on the order of the terms.  A nonfinite sum raises
+    ``NumericFailure``.
+    """
+    try:
+        re = math.fsum(chain.from_iterable([parts[0] for parts in share]))
+        im = math.fsum(chain.from_iterable([parts[1] for parts in share]))
+    except (OverflowError, ValueError):  # inf - inf, or past float range
+        raise NumericFailure(_NONFINITE) from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise NumericFailure(_NONFINITE)
     return complex(re, im)
 
 
@@ -539,20 +545,21 @@ def _fold_exact(clusters: Iterable[Cluster], weights, coeffs
                 ) -> tuple[int, int]:
     """The clusters' exact sum as an unreduced (numerator, denominator) pair,
     with ``weights`` and ``coeffs`` giving (numerator, denominator) pairs."""
-    total, common = 0, 1  # the sum so far is total / common
+    total = (0, 1)
     for polymers, _, orderings, masks in clusters:
         num, den = coeffs[masks, orderings]
         for p in polymers:
             wn, wd = weights[p]
             num *= wn
             den *= wd
-        total, common = _add_ratio(total, common, num, den)
-    return total, common
+        total = _add_ratio(total, (num, den))
+    return total
 
 
-def _add_ratio(total: int, common: int, num: int, den: int
-               ) -> tuple[int, int]:
-    """total/common + num/den as a pair over lcm(common, den)."""
+def _add_ratio(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The pair a + b over lcm of their denominators."""
+    total, common = a
+    num, den = b
     scale, rest = divmod(common, den)
     if rest:
         g = math.gcd(common, den)
@@ -560,6 +567,11 @@ def _add_ratio(total: int, common: int, num: int, den: int
         common = common // g * den
         return total + num * (common // den), common
     return total + num * scale, common
+
+
+def _fold_ratios(shares: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of (numerator, denominator) pairs, as one such pair."""
+    return functools.reduce(_add_ratio, shares, (0, 1))
 
 
 def _converted_weights(oracle: WeightOracle, polymers: Sequence[Polymer],
@@ -572,71 +584,199 @@ def _converted_weights(oracle: WeightOracle, polymers: Sequence[Polymer],
     return {p: convert(weight(p)) for p in polymers}
 
 
-def _expansion(g: DependencyGraph, m: int, unions: Sequence[Polymer],
-               weights: dict, *, exact: bool = False) -> tuple[object, int]:
-    """The truncated expansion over the sorted ``unions``, one union at a
-    time; returns the sum and the number of clusters, skipped ones included.
+class _UnionSums:
+    """The truncated expansion summed one union at a time, for one call.
 
-    A union's clusters, and so its share of the sum, depend only on its shape
-    and on the converted weights of its local polymers, in their local order.
-    A share is computed from ``enumerate_clusters`` over its one union, with
-    the call's single weight and coefficient memos, and kept while a later
-    union has the same (shape, local weights) pair.  ``weights`` maps every
-    union to its converted weight (see ``_converted_weights``).
+    A union's clusters, and so its share of the sum, depend only on its
+    shape and on the converted weights of its local polymers, in their local
+    order.  A share is computed from ``enumerate_clusters`` over its one
+    union, with the call's single weight and coefficient memos, and kept for
+    every later union of the call with the same (shape, local weights) pair.
+    ``weights`` maps polymers to converted weights: complexes, or under
+    ``exact`` (numerator, denominator) pairs.  A polymer it lacks is read
+    from ``oracle`` and added (a plain dict: its lookups are the hot loop).
 
-    A float share is the list of its clusters' terms, and every term goes
-    into one compensated sum in the order of the clusters, as in
-    ``_sum_clusters``; an exact share is its (numerator, denominator) pair,
-    added into the integer common-denominator sum.  So the result does not
-    depend on what the shape table held.
+    Shares add exactly: a float share keeps its terms (``_float_share``),
+    which one ``math.fsum`` adds exactly and rounds once at the end; an
+    exact share is its (numerator, denominator) pair.  So no result depends
+    on the order of the sum or on what the shape table held.
     """
-    table = _SHAPE_TABLE
-    count = 0
-    pairs = []
-    held = {}  # the call's shapes, kept for enumerate_clusters
-    for union in unions:
-        key = tuple(induced_masks(g, union))
-        shape = held.get(key)
-        if shape is None:
-            shape = held[key] = table.shape(key, m)
-        count += len(shape[1])
-        pairs.append((key, tuple([weights[get(union)] for get in shape[0]])))
-    # enumerate_clusters skips the clusters of a polymer whose weight == 0:
-    # a pair's numerator, or the converted complex
-    if exact:
-        coeffs = _Memo(_exact_coefficient)
-        weight = functools.partial(_numerator, weights)
-    else:
-        coeffs = _Memo(_float_coefficient)
-        weight = weights.__getitem__
-    uses = Counter(pairs)
 
-    def shares():
-        kept = {}
-        for union, pair in zip(unions, pairs):
-            share = kept.get(pair)
+    def __init__(self, g: DependencyGraph, m: int, oracle: WeightOracle,
+                 weights: dict, exact: bool = False):
+        self.g, self.m, self.weights, self.exact = g, m, weights, exact
+        self.oracle = oracle
+        self.held = {}    # the call's shapes, kept for enumerate_clusters
+        self.shares = {}  # (shape, local weights) -> share
+        self.fold = _fold_ratios if exact else _fold_floats
+        # enumerate_clusters skips the clusters of a polymer whose weight
+        # == 0: a pair's numerator, or the converted complex
+        if exact:
+            self.coeffs = _Memo(_exact_coefficient)
+            self.live = functools.partial(_numerator, weights)
+        else:
+            self.coeffs = _Memo(_float_coefficient)
+            self.live = weights.__getitem__
+
+    def sum(self, unions: Iterable[Polymer]) -> tuple[tuple, int]:
+        """The exact sum over the sorted ``unions`` and their number of
+        clusters, skipped ones included."""
+        g, m, weights, held, shares = (self.g, self.m, self.weights,
+                                       self.held, self.shares)
+        table = _SHAPE_TABLE
+        used = []
+        count = 0
+        for union in unions:
+            key = tuple(induced_masks(g, union))
+            shape = held.get(key)
+            if shape is None:
+                shape = held[key] = table.shape(key, m)
+            count += len(shape[1])
+            try:
+                pair = key, tuple([weights[get(union)] for get in shape[0]])
+            except KeyError:
+                self.fill([get(union) for get in shape[0]])
+                pair = key, tuple([weights[get(union)] for get in shape[0]])
+            share = shares.get(pair)
             if share is None:
-                table.keep(pair[0], m, held[pair[0]])
-                clusters = enumerate_clusters(g, m, weight, unions=(union,))
-                share = (_fold_exact(clusters, weights, coeffs) if exact
-                         else _terms(clusters, weights, coeffs))
-                if uses[pair] > 1:
-                    share = kept[pair] = share if exact else list(share)
-            uses[pair] -= 1
-            if not uses[pair]:
-                kept.pop(pair, None)
-            yield share
+                table.keep(key, m, shape)
+                clusters = enumerate_clusters(g, m, self.live, unions=(union,))
+                share = shares[pair] = (
+                    _fold_exact(clusters, weights, self.coeffs) if self.exact
+                    else _float_share(_terms(clusters, weights, self.coeffs)))
+            used.append(share)
+        return self.fold(used), count
 
-    if not exact:
-        return _kahan(chain.from_iterable(shares())), count
-    total, common = 0, 1
-    for num, den in shares():
-        total, common = _add_ratio(total, common, num, den)
-    return Fraction(total, common), count
+    def fill(self, polymers: Iterable[Polymer]) -> None:
+        """Add the converted weights of ``polymers`` that ``weights`` lacks."""
+        convert = _ratio if self.exact else _as_complex
+        for p in polymers:
+            if p not in self.weights:
+                self.weights[p] = convert(self.oracle.weight(p))
+
+    def value(self, total: tuple) -> Fraction | complex:
+        """A sum as a ``Fraction`` under exact, else as the nearest complex."""
+        return Fraction(*total) if self.exact else _nearest(total)
 
 
 def _numerator(weights: dict, polymer: Polymer) -> int:
     return weights[polymer][0]
+
+
+class _RootPart:
+    """What the expansion holds of the connected sets rooted at one vertex.
+
+    ``polymers`` are the sorted sets of order <= m whose smallest vertex is
+    the root; ``report`` is their weight-decay check; ``share`` and ``count``
+    are the exact sum and the number of the clusters whose union is one of
+    them.  ``ball`` is the root's ball when the oracle has a local key.
+    """
+
+    __slots__ = ("ball", "index", "polymers", "report", "share", "count")
+
+    def __init__(self, ball: list[int] | None):
+        self.ball = ball
+        self.index = None
+
+    def relabel(self, ball: list[int] | None) -> Callable[[Polymer], Polymer]:
+        """Maps this part's polymers to the vertices of ``ball``, the ball of
+        a root that reuses the part."""
+        if ball is None or ball is self.ball:
+            return tuple
+        if self.index is None:
+            self.index = {v: i for i, v in enumerate(self.ball)}
+        index = self.index
+        return lambda p: tuple([ball[index[v]] for v in p])
+
+
+class _Roots:
+    """One call's truncated expansion and decay check, split by root.
+
+    A root's part (see ``_RootPart``) lies in the root's ball, the vertices
+    ``enumerate_connected_subgraphs`` grows the root's sets in: every
+    polymer of a cluster lies in the cluster's union.  So the part depends
+    only on m, the ball's adjacency masks and the weights of the sets of
+    ball positions.  Under an oracle's ``local_key`` contract, a root whose
+    (masks, key) pair an earlier root of the call had reuses that root's
+    part, mapped to its own vertices, and nothing of it is enumerated,
+    weighed or summed again.  Every other root computes its part with
+    ``_UnionSums``.  Parts are combined in ascending root order, so the
+    report is the one a scan of all polymers in sorted order gives, and the
+    exact sum does not depend on the order at all.
+    """
+
+    def __init__(self, g: DependencyGraph, oracle: WeightOracle, m: int,
+                 threads: int):
+        self.g, self.oracle, self.m = g, oracle, m
+        local_key = oracle.local_key
+        if local_key is None:
+            self.parts = [_RootPart(None) for _ in g.vertices()]
+            self.roots = [(part, None) for part in self.parts]
+            missed = None  # every root
+        else:
+            # per root, ascending: (its part, its ball); the parts in order
+            # of their first root
+            self.parts, self.roots, missed, seen = [], [], [], {}
+            for root in g.vertices():
+                ball = root_ball(g, root, m)
+                key = tuple(induced_masks(g, ball)), local_key(ball)
+                part = seen.get(key)
+                if part is None:
+                    part = seen[key] = _RootPart(ball)
+                    self.parts.append(part)
+                    missed.append(root)
+                self.roots.append((part, ball))
+        # the sets of the missed roots, enumerated once; each root has its
+        # singleton, so groups and parts pair up in ascending root order
+        self.polymers = sorted(enumerate_connected_subgraphs(g, m, missed))
+        self.weights = _converted_weights(oracle, self.polymers, threads)
+        for part, (_, group) in zip(self.parts,
+                                    groupby(self.polymers, itemgetter(0))):
+            part.polymers = list(group)
+
+    def report(self, delta: float, max_degree: int) -> WeightConditionReport:
+        """The weight-decay check of every polymer of order <= m."""
+        g, oracle, m, weights = self.g, self.oracle, self.m, self.weights
+        for part in self.parts:
+            mine = {p: weights[p] for p in part.polymers}
+            part.report = check_weight_condition(
+                g, oracle, m, delta, max_degree=max_degree, weights=mine)
+        # check_weight_condition's rule, one part's maxima at a time.  A
+        # root that reuses a part cannot beat the part's first root: its
+        # values are equal, not larger, and a NaN stays the worst.  So only
+        # each part's first root, whose own polymers the part holds, counts.
+        max_root: dict[int, float] = {}
+        worst: dict[int, Polymer] = {}
+        for part in self.parts:
+            rep = part.report
+            for size, root in rep.max_abs_root_by_size.items():
+                best = max_root.get(size, -1.0)
+                if not math.isnan(best) and (root > best or math.isnan(root)):
+                    max_root[size] = root
+                    worst[size] = rep.worst_polymer_by_size[size]
+        violations: list[tuple[Polymer, float, float]] = []
+        for part, ball in self.roots:
+            if part.report.violations:
+                relabel = part.relabel(ball)
+                violations += [(relabel(p), aw, allowed)
+                               for p, aw, allowed in part.report.violations]
+        return WeightConditionReport(
+            delta, max_degree, weight_decay_threshold(delta, max_degree), m,
+            max_root, worst, violations)
+
+    def expansion(self, exact: bool = False) -> tuple[Fraction | complex, int]:
+        """The truncated expansion to order m and its number of clusters,
+        skipped ones included."""
+        if exact:
+            weight = self.oracle.weight
+            weights = {p: _ratio(weight(p)) for p in self.polymers}
+        else:
+            weights = self.weights
+        sums = _UnionSums(self.g, self.m, self.oracle, weights, exact)
+        for part in self.parts:
+            part.share, part.count = sums.sum(part.polymers)
+        total = sums.fold([part.share for part, _ in self.roots])
+        return sums.value(total), sum([part.count for part, _ in self.roots])
 
 
 def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
@@ -644,19 +784,23 @@ def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
     """Truncated cluster expansion of log Z to total cluster size m.
 
     Returns a complex number, or an exact Fraction when ``exact`` is set (the
-    oracle must then return rationals).  The summation order is fixed, so the
-    result is bit-identical for any thread count.
+    oracle must then return rationals).  The float value is the correctly
+    rounded sum of the cluster terms, so it is bit-identical for any thread
+    count and any reuse of root parts.
     """
-    # every polymer of size <= m is itself a cluster, so its unions are
-    # exactly the polymers whose weights the sum reads
-    unions = sorted(enumerate_connected_subgraphs(g, m))
-    weights = _converted_weights(oracle, unions, threads, exact)
-    return _expansion(g, m, unions, weights, exact=exact)[0]
+    return _Roots(g, oracle, m, threads).expansion(exact)[0]
 
 
 def weight_decay_threshold(delta: float, max_degree: int) -> float:
-    """Per-size weight bound eta = 1 / (e^(1+delta) * (2*max_degree + 1))."""
-    return 1.0 / (math.exp(1.0 + delta) * (2 * max_degree + 1))
+    """Per-size weight bound eta = 1 / (e^(1+delta) * (2*max_degree + 1)).
+
+    Where e^(1+delta) leaves float range (delta above about 708.8) the bound
+    is computed as e^-(1+delta) / (2*max_degree + 1), which underflows
+    toward 0 instead of overflowing."""
+    try:
+        return 1.0 / (math.exp(1.0 + delta) * (2 * max_degree + 1))
+    except OverflowError:
+        return math.exp(-1.0 - delta) / (2 * max_degree + 1)
 
 
 def certified_delta(eta: float, max_degree: int) -> float:
@@ -790,9 +934,10 @@ def check_weight_condition(g: DependencyGraph, oracle: WeightOracle, m: int,
                            ) -> WeightConditionReport:
     """Verify |w_gamma| <= eta^|gamma| for every polymer of size <= m.
 
-    ``weights`` maps each connected set of at most m vertices, in sorted
-    order, to its weight as a complex, when the caller has them already.
-    The condition over all sizes cannot be checked exhaustively; callers
+    ``weights``, when the caller has them already, maps polymers in sorted
+    order to their weights as complexes, and the check covers just those
+    (the engine passes one root's polymers at a time).  The condition over
+    all sizes cannot be checked exhaustively; callers
     assert it through application-level hypotheses.
     """
     dmax = g.max_degree() if max_degree is None else max_degree
@@ -868,27 +1013,20 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
     require(extra_checks, force)
     dmax = g.max_degree() if max_degree is None else max_degree
     m = capped_truncation_order(g.vertex_count, dmax, delta, epsilon)
-    # one sorted list of the polymers of size <= m serves as the polymers
-    # checked and as the cluster unions
-    polymers = sorted(enumerate_connected_subgraphs(g, m))
-    weights = _converted_weights(oracle, polymers, threads)
-    report = check_weight_condition(g, oracle, m, delta, max_degree=dmax,
-                                    weights=weights)
+    roots = _Roots(g, oracle, m, threads)
+    report = roots.report(delta, dmax)
     checks = list(extra_checks) + [report.as_check()]
     if report.violations and not force:
         p, aw, allowed = report.violations[0]
         raise HypothesisViolation(
             f"weight-decay condition fails at polymer {p}: "
             f"|w| = {aw:.6g} > {allowed:.6g}", checks)
-    # every polymer of size <= m has been evaluated; cluster_count counts
-    # the clusters that hold a zero-weight polymer too
-    if exact:
-        weights = {p: _ratio(oracle.weight(p)) for p in polymers}
-    total, cluster_count = _expansion(g, m, polymers, weights, exact=exact)
+    total, cluster_count = roots.expansion(exact)
     exact_log = total if exact else None
-    log_value = complex(float(total)) if exact else total
-    if not (math.isfinite(log_value.real) and math.isfinite(log_value.imag)):
-        raise NumericFailure("nonfinite truncated expansion value")
+    try:
+        log_value = complex(float(total)) if exact else total
+    except OverflowError:
+        raise NumericFailure(_NONFINITE) from None
     value = _cexp(log_value)
     bound = convergence_bound(g.vertex_count, dmax, delta, m)
     return ApproxResult(

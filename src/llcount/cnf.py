@@ -215,6 +215,35 @@ def _forced_bits(f: CnfFormula, clause_indices: Sequence[int]) -> int | None:
     return mask.bit_count()
 
 
+def cnf_local_key(f: CnfFormula, clause_indices: Sequence[int]
+                  ) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A ``WeightOracle.local_key`` for clause polymers: the clauses' masks
+    with their offsets less the smallest, and a bitmask, one bit per pair
+    (a, b) of positions with a < b in lexicographic order, of the pairs
+    that force a shared variable to opposite values.
+
+    Sound because a polymer's weight is 0 when two of its clauses clash, and
+    otherwise depends only on its size and on the number of variables its
+    clauses hold.  Equal keys make one list of clauses a shift of the other
+    with the same clashing pairs, so every set of positions has the same
+    clashes and the same variable count on both, hence the same shared
+    ``Fraction``.  Literal signs enter only through the clashes.
+    """
+    rows = [f.forcings[i] for i in clause_indices]
+    base = min([row[0] for row in rows])
+    # each clause's (mask, pattern) over the variables from base + 1 on
+    placed = [(mask << (offset - base), pattern << (offset - base))
+              for offset, mask, pattern in rows]
+    clashes = 0
+    bit = 1
+    for a, (ma, pa) in enumerate(placed):
+        for mb, pb in placed[a + 1:]:
+            if ma & mb & (pa ^ pb):
+                clashes |= bit
+            bit <<= 1
+    return tuple([(offset - base, mask) for offset, mask, _ in rows]), clashes
+
+
 _ZERO = Fraction(0)
 
 
@@ -299,11 +328,13 @@ def intersection_problem(source, graph: DependencyGraph,
                          coloring: Coloring | None, delta: float) -> Problem:
     """The events of ``source`` (a CnfFormula or an event oracle) as a
     polymer model, under max Pr[complement] <= (1/(e^(1+delta)(2D+1)))^chi."""
+    local_key = None
     if isinstance(source, CnfFormula):
         # a clause's variables are distinct, so it is false with probability
         # 2^-width
         per_event = [math.ldexp(1.0, -len(c)) for c in source.clauses]
         weight_fn = functools.partial(cnf_polymer_weight, source)
+        local_key = functools.partial(cnf_local_key, source)
     else:
         prob = source.joint_complement_probability
         per_event = [float(prob((v,))) for v in graph.vertices()]
@@ -321,7 +352,7 @@ def intersection_problem(source, graph: DependencyGraph,
         f"max Pr[complement] = {worst:.6g} vs "
         f"(1/(e^(1+delta)(2D+1)))^chi = {bound:.6g} "
         f"(delta={delta}, D={dmax}, chi={chi})")
-    return Problem(graph, WeightOracle(weight_fn), [check],
+    return Problem(graph, WeightOracle(weight_fn, local_key), [check],
                    holder_delta(worst, chi, dmax, delta, check.passed), chi)
 
 

@@ -191,25 +191,46 @@ def strong_product_with_complete(g: DependencyGraph, t: int) -> DependencyGraph:
     return DependencyGraph(n * t, adj, labels)
 
 
-def enumerate_connected_subgraphs(g: DependencyGraph, m: int) -> Iterator[tuple[int, ...]]:
+def enumerate_connected_subgraphs(g: DependencyGraph, m: int,
+                                  roots: Iterable[int] | None = None
+                                  ) -> Iterator[tuple[int, ...]]:
     """Yield every connected induced subgraph of order 1..m exactly once.
 
     Subgraphs are identified by their sorted vertex tuple.  Enumeration grows
     rooted sets from each vertex, with vertices below the root forbidden so
     each set is emitted only from its smallest vertex.  The order of emission
-    is deterministic (DFS, ascending extensions).
+    is deterministic (DFS, ascending extensions).  Given ``roots``, only the
+    sets whose smallest vertex is among them are yielded, root by root.
 
-    A root's sets are grown on bitmasks over its ball: the vertices above the
-    root that lie within m - 1 steps of it through such vertices, numbered in
-    ascending order, so bit 0 is the root and ascending bits are ascending
-    vertices.  The cost per root is its ball plus the sets it emits.
+    A root's sets are grown on bitmasks over its ball (see ``root_ball``), so
+    bit 0 is the root and ascending bits are ascending vertices.  The cost
+    per root is its ball plus the sets it emits.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    for root in g.vertices():
-        ball = _ball(g, root, m - 1)
+    for root in g.vertices() if roots is None else roots:
+        ball = root_ball(g, root, m)
         for subset in connected_masks(induced_masks(g, ball), m, 0):
             yield tuple([ball[i] for i in mask_bits(subset)])
+
+
+def root_ball(g: DependencyGraph, root: int, m: int) -> list[int]:
+    """The sorted vertices that the connected sets of order <= m with
+    smallest vertex ``root`` lie in: the root, and the vertices above it
+    within m - 1 steps of it through such vertices."""
+    seen = {root}
+    frontier = [root]
+    for _ in range(m - 1):
+        grown = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if w > root and w not in seen:
+                    seen.add(w)
+                    grown.append(w)
+        if not grown:
+            break
+        frontier = grown
+    return sorted(seen)
 
 
 def induced_masks(g: DependencyGraph, vertices: Sequence[int]) -> list[int]:
@@ -235,24 +256,6 @@ def mask_bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _ball(g: DependencyGraph, root: int, radius: int) -> list[int]:
-    """Sorted vertices >= root within ``radius`` steps of root through
-    vertices > root."""
-    seen = {root}
-    frontier = [root]
-    for _ in range(radius):
-        grown = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w > root and w not in seen:
-                    seen.add(w)
-                    grown.append(w)
-        if not grown:
-            break
-        frontier = grown
-    return sorted(seen)
 
 
 def connected_masks(adj: Sequence[int], m: int, root: int) -> Iterator[int]:

@@ -319,8 +319,8 @@ def detectability_problem(ps: ProjectorSet, graph: DependencyGraph,
     col = _proper_coloring(graph, coloring)
     chi = max(col.num_colors, 1)
     dmax = graph.max_degree()
-    threshold = (1.0 / (math.exp(1.0 + delta) * (2 * t * (dmax + 1) - 1))
-                 ) ** (t * chi)
+    # 2 * (t(D+1) - 1) + 1 = 2t(D+1) - 1
+    threshold = weight_decay_threshold(delta, t * (dmax + 1) - 1) ** (t * chi)
     rank_chk, worst_rank = _rank_check(
         ps, "detectability-rank-condition", threshold, delta, dmax, chi)
     delta_used = holder_delta(worst_rank, t * chi, product.max_degree(),

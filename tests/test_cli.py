@@ -706,3 +706,64 @@ def _sniff_by_splitlines(text):
     "weight", "x"]), max_size=12).map("".join))
 def test_sniff_matches_splitlines(text):
     assert _sniff(text) == _sniff_by_splitlines(text)
+
+
+def _large_delta_inputs(tmp_path):
+    """One input of each kind the run commands and check read."""
+    cnf = _write_cnf(tmp_path, chain_cnf(random.Random(1), 6))
+    path = build_graph(2, [(0, 1)])
+    weights = tmp_path / "w.spec"
+    weights.write_text(format_weights_spec(
+        path, {(0,): 1e-3, (1,): 1e-3, (0, 1): 1e-6}, 2))
+    events = tmp_path / "e.spec"
+    events.write_text("vertices 2\nedges 1\n0 1\nmax-size 2\n"
+                      "prob 0 1e-3\nprob 1 1e-3\nprob 0,1 1e-6\n")
+    proj = tmp_path / "p.spec"
+    proj.write_text(format_projector_spec(
+        single_fat_projector(random.Random(2), qubits=3)))
+    return {"cnf": cnf, "weights": str(weights), "events": str(events),
+            "projectors": str(proj)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-sat", "cnf"], ["prob-intersection", "cnf"],
+    ["prob-intersection", "events"], ["polymer-z", "weights"],
+    ["check", "cnf"], ["check", "weights"], ["check", "events"],
+    ["check", "projectors", "--t", "1"], ["qsat-commuting", "projectors"],
+    ["qsat-general", "projectors"],
+    ["qsat-general", "projectors", "--mode", "detectability",
+     "--lambda-star", "0.5"],
+])
+@pytest.mark.parametrize("delta", ["700", "800", "1e308"])
+def test_large_delta_exits_2(tmp_path, capsys, argv, delta):
+    # e^(1+delta) leaves float range above delta = 708.8; the decay
+    # threshold then underflows toward 0, so every hypothesis fails as it
+    # does at delta = 700
+    inputs = _large_delta_inputs(tmp_path)
+    code, _, _ = _run(capsys, [argv[0], inputs[argv[1]], *argv[2:],
+                               "--delta", delta, "--format", "jsonl"])
+    assert code == 2
+
+
+def test_decay_threshold_underflows_past_float_range():
+    from llcount.clusters import weight_decay_threshold
+
+    assert weight_decay_threshold(0.1, 2) == 1.0 / (math.exp(1.1) * 5)
+    assert weight_decay_threshold(700.0, 2) == 1.0 / (math.exp(701.0) * 5)
+    assert 0.0 < weight_decay_threshold(708.0, 0) < weight_decay_threshold(
+        707.0, 0)
+    assert 0.0 < weight_decay_threshold(720.0, 1) < 1e-310
+    assert weight_decay_threshold(1e308, 1) == 0.0
+
+
+def test_nonfinite_sum_exits_5(tmp_path, capsys):
+    # forced past the decay check, at m = 2 the cluster of a vertex taken
+    # twice has the term -w^2 / 2, which leaves float range
+    path = tmp_path / "big.spec"
+    path.write_text(format_weights_spec(
+        build_graph(2, [(0, 1)]), {(0,): 1e200, (1,): 1e200, (0, 1): 1e200},
+        2))
+    code, out, err = _run(capsys, ["polymer-z", str(path), "--force",
+                                   "--delta", "1.0", "--format", "jsonl"])
+    assert code == 5 and out == ""
+    assert _last_json(err)["error"] == "nonfinite truncated expansion value"

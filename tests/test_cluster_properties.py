@@ -1,10 +1,12 @@
 """Property tests of the cluster engine's fast paths against literal loops:
 shape-cached cluster enumeration, the bitmask shape enumeration, the streamed
 summation, the skipping of clusters that hold a zero-weight polymer, the
-indexed intersection graph, the integer exact sum, and the engine that sums
-one union at a time, memoized by shape and local weights, over the bounded
-process-wide shape table."""
+indexed intersection graph, the integer exact sum, the exact float sum, the
+engine that sums one union at a time, memoized by shape and local weights,
+over the bounded process-wide shape table, and the reuse of a root's part
+under the CNF local key."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -14,17 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import llcount.clusters
+import llcount.cnf
 from llcount.cli import main
 from llcount.clusters import (WeightOracle, _clusters_with_union,
-                              _converted_weights, _expansion, _KahanComplex,
-                              _shape_clusters, _ShapeTable, _sum_clusters,
+                              _converted_weights, _shape_clusters,
+                              _ShapeTable, _sum_clusters, _UnionSums,
                               _ursell_from_masks, approx_partition_function,
                               enumerate_clusters, truncated_expansion)
-from llcount.cnf import cnf_dependency_graph, cnf_polymer_weight
+from llcount.cnf import (CnfFormula, cnf_dependency_graph, cnf_local_key,
+                         cnf_polymer_weight)
+from llcount.errors import HypothesisViolation, NumericFailure
 from llcount.formats import format_weights_spec
 from llcount.graphs import (DependencyGraph, build_graph, connected_masks,
                             enumerate_connected_subgraphs, induced_masks,
-                            intersection_graph, mask_bits)
+                            intersection_graph, mask_bits, root_ball)
 
 from gen import chain_cnf, random_graph, random_weight_table, ring_cnf
 
@@ -61,7 +66,8 @@ def _uncached_clusters(g, m):
 
 def _list_sum(clusters, oracle, exact):
     """The summation loop over a materialized cluster list, converting every
-    weight and coefficient at each use."""
+    weight and coefficient at each use.  The float sum is the correctly
+    rounded sum of the terms, which does not depend on their order."""
     if exact:
         total = Fraction(0)
         for c in clusters:
@@ -71,15 +77,18 @@ def _list_sum(clusters, oracle, exact):
                 prod *= Fraction(oracle.weight(p))
             total += coeff * prod
         return total
-    acc = _KahanComplex()
+    # each float term as the engine forms it, summed exactly and rounded once
+    re = im = Fraction(0)
     for c in clusters:
         coeff = float(_ursell_from_masks(c.incompatibility_masks) * c.orderings)
         prod = complex(1.0)
         for p in c.polymers:
             w = oracle.weight(p)
             prod *= complex(float(w)) if isinstance(w, Fraction) else complex(w)
-        acc.add(coeff * prod)
-    return acc.total()
+        term = coeff * prod
+        re += Fraction(term.real)
+        im += Fraction(term.imag)
+    return complex(float(re), float(im))
 
 
 @SETTINGS
@@ -266,14 +275,75 @@ def test_integer_exact_sum_equals_fraction_fold(g, m, seed, zero_share):
 
 
 # ---------------------------------------------------------------------------
-# The engine: one union at a time, memoized by (shape, local weights)
+# The exact float sum
+
+def _kahan(terms):
+    """The compensated sum the engine used before its float sum was exact."""
+    total = carry = 0.0
+    for x in terms:
+        y = x - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+@st.composite
+def cancelling_weights(draw):
+    """Real weights of binary exponents from -40 to 40 and random signs, so
+    terms of very different sizes cancel, on a random graph."""
+    g = draw(multi_component_graphs())
+    m = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return g, m, {p: rng.choice((-1.0, 1.0)) * rng.random()
+                  * 2.0 ** rng.randint(-40, 40)
+                  for p in enumerate_connected_subgraphs(g, m)}
+
+
+@SETTINGS
+@given(cancelling_weights())
+def test_float_sum_is_correctly_rounded_under_cancellation(model):
+    g, m, table = model
+    oracle = WeightOracle(table.__getitem__)
+    want = _list_sum(list(enumerate_clusters(g, m)), oracle, False)
+    assert truncated_expansion(g, oracle, m) == want
+    assert _sum_clusters(enumerate_clusters(g, m), oracle) == want
+
+
+def test_float_sum_differs_from_kahan_where_kahan_loses_the_answer():
+    # on an edgeless graph at m = 1 the clusters are the single vertices and
+    # the expansion is the plain sum of their weights
+    weights = [1e100, 1.0, -1e100, 1.0]
+    g = build_graph(len(weights), [])
+    oracle = WeightOracle(lambda p: weights[p[0]])
+    assert _kahan(weights) == 1.0
+    assert truncated_expansion(g, oracle, 1) == 2.0
+    res = approx_partition_function(g, oracle, 1.0, 5.0, force=True)
+    assert res.truncation_order == 1 and res.log_value == 2.0
+
+
+@pytest.mark.parametrize("weight", [1e200, float("inf"), float("nan")])
+def test_nonfinite_terms_are_a_numeric_failure(weight):
+    # at m = 2 the cluster of a vertex taken twice has the term -w^2 / 2
+    g = build_graph(2, [(0, 1)])
+    oracle = WeightOracle(lambda p: weight)
+    with pytest.raises(NumericFailure, match="nonfinite truncated expansion"):
+        approx_partition_function(g, oracle, 0.5, 1.0, force=True)
+    with pytest.raises(NumericFailure):
+        truncated_expansion(g, WeightOracle(lambda p: weight), 2)
+
+
+# ---------------------------------------------------------------------------
+# The engine: one union at a time, memoized by (shape, local weights), and
+# one root's part reused for every later root of the same key
 
 @st.composite
 def engine_models(draw):
-    """(graph, order m, polymer -> weight) from three kinds of model: random
-    graphs whose polymers all weigh differently, so no union repeats another
-    (every union a miss); CNF chains and rings, whose dyadic weights repeat
-    along the chain (mostly hits); and dyadic models with exact zeros."""
+    """(graph, order m, polymer -> weight, local key or None) from three
+    kinds of model: random graphs whose polymers all weigh differently, so
+    no union repeats another (every union a miss); CNF chains and rings,
+    whose dyadic weights repeat along the chain (mostly hits), with their
+    CNF local key; and dyadic models with exact zeros."""
     kind = draw(st.sampled_from(["distinct", "cnf", "zeros"]))
     m = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**32))
@@ -285,12 +355,13 @@ def engine_models(draw):
             f = ring_cnf(rng, 2 * draw(st.integers(2, 6)), k=4, share=2)
         g = cnf_dependency_graph(f)
         return g, m, {p: cnf_polymer_weight(f, p)
-                      for p in enumerate_connected_subgraphs(g, m)}
+                      for p in enumerate_connected_subgraphs(g, m)
+                      }, lambda ball: cnf_local_key(f, ball)
     g = draw(multi_component_graphs())
     if kind == "distinct":
-        return g, m, _weights(g, m, seed, draw(st.booleans()))
+        return g, m, _weights(g, m, seed, draw(st.booleans())), None
     return g, m, _weights_with_zeros(
-        g, m, seed, draw(st.sampled_from(["all", "singletons", "random"])))
+        g, m, seed, draw(st.sampled_from(["all", "singletons", "random"]))), None
 
 
 def _local_weight_key(g, union, table):
@@ -306,26 +377,31 @@ def _local_weight_key(g, union, table):
 @SETTINGS
 @given(engine_models(), st.booleans())
 def test_engine_equals_streamed_reference(model, exact):
-    g, m, table = model
+    g, m, table, local_key = model
     if exact and any(isinstance(w, complex) for w in table.values()):
         exact = False
     oracle = WeightOracle(table.__getitem__)
-    unions = sorted(enumerate_connected_subgraphs(g, m))
-    got, count = _expansion(g, m, unions,
-                            _converted_weights(oracle, unions, 1, exact),
-                            exact=exact)
     want = _sum_clusters(enumerate_clusters(g, m), oracle, exact=exact)
-    assert type(got) is type(want)
-    # every term goes into the compensated sum in the reference's order, so
-    # the floats agree to the bit, well inside eps times the sum of |terms|
-    assert got == want
+    assert want == _list_sum(list(enumerate_clusters(g, m)), oracle, exact)
+    unions = sorted(enumerate_connected_subgraphs(g, m))
+    sums = _UnionSums(g, m, oracle,
+                      _converted_weights(oracle, unions, 1, exact), exact)
+    total, count = sums.sum(unions)
     assert count == sum(1 for _ in enumerate_clusters(g, m))
+    # both sums are exact and rounded once, so the floats agree to the bit,
+    # well inside eps times the sum of |terms|
+    for got in (sums.value(total),
+                truncated_expansion(g, WeightOracle(table.__getitem__,
+                                                    local_key), m,
+                                    exact=exact)):
+        assert type(got) is type(want)
+        assert got == want
 
 
 @SETTINGS
 @given(engine_models(), st.booleans())
 def test_engine_sums_each_distinct_union_once(model, exact):
-    g, m, table = model
+    g, m, table, _ = model
     if exact and any(isinstance(w, complex) for w in table.values()):
         exact = False
     oracle = WeightOracle(table.__getitem__)
@@ -339,12 +415,112 @@ def test_engine_sums_each_distinct_union_once(model, exact):
 
     llcount.clusters.enumerate_clusters = counting
     try:
-        _expansion(g, m, unions, _converted_weights(oracle, unions, 1, exact),
-                   exact=exact)
+        _UnionSums(g, m, oracle, _converted_weights(oracle, unions, 1, exact),
+                   exact).sum(unions)
     finally:
         llcount.clusters.enumerate_clusters = original
     assert all(len(u) == 1 for u in calls)
     assert len(calls) == len({_local_weight_key(g, u, table) for u in unions})
+
+
+@st.composite
+def cnf_formulas(draw):
+    """Chains and rings of random widths and overlaps, and small random CNFs:
+    either clauses over a handful of variables, or shifted copies of one
+    random template clause with random signs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["chain", "ring", "random", "shifted"]))
+    if kind in ("chain", "ring"):
+        k = draw(st.integers(2, 6))
+        share = draw(st.integers(1, k // 2))
+        if kind == "chain":
+            return chain_cnf(rng, draw(st.integers(1, 12)), k=k, share=share)
+        return ring_cnf(rng, 2 * draw(st.integers(2, 6)), k=k, share=share)
+    n = draw(st.integers(2, 8))
+    if kind == "random":
+        clauses = [tuple(v if rng.random() < 0.5 else -v for v in
+                         rng.sample(range(1, n + 1), rng.randint(1, min(n, 3))))
+                   for _ in range(draw(st.integers(1, 10)))]
+        return CnfFormula(n, tuple(clauses))
+    template = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    step = draw(st.integers(1, n))
+    count = draw(st.integers(1, 10))
+    clauses = [tuple(v + i * step if rng.random() < 0.5 else -(v + i * step)
+                     for v in template) for i in range(count)]
+    return CnfFormula(n + (count - 1) * step, tuple(clauses))
+
+
+@SETTINGS
+@given(cnf_formulas(), st.integers(1, 4))
+def test_cnf_local_key_is_sound(f, m):
+    """Whenever two roots share an engine key, every set of ball positions
+    weighs the same on both, in value and in type."""
+    g = cnf_dependency_graph(f)
+    balls = {}
+    for root in g.vertices():
+        ball = root_ball(g, root, m)
+        key = tuple(induced_masks(g, ball)), cnf_local_key(f, ball)
+        balls.setdefault(key, []).append(ball)
+    for first, *others in balls.values():
+        for other in others:
+            for r in range(1, len(first) + 1):
+                for positions in itertools.combinations(range(len(first)), r):
+                    a = cnf_polymer_weight(f, [first[i] for i in positions])
+                    b = cnf_polymer_weight(f, [other[i] for i in positions])
+                    assert a == b and type(a) is type(b)
+
+
+def test_cnf_local_key_repeats_along_a_chain():
+    """A chain's inner roots share keys, so most roots reuse a part."""
+    f = chain_cnf(random.Random(3), 60, k=12, share=6)
+    g = cnf_dependency_graph(f)
+    keys = {(tuple(induced_masks(g, ball)), cnf_local_key(f, ball))
+            for ball in (root_ball(g, r, 5) for r in g.vertices())}
+    assert len(keys) < g.vertex_count // 2
+
+
+def _result_fields(res):
+    """Everything an ApproxResult reports, less its timing, with the
+    report's dicts in their order and floats by their bits."""
+    rep = res.condition_report
+    return (res.log_value.real.hex(), res.log_value.imag.hex(), res.exact_log,
+            res.cluster_count, res.truncation_order, res.forced,
+            [(c.name, c.passed, c.margin, c.detail) for c in res.checks],
+            list(rep.max_abs_root_by_size.items()),
+            list(rep.worst_polymer_by_size.items()), rep.violations)
+
+
+@pytest.mark.parametrize("make,n,k,share,delta,force,exact", [
+    (chain_cnf, 60, 12, 6, 1.0, False, False),
+    (ring_cnf, 40, 12, 6, 1.0, False, True),
+    (chain_cnf, 30, 4, 2, 1.0, True, False),
+    (ring_cnf, 24, 4, 2, 1.0, True, True),
+    (chain_cnf, 30, 6, 3, 1.5, True, False),
+])
+def test_root_memo_on_and_off_give_identical_results(make, n, k, share, delta,
+                                                     force, exact):
+    f = make(random.Random(n * k + share), n, k=k, share=share)
+    g = cnf_dependency_graph(f)
+    results = []
+    for local_key in (lambda ball: cnf_local_key(f, ball), None):
+        oracle = WeightOracle(lambda p: cnf_polymer_weight(f, p), local_key)
+        results.append(approx_partition_function(
+            g, oracle, 0.5, delta, force=force, exact=exact))
+    with_memo, without = results
+    assert _result_fields(with_memo) == _result_fields(without)
+    assert (with_memo.condition_report.violations != []) == force
+    if force:
+        # unforced, both stop at the same first violation
+        messages = []
+        for local_key in (lambda ball: cnf_local_key(f, ball), None):
+            oracle = WeightOracle(lambda p: cnf_polymer_weight(f, p),
+                                  local_key)
+            with pytest.raises(HypothesisViolation) as caught:
+                approx_partition_function(g, oracle, 0.5, delta, exact=exact)
+            messages.append((str(caught.value), [
+                (c.name, c.passed, c.margin, c.detail)
+                for c in caught.value.checks]))
+        assert messages[0] == messages[1]
 
 
 @SETTINGS
@@ -376,7 +552,8 @@ def _reports(capsys, argv):
 def test_reports_do_not_depend_on_the_shape_table_or_threads(
         tmp_path, capsys, monkeypatch):
     """Reports are bit-identical with the shape table cold, warm and emptied
-    at nearly every addition, and for --threads 1 and 2."""
+    at nearly every addition, for --threads 1 and 2, and with the CNF root
+    memo on and off."""
     rng = random.Random(2024)
     chain = tmp_path / "chain.cnf"
     f = chain_cnf(rng, 40, k=12, share=6)
@@ -402,3 +579,9 @@ def test_reports_do_not_depend_on_the_shape_table_or_threads(
             shapes.clear()
             assert _reports(capsys, argv + ["--threads", "2"]) == cold
             assert len(shapes.shapes) <= 1
+        with monkeypatch.context() as patch:
+            # the CNF oracle without its local key: every root a miss
+            patch.setattr(llcount.cnf, "WeightOracle",
+                          lambda fn, local_key=None: WeightOracle(fn))
+            assert _reports(capsys, argv) == cold
+            assert _reports(capsys, argv + ["--threads", "2"]) == cold

@@ -359,9 +359,9 @@ def test_connected_sets_are_enumerated_once_per_call(monkeypatch, run):
 
     calls = []
 
-    def counting(g, m):
+    def counting(g, m, roots=None):
         calls.append(m)
-        return enumerate_connected_subgraphs(g, m)
+        return enumerate_connected_subgraphs(g, m, roots)
 
     monkeypatch.setattr(clusters, "enumerate_connected_subgraphs", counting)
     oracle = WeightOracle(lambda p: 0.01 ** len(p))
