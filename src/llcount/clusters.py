@@ -179,11 +179,12 @@ class _ShapeTable:
     Like ``_URSELL_MEMO`` this is combinatorics that no input's weights
     change, so a report does not depend on what the table holds.
 
-    ``cap`` bounds the cluster entries held, spares included.  Adding a
-    shape that would pass it empties the table first, so the table holds at
-    most ``cap`` entries, or one larger shape, plus the spares found since
-    the last shape was added.  A caller that may meet a shape again after
-    the table has dropped it holds the entry itself and ``keep``s it.
+    ``size`` counts the cluster entries held, spares included.  The table
+    is trimmed only between calls: each engine call, and each
+    ``enumerate_clusters`` call over a whole graph, starts with ``trim``,
+    which empties it if ``size`` passed ``cap``.  So a call builds each of
+    its shapes once, and the table holds at most ``cap`` entries plus one
+    call's shapes and spares.
     """
 
     def __init__(self, cap: int):
@@ -195,32 +196,25 @@ class _ShapeTable:
         self.shapes.clear()
         self.size = 0
 
+    def trim(self) -> None:
+        """Empty the table if it holds more than ``cap`` entries."""
+        if self.size > self.cap:
+            self.clear()
+
     def shape(self, key: tuple[int, ...], m: int) -> tuple:
         """The prepared entry of shape ``key`` at order ``m``."""
         shape = self.shapes.get((key, m))
         if shape is None:
             local_polymers, local_clusters = _shape_clusters(key, m)
-            shape = (
+            shape = self.shapes[key, m] = (
                 [_tuple_getter(p) for p in local_polymers],
                 [(_tuple_getter(indices), *rest)
                  for indices, *rest in local_clusters],
                 [sum({1 << i for i in indices})
                  for indices, *_ in local_clusters],
                 {})
-            self._add(key, m, shape)
+            self.size += len(local_clusters)
         return shape
-
-    def keep(self, key: tuple[int, ...], m: int, shape: tuple) -> None:
-        """Hold ``shape``, prepared by ``shape(key, m)``, if it was dropped."""
-        if (key, m) not in self.shapes:
-            self._add(key, m, shape)
-
-    def _add(self, key: tuple[int, ...], m: int, shape: tuple) -> None:
-        entries = len(shape[1]) + sum(map(len, shape[3].values()))
-        if self.size + entries > self.cap:
-            self.clear()
-        self.size += entries
-        self.shapes[key, m] = shape
 
     def spared(self, shape: tuple, dead: int) -> list[tuple]:
         """The clusters of ``shape`` that use no polymer in mask ``dead``."""
@@ -251,23 +245,27 @@ def enumerate_clusters(g: DependencyGraph, m: int,
 
     Those clusters depend only on the induced subgraph G[U].  Each distinct
     shape, keyed by the local adjacency bitmasks of the sorted U, is
-    enumerated once into the process-wide ``_SHAPE_TABLE`` (bounded by
-    ``SHAPE_TABLE_CAP`` cluster entries); every union of that shape relabels
-    the shape's clusters through the order-preserving map i -> U[i], which
-    keeps the emission order of a per-union enumeration.
+    enumerated once into the process-wide ``_SHAPE_TABLE``; every union of
+    that shape relabels the shape's clusters through the order-preserving
+    map i -> U[i], which keeps the emission order of a per-union
+    enumeration.  A call over the whole graph first trims the table to
+    ``SHAPE_TABLE_CAP`` cluster entries (see ``_ShapeTable``).
 
     With ``weight`` (polymer -> weight), the clusters holding a polymer whose
     weight is exactly 0 are skipped: their term in the expansion is 0.  The
-    others keep their order.  ``unions`` is the sorted list of connected sets
-    of at most m vertices when the caller has it already.  When given,
-    ``counted[0]`` grows by the number of clusters of each union, the
-    skipped ones included.
+    others keep their order.  ``weight`` is called on every local polymer of
+    a union before any of the union's clusters is yielded.  ``unions`` is a
+    sorted list of connected sets of at most m vertices, all of them or
+    some, when the caller has it already; the table is then not trimmed.
+    When given, ``counted[0]`` grows by the number of clusters of each
+    union, the skipped ones included.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     new = tuple.__new__  # skips NamedTuple's Python-level __new__
     table = _SHAPE_TABLE
     if unions is None:
+        table.trim()
         unions = sorted(enumerate_connected_subgraphs(g, m))
     for union in unions:
         shape = table.shape(tuple(induced_masks(g, union)), m)
@@ -584,85 +582,6 @@ def _converted_weights(oracle: WeightOracle, polymers: Sequence[Polymer],
     return {p: convert(weight(p)) for p in polymers}
 
 
-class _UnionSums:
-    """The truncated expansion summed one union at a time, for one call.
-
-    A union's clusters, and so its share of the sum, depend only on its
-    shape and on the converted weights of its local polymers, in their local
-    order.  A share is computed from ``enumerate_clusters`` over its one
-    union, with the call's single weight and coefficient memos, and kept for
-    every later union of the call with the same (shape, local weights) pair.
-    ``weights`` maps polymers to converted weights: complexes, or under
-    ``exact`` (numerator, denominator) pairs.  A polymer it lacks is read
-    from ``oracle`` and added (a plain dict: its lookups are the hot loop).
-
-    Shares add exactly: a float share keeps its terms (``_float_share``),
-    which one ``math.fsum`` adds exactly and rounds once at the end; an
-    exact share is its (numerator, denominator) pair.  So no result depends
-    on the order of the sum or on what the shape table held.
-    """
-
-    def __init__(self, g: DependencyGraph, m: int, oracle: WeightOracle,
-                 weights: dict, exact: bool = False):
-        self.g, self.m, self.weights, self.exact = g, m, weights, exact
-        self.oracle = oracle
-        self.held = {}    # the call's shapes, kept for enumerate_clusters
-        self.shares = {}  # (shape, local weights) -> share
-        self.fold = _fold_ratios if exact else _fold_floats
-        # enumerate_clusters skips the clusters of a polymer whose weight
-        # == 0: a pair's numerator, or the converted complex
-        if exact:
-            self.coeffs = _Memo(_exact_coefficient)
-            self.live = functools.partial(_numerator, weights)
-        else:
-            self.coeffs = _Memo(_float_coefficient)
-            self.live = weights.__getitem__
-
-    def sum(self, unions: Iterable[Polymer]) -> tuple[tuple, int]:
-        """The exact sum over the sorted ``unions`` and their number of
-        clusters, skipped ones included."""
-        g, m, weights, held, shares = (self.g, self.m, self.weights,
-                                       self.held, self.shares)
-        table = _SHAPE_TABLE
-        used = []
-        count = 0
-        for union in unions:
-            key = tuple(induced_masks(g, union))
-            shape = held.get(key)
-            if shape is None:
-                shape = held[key] = table.shape(key, m)
-            count += len(shape[1])
-            try:
-                pair = key, tuple([weights[get(union)] for get in shape[0]])
-            except KeyError:
-                self.fill([get(union) for get in shape[0]])
-                pair = key, tuple([weights[get(union)] for get in shape[0]])
-            share = shares.get(pair)
-            if share is None:
-                table.keep(key, m, shape)
-                clusters = enumerate_clusters(g, m, self.live, unions=(union,))
-                share = shares[pair] = (
-                    _fold_exact(clusters, weights, self.coeffs) if self.exact
-                    else _float_share(_terms(clusters, weights, self.coeffs)))
-            used.append(share)
-        return self.fold(used), count
-
-    def fill(self, polymers: Iterable[Polymer]) -> None:
-        """Add the converted weights of ``polymers`` that ``weights`` lacks."""
-        convert = _ratio if self.exact else _as_complex
-        for p in polymers:
-            if p not in self.weights:
-                self.weights[p] = convert(self.oracle.weight(p))
-
-    def value(self, total: tuple) -> Fraction | complex:
-        """A sum as a ``Fraction`` under exact, else as the nearest complex."""
-        return Fraction(*total) if self.exact else _nearest(total)
-
-
-def _numerator(weights: dict, polymer: Polymer) -> int:
-    return weights[polymer][0]
-
-
 class _RootPart:
     """What the expansion holds of the connected sets rooted at one vertex.
 
@@ -699,10 +618,13 @@ class _Roots:
     ball positions.  Under an oracle's ``local_key`` contract, a root whose
     (masks, key) pair an earlier root of the call had reuses that root's
     part, mapped to its own vertices, and nothing of it is enumerated,
-    weighed or summed again.  Every other root computes its part with
-    ``_UnionSums``.  Parts are combined in ascending root order, so the
+    weighed or summed again.  Every other root sums its part from one
+    ``enumerate_clusters`` call over its sets.  Shares add exactly: a float
+    share keeps its terms (``_float_share``), which one ``math.fsum`` adds
+    and rounds once at the end; an exact share is its (numerator,
+    denominator) pair.  Parts are combined in ascending root order, so the
     report is the one a scan of all polymers in sorted order gives, and the
-    exact sum does not depend on the order at all.
+    sum does not depend on the order, or on what the shape table held.
     """
 
     def __init__(self, g: DependencyGraph, oracle: WeightOracle, m: int,
@@ -767,16 +689,38 @@ class _Roots:
     def expansion(self, exact: bool = False) -> tuple[Fraction | complex, int]:
         """The truncated expansion to order m and its number of clusters,
         skipped ones included."""
+        g, m, oracle = self.g, self.m, self.oracle
+        _SHAPE_TABLE.trim()
+        convert = _ratio if exact else _as_complex
         if exact:
-            weight = self.oracle.weight
-            weights = {p: _ratio(weight(p)) for p in self.polymers}
+            weights = {p: convert(oracle.weight(p)) for p in self.polymers}
+            coeffs = _Memo(_exact_coefficient)
         else:
             weights = self.weights
-        sums = _UnionSums(self.g, self.m, self.oracle, weights, exact)
+            coeffs = _Memo(_float_coefficient)
+
+        def live(p: Polymer):
+            # enumerate_clusters reads every local polymer of a union here
+            # before it yields the union's clusters, so the folds below find
+            # in ``weights`` the sets of reused roots too.  A weight is 0 iff
+            # its complex, or its pair's numerator, is.
+            w = weights.get(p)
+            if w is None:
+                w = weights[p] = convert(oracle.weight(p))
+            return w[0] if exact else w
+
         for part in self.parts:
-            part.share, part.count = sums.sum(part.polymers)
-        total = sums.fold([part.share for part, _ in self.roots])
-        return sums.value(total), sum([part.count for part, _ in self.roots])
+            counted = [0]
+            clusters = enumerate_clusters(g, m, live, unions=part.polymers,
+                                          counted=counted)
+            part.share = (_fold_exact(clusters, weights, coeffs) if exact
+                          else _float_share(_terms(clusters, weights, coeffs)))
+            part.count = counted[0]
+        shares = [part.share for part, _ in self.roots]
+        count = sum([part.count for part, _ in self.roots])
+        if exact:
+            return Fraction(*_fold_ratios(shares)), count
+        return _nearest(_fold_floats(shares)), count
 
 
 def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
@@ -1039,5 +983,10 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
 
 
 def _cexp(z: complex) -> complex:
-    r = math.exp(z.real)
+    try:
+        r = math.exp(z.real)
+    except OverflowError:
+        raise NumericFailure(
+            f"exp of the truncated log value {z.real:.6g} leaves float "
+            "range") from None
     return complex(r * math.cos(z.imag), r * math.sin(z.imag))

@@ -340,12 +340,13 @@ def _parse_table(lines, pos, keyword: str, graph: DependencyGraph):
             raise SpecParseError(f"duplicate entry for {parts[1]}", lineno)
         table[key] = complex(re, im)
         pos += 1
-    missing = [p for p in enumerate_connected_subgraphs(graph, max_size)
-               if p not in table]
-    if missing:
-        raise SpecParseError(
-            f"table is missing {len(missing)} connected sets up to size "
-            f"{max_size}, first: {sorted(missing)[0]}")
+    # the enumeration is lazy, so a table that lacks a set costs at most
+    # its own size plus one set, however many sets the graph has
+    for p in enumerate_connected_subgraphs(graph, max_size):
+        if p not in table:
+            raise SpecParseError(
+                f"table is missing connected set {p}; every connected set "
+                f"up to size {max_size} needs an entry")
     return table, max_size
 
 

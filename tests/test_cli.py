@@ -758,12 +758,17 @@ def test_decay_threshold_underflows_past_float_range():
 
 def test_nonfinite_sum_exits_5(tmp_path, capsys):
     # forced past the decay check, at m = 2 the cluster of a vertex taken
-    # twice has the term -w^2 / 2, which leaves float range
+    # twice has the term -w^2 / 2, which leaves float range; at m = 1 the
+    # log value 2e200 is finite, but its exp is not
     path = tmp_path / "big.spec"
     path.write_text(format_weights_spec(
         build_graph(2, [(0, 1)]), {(0,): 1e200, (1,): 1e200, (0, 1): 1e200},
         2))
-    code, out, err = _run(capsys, ["polymer-z", str(path), "--force",
-                                   "--delta", "1.0", "--format", "jsonl"])
-    assert code == 5 and out == ""
-    assert _last_json(err)["error"] == "nonfinite truncated expansion value"
+    for delta, error in (
+            ("1.0", "nonfinite truncated expansion value"),
+            ("5", "exp of the truncated log value 2e+200 leaves float range")):
+        code, out, err = _run(capsys, ["polymer-z", str(path), "--force",
+                                       "--delta", delta, "--format", "jsonl"])
+        assert code == 5 and out == ""
+        assert "Traceback" not in err
+        assert _last_json(err)["error"] == error

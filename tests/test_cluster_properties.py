@@ -2,9 +2,9 @@
 shape-cached cluster enumeration, the bitmask shape enumeration, the streamed
 summation, the skipping of clusters that hold a zero-weight polymer, the
 indexed intersection graph, the integer exact sum, the exact float sum, the
-engine that sums one union at a time, memoized by shape and local weights,
-over the bounded process-wide shape table, and the reuse of a root's part
-under the CNF local key."""
+engine that sums each computed root's part from one enumeration, the
+process-wide shape table trimmed to its cap between calls, and the reuse of
+a root's part under the CNF local key."""
 
 import itertools
 import json
@@ -18,18 +18,17 @@ from hypothesis import strategies as st
 import llcount.clusters
 import llcount.cnf
 from llcount.cli import main
-from llcount.clusters import (WeightOracle, _clusters_with_union,
-                              _converted_weights, _shape_clusters,
-                              _ShapeTable, _sum_clusters, _UnionSums,
+from llcount.clusters import (WeightOracle, _clusters_with_union, _Roots,
+                              _shape_clusters, _ShapeTable, _sum_clusters,
                               _ursell_from_masks, approx_partition_function,
                               enumerate_clusters, truncated_expansion)
 from llcount.cnf import (CnfFormula, cnf_dependency_graph, cnf_local_key,
                          cnf_polymer_weight)
 from llcount.errors import HypothesisViolation, NumericFailure
 from llcount.formats import format_weights_spec
-from llcount.graphs import (DependencyGraph, build_graph, connected_masks,
+from llcount.graphs import (DependencyGraph, build_graph,
                             enumerate_connected_subgraphs, induced_masks,
-                            intersection_graph, mask_bits, root_ball)
+                            intersection_graph, root_ball)
 
 from gen import chain_cnf, random_graph, random_weight_table, ring_cnf
 
@@ -340,10 +339,10 @@ def test_nonfinite_terms_are_a_numeric_failure(weight):
 @st.composite
 def engine_models(draw):
     """(graph, order m, polymer -> weight, local key or None) from three
-    kinds of model: random graphs whose polymers all weigh differently, so
-    no union repeats another (every union a miss); CNF chains and rings,
-    whose dyadic weights repeat along the chain (mostly hits), with their
-    CNF local key; and dyadic models with exact zeros."""
+    kinds of model: random graphs whose polymers all weigh differently;
+    CNF chains and rings, whose dyadic weights repeat along the chain, with
+    their CNF local key (most roots reuse a part); and dyadic models with
+    exact zeros."""
     kind = draw(st.sampled_from(["distinct", "cnf", "zeros"]))
     m = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**32))
@@ -364,16 +363,6 @@ def engine_models(draw):
         g, m, seed, draw(st.sampled_from(["all", "singletons", "random"]))), None
 
 
-def _local_weight_key(g, union, table):
-    """A union's (shape, local weights) pair, written out independently of
-    the shape table: its adjacency masks, then the weights of its connected
-    subsets in local coordinates, in sorted order."""
-    key = tuple(induced_masks(g, union))
-    local = sorted(tuple(mask_bits(s)) for root in range(len(key))
-                   for s in connected_masks(key, len(key), root))
-    return key, tuple(table[tuple(union[i] for i in s)] for s in local)
-
-
 @SETTINGS
 @given(engine_models(), st.booleans())
 def test_engine_equals_streamed_reference(model, exact):
@@ -383,44 +372,15 @@ def test_engine_equals_streamed_reference(model, exact):
     oracle = WeightOracle(table.__getitem__)
     want = _sum_clusters(enumerate_clusters(g, m), oracle, exact=exact)
     assert want == _list_sum(list(enumerate_clusters(g, m)), oracle, exact)
-    unions = sorted(enumerate_connected_subgraphs(g, m))
-    sums = _UnionSums(g, m, oracle,
-                      _converted_weights(oracle, unions, 1, exact), exact)
-    total, count = sums.sum(unions)
-    assert count == sum(1 for _ in enumerate_clusters(g, m))
+    count = sum(1 for _ in enumerate_clusters(g, m))
     # both sums are exact and rounded once, so the floats agree to the bit,
-    # well inside eps times the sum of |terms|
-    for got in (sums.value(total),
-                truncated_expansion(g, WeightOracle(table.__getitem__,
-                                                    local_key), m,
-                                    exact=exact)):
+    # well inside eps times the sum of |terms|, with the root memo on or off
+    for key in (local_key, None):
+        oracle = WeightOracle(table.__getitem__, key)
+        got = truncated_expansion(g, oracle, m, exact=exact)
         assert type(got) is type(want)
         assert got == want
-
-
-@SETTINGS
-@given(engine_models(), st.booleans())
-def test_engine_sums_each_distinct_union_once(model, exact):
-    g, m, table, _ = model
-    if exact and any(isinstance(w, complex) for w in table.values()):
-        exact = False
-    oracle = WeightOracle(table.__getitem__)
-    unions = sorted(enumerate_connected_subgraphs(g, m))
-    calls = []
-    original = llcount.clusters.enumerate_clusters
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["unions"])
-        return original(*args, **kwargs)
-
-    llcount.clusters.enumerate_clusters = counting
-    try:
-        _UnionSums(g, m, oracle, _converted_weights(oracle, unions, 1, exact),
-                   exact).sum(unions)
-    finally:
-        llcount.clusters.enumerate_clusters = original
-    assert all(len(u) == 1 for u in calls)
-    assert len(calls) == len({_local_weight_key(g, u, table) for u in unions})
+        assert _Roots(g, oracle, m, 1).expansion(exact)[1] == count
 
 
 @st.composite
@@ -524,20 +484,33 @@ def test_root_memo_on_and_off_give_identical_results(make, n, k, share, delta,
 
 
 @SETTINGS
-@given(st.lists(connected_shapes(), min_size=1, max_size=12),
+@given(st.lists(st.lists(connected_shapes(), min_size=1, max_size=6),
+                min_size=1, max_size=4),
        st.integers(1, 40))
-def test_shape_table_stays_within_its_cap(keys, cap):
+def test_shape_table_stays_within_its_cap(calls, cap):
+    """The table is trimmed only between calls: each call starts by emptying
+    it if it holds more than ``cap`` entries, then builds each of its shapes
+    once and holds them all until it ends.  So it holds at most ``cap``
+    entries plus one call's shapes and spares."""
     table = _ShapeTable(cap)
-    for key in keys:
-        m = len(key) + 1
-        shape = table.shape(key, m)
-        assert table.shape(key, m) is shape
-        assert [c[1:] for c in shape[1]] == [
-            tuple(c[1:]) for c in _shape_clusters(key, m)[1]]
-        held = sum(len(s[1]) for s in table.shapes.values())
-        assert table.size == held
-        assert held <= cap or len(table.shapes) == 1
-        assert (key, m) in table.shapes
+    for keys in calls:
+        size, shapes = table.size, dict(table.shapes)
+        table.trim()
+        if size > cap:
+            assert table.size == 0 and table.shapes == {}
+        else:
+            assert table.size == size and table.shapes == shapes
+        built = {}
+        for key in keys:
+            m = len(key) + 1
+            shape = table.shape(key, m)
+            assert built.setdefault((key, m), shape) is shape
+            assert [c[1:] for c in shape[1]] == [
+                tuple(c[1:]) for c in _shape_clusters(key, m)[1]]
+            table.spared(shape, 1)
+        assert all(table.shapes[k] is shape for k, shape in built.items())
+        assert table.size == sum(len(s[1]) + sum(map(len, s[3].values()))
+                                 for s in table.shapes.values())
 
 
 def _reports(capsys, argv):
@@ -552,7 +525,7 @@ def _reports(capsys, argv):
 def test_reports_do_not_depend_on_the_shape_table_or_threads(
         tmp_path, capsys, monkeypatch):
     """Reports are bit-identical with the shape table cold, warm and emptied
-    at nearly every addition, for --threads 1 and 2, and with the CNF root
+    at the start of every call, for --threads 1 and 2, and with the CNF root
     memo on and off."""
     rng = random.Random(2024)
     chain = tmp_path / "chain.cnf"
@@ -572,13 +545,18 @@ def test_reports_do_not_depend_on_the_shape_table_or_threads(
         shapes.clear()
         cold = _reports(capsys, argv)
         assert cold["cluster_count"] > 0
+        used = set(shapes.shapes)  # each run makes one engine call
         assert _reports(capsys, argv) == cold  # warm
         assert _reports(capsys, argv + ["--threads", "2"]) == cold
         with monkeypatch.context() as patch:
+            # past a cap of 1 every call starts from an empty table, then
+            # holds each of its shapes to its end; a shape past the order
+            # cap, which no run uses, shows that the table was emptied
             patch.setattr(shapes, "cap", 1)
-            shapes.clear()
-            assert _reports(capsys, argv + ["--threads", "2"]) == cold
-            assert len(shapes.shapes) <= 1
+            for threads in ("1", "2"):
+                shapes.shape((0,), llcount.clusters.DEFAULT_MAX_ORDER + 1)
+                assert _reports(capsys, argv + ["--threads", threads]) == cold
+                assert set(shapes.shapes) == used
         with monkeypatch.context() as patch:
             # the CNF oracle without its local key: every root a miss
             patch.setattr(llcount.cnf, "WeightOracle",

@@ -98,6 +98,36 @@ def test_events_spec_roundtrip_and_checks():
         parse_events_spec(text.replace("prob 0 0.01", "prob 0 1.5"))
 
 
+@pytest.mark.parametrize("entries,first_missing", [
+    ((), (0,)), ([(v,) for v in range(40)], (0, 1))])
+def test_table_check_stops_at_the_first_missing_set(monkeypatch, entries,
+                                                    first_missing):
+    """On a 40-vertex complete graph with max-size 20, which has some 10^11
+    connected sets, the check draws at most one set beyond the table."""
+    import llcount.formats
+
+    drawn = []
+    original = llcount.formats.enumerate_connected_subgraphs
+
+    def counting(*args):
+        for p in original(*args):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(llcount.formats, "enumerate_connected_subgraphs",
+                        counting)
+    g = build_graph(40, [(u, v) for u in range(40) for v in range(u + 1, 40)])
+    text = format_weights_spec(g, {p: 0.001 for p in entries}, 20)
+    for parse in (parse_weights_spec,
+                  lambda t: parse_events_spec(t.replace("weight", "prob"))):
+        drawn.clear()
+        with pytest.raises(SpecParseError) as err:
+            parse(text)
+        assert "missing" in str(err.value)
+        assert str(first_missing) in str(err.value)
+        assert len(drawn) <= len(entries) + 1
+
+
 def test_weights_spec_roundtrip():
     g = build_graph(2, [(0, 1)])
     table = {(0,): 0.02, (1,): -0.03, (0, 1): complex(0.001, -0.002)}
