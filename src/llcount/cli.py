@@ -356,24 +356,20 @@ def _run_check(args) -> dict:
     kind = _sniff(text)
     if kind == "table":
         kind, parsed = _load_table_spec(text)
+    problem = None
     if kind == "cnf":
         f = cnfmod.parse_dimacs(text)
         graph = cnfmod.cnf_dependency_graph(f)
         problem = cnfmod.count_problem(
             f, graph, _maybe_coloring(args, lambda: graph), args.delta)
         checks = problem.checks
-        extra = {"chi": problem.chi, "delta_used": problem.delta_used}
-        if all(c.passed for c in checks):
-            # count-sat reaches the truncation order, and its cap, only once
-            # its hypotheses hold
-            extra["m"] = capped_truncation_order(
-                graph.vertex_count, graph.max_degree(), problem.delta_used,
-                args.epsilon)
+        extra = {"delta_used": problem.delta_used}
     elif kind == "events":
         graph = parsed.graph
         problem = cnfmod.intersection_problem(
             parsed, graph, _maybe_coloring(args, lambda: graph), args.delta)
-        checks, extra = problem.checks, {"chi": problem.chi}
+        checks = problem.checks
+        extra = {"delta_used": problem.delta_used}
     elif kind == "projectors":
         from . import qsat
 
@@ -390,16 +386,9 @@ def _run_check(args) -> dict:
         if args.t:
             checks += qsat.detectability_problem(ps, graph, coloring, args.t,
                                                  args.delta).checks
-        extra = {"chi": problem.chi, "suggested_delta":
+        extra = {"suggested_delta":
                  qsat.suggest_delta_general(ps, args.epsilon, oracle=oracle,
                                             graph=graph)}
-        if all(c.passed for c in problem.checks):
-            # as for a CNF: qsat-commuting reaches the truncation order, and
-            # its cap, only once its hypotheses hold
-            extra["delta_used"] = problem.delta_used
-            extra["m"] = capped_truncation_order(
-                graph.vertex_count, graph.max_degree(), problem.delta_used,
-                args.epsilon)
     elif kind == "weights":
         _reject_coloring(args, "check on a weights-spec")
         graph, oracle, _ = parsed
@@ -410,6 +399,15 @@ def _run_check(args) -> dict:
         extra = {"m": m, "delta_used": args.delta}
     else:
         raise SpecParseError("unrecognized input format")
+    if problem is not None:
+        extra["chi"] = problem.chi
+        if all(c.passed for c in problem.checks):
+            # a run command reaches the truncation order, and its cap, only
+            # once its problem's hypotheses hold
+            extra["delta_used"] = problem.delta_used
+            extra["m"] = capped_truncation_order(
+                graph.vertex_count, graph.max_degree(), problem.delta_used,
+                args.epsilon)
     return {"command": "check", "input": args.input,
             "status": "pass" if all(c.passed for c in checks) else "fail",
             "conditions": _conditions_json(checks),

@@ -172,19 +172,18 @@ class _ShapeTable:
     process.
 
     A shape is keyed by the local adjacency bitmasks of a sorted union and by
-    the truncation order m.  Its entry holds one getter per local polymer;
+    the truncation order m.  Its entry holds one getter per local polymer and
     the shape's clusters as (polymers getter, total_size, orderings,
-    incompatibility_masks); per cluster, the mask of the local polymers it
-    uses; and a dict from dead-polymer mask to the clusters that mask spares.
-    Like ``_URSELL_MEMO`` this is combinatorics that no input's weights
-    change, so a report does not depend on what the table holds.
+    incompatibility_masks, used), where ``used`` is the mask of the local
+    polymers the cluster holds.  Like ``_URSELL_MEMO`` this is combinatorics
+    that no input's weights change, so a report does not depend on what the
+    table holds.
 
-    ``size`` counts the cluster entries held, spares included.  The table
-    is trimmed only between calls: each engine call, and each
-    ``enumerate_clusters`` call over a whole graph, starts with ``trim``,
-    which empties it if ``size`` passed ``cap``.  So a call builds each of
-    its shapes once, and the table holds at most ``cap`` entries plus one
-    call's shapes and spares.
+    ``size`` counts the cluster entries held.  The table is trimmed only
+    between calls: each engine call, and each ``enumerate_clusters`` call
+    over a whole graph, starts with ``trim``, which empties it if ``size``
+    passed ``cap``.  So a call builds each of its shapes once, and the table
+    holds at most ``cap`` entries plus one call's shapes.
     """
 
     def __init__(self, cap: int):
@@ -208,23 +207,10 @@ class _ShapeTable:
             local_polymers, local_clusters = _shape_clusters(key, m)
             shape = self.shapes[key, m] = (
                 [_tuple_getter(p) for p in local_polymers],
-                [(_tuple_getter(indices), *rest)
-                 for indices, *rest in local_clusters],
-                [sum({1 << i for i in indices})
-                 for indices, *_ in local_clusters],
-                {})
+                [(_tuple_getter(indices), *rest, sum({1 << i for i in indices}))
+                 for indices, *rest in local_clusters])
             self.size += len(local_clusters)
         return shape
-
-    def spared(self, shape: tuple, dead: int) -> list[tuple]:
-        """The clusters of ``shape`` that use no polymer in mask ``dead``."""
-        _, local_clusters, uses, spares = shape
-        live = spares.get(dead)
-        if live is None:
-            live = spares[dead] = [c for c, used in zip(local_clusters, uses)
-                                   if not used & dead]
-            self.size += len(live)
-        return live
 
 
 # About 350 bytes per cluster entry, so a full table is some 45 MB.
@@ -268,20 +254,19 @@ def enumerate_clusters(g: DependencyGraph, m: int,
         table.trim()
         unions = sorted(enumerate_connected_subgraphs(g, m))
     for union in unions:
-        shape = table.shape(tuple(induced_masks(g, union)), m)
-        relabel, local_clusters = shape[0], shape[1]
+        relabel, local_clusters = table.shape(tuple(induced_masks(g, union)), m)
         polymers = tuple([get(union) for get in relabel])
         if counted is not None:
             counted[0] += len(local_clusters)
+        dead = 0
         if weight is not None:
-            dead = 0
             for i, p in enumerate(polymers):
                 if weight(p) == 0:
                     dead |= 1 << i
-            if dead:
-                local_clusters = table.spared(shape, dead)
-        for get, total_size, orderings, masks in local_clusters:
-            yield new(Cluster, (get(polymers), total_size, orderings, masks))
+        for get, total_size, orderings, masks, used in local_clusters:
+            if not used & dead:
+                yield new(Cluster, (get(polymers), total_size, orderings,
+                                    masks))
 
 
 def _tuple_getter(indices: Sequence[int]) -> itemgetter:
@@ -433,18 +418,6 @@ def _as_complex(w) -> complex:
     return complex(w)
 
 
-def _evaluate_weights(oracle: WeightOracle, polymers: Sequence[Polymer], threads: int) -> None:
-    # pool.map submits every polymer at once, so the pool would start up to
-    # min(threads, len(polymers)) threads without the cpu_count cap.
-    workers = min(threads, os.cpu_count() or 1, len(polymers))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(oracle.weight, polymers))
-    else:
-        for p in polymers:
-            oracle.weight(p)
-
-
 class _Memo(dict):
     """A dict that fills a missing key with ``fn(key)``."""
 
@@ -476,9 +449,9 @@ def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
         return Fraction(*_fold_exact(
             clusters, _Memo(lambda p: _ratio(oracle.weight(p))),
             _Memo(_exact_coefficient)))
-    return _nearest(_float_share(_terms(
+    return _nearest([_float_share(_terms(
         clusters, _Memo(lambda p: _as_complex(oracle.weight(p))),
-        _Memo(_float_coefficient))))
+        _Memo(_float_coefficient)))])
 
 
 def _float_coefficient(key: tuple[tuple[int, ...], int]) -> float:
@@ -501,31 +474,24 @@ def _terms(clusters: Iterable[Cluster], weights, coeffs) -> Iterator[complex]:
         yield coeffs[masks, orderings] * prod
 
 
-def _float_share(terms: Iterable[complex]) -> list[tuple[list[float], ...]]:
+def _float_share(terms: Iterable[complex]) -> tuple[list[float], list[float]]:
     """A float share: the real and the imaginary parts of its ``terms``, the
-    latter empty when all are 0.  Shares are lists, so that ``_fold_floats``
-    can join them; ``_nearest`` sums them."""
+    latter empty when all are 0."""
     zs = list(terms)
     im = [z.imag for z in zs]
-    return [([z.real for z in zs], im if any(im) else [])]
+    return [z.real for z in zs], im if any(im) else []
 
 
-def _fold_floats(shares: Iterable[list]) -> list:
-    """The float shares joined into one, each term kept as often as it
-    occurs; the lists of terms are shared, not copied."""
-    return [parts for share in shares for parts in share]
-
-
-def _nearest(share: list[tuple[list[float], ...]]) -> complex:
-    """The complex nearest to the exact sum of a float share.
+def _nearest(shares: Sequence[tuple[list[float], list[float]]]) -> complex:
+    """The complex nearest to the exact sum of the float ``shares``.
 
     ``math.fsum`` adds every term exactly and rounds once, so the value does
     not depend on the order of the terms.  A nonfinite sum raises
     ``NumericFailure``.
     """
     try:
-        re = math.fsum(chain.from_iterable([parts[0] for parts in share]))
-        im = math.fsum(chain.from_iterable([parts[1] for parts in share]))
+        re = math.fsum(chain.from_iterable([re for re, _ in shares]))
+        im = math.fsum(chain.from_iterable([im for _, im in shares]))
     except (OverflowError, ValueError):  # inf - inf, or past float range
         raise NumericFailure(_NONFINITE) from None
     if not (math.isfinite(re) and math.isfinite(im)):
@@ -573,39 +539,32 @@ def _fold_ratios(shares: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _converted_weights(oracle: WeightOracle, polymers: Sequence[Polymer],
-                       threads: int, exact: bool = False) -> dict:
-    """Each polymer's weight, evaluated on up to ``threads`` threads, as a
-    complex, or under ``exact`` as a (numerator, denominator) pair."""
-    _evaluate_weights(oracle, polymers, threads)
-    convert = _ratio if exact else _as_complex
+                       threads: int) -> dict[Polymer, complex]:
+    """Each polymer's weight as a complex, evaluated on up to ``threads``
+    threads."""
+    # pool.map submits every polymer at once, so the pool would start up to
+    # min(threads, len(polymers)) threads without the cpu_count cap.
+    workers = min(threads, os.cpu_count() or 1, len(polymers))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(oracle.weight, polymers))
     weight = oracle.weight
-    return {p: convert(weight(p)) for p in polymers}
+    return {p: _as_complex(weight(p)) for p in polymers}
 
 
 class _RootPart:
     """What the expansion holds of the connected sets rooted at one vertex.
 
-    ``polymers`` are the sorted sets of order <= m whose smallest vertex is
-    the root; ``report`` is their weight-decay check; ``share`` and ``count``
-    are the exact sum and the number of the clusters whose union is one of
-    them.  ``ball`` is the root's ball when the oracle has a local key.
+    ``root`` is the first root that has the part.  ``polymers`` are the
+    sorted sets of order <= m whose smallest vertex is ``root``; ``share``
+    and ``count`` are the exact sum and the number of the clusters whose
+    union is one of them.
     """
 
-    __slots__ = ("ball", "index", "polymers", "report", "share", "count")
+    __slots__ = ("root", "polymers", "share", "count")
 
-    def __init__(self, ball: list[int] | None):
-        self.ball = ball
-        self.index = None
-
-    def relabel(self, ball: list[int] | None) -> Callable[[Polymer], Polymer]:
-        """Maps this part's polymers to the vertices of ``ball``, the ball of
-        a root that reuses the part."""
-        if ball is None or ball is self.ball:
-            return tuple
-        if self.index is None:
-            self.index = {v: i for i, v in enumerate(self.ball)}
-        index = self.index
-        return lambda p: tuple([ball[index[v]] for v in p])
+    def __init__(self, root: int):
+        self.root = root
 
 
 class _Roots:
@@ -617,74 +576,72 @@ class _Roots:
     only on m, the ball's adjacency masks and the weights of the sets of
     ball positions.  Under an oracle's ``local_key`` contract, a root whose
     (masks, key) pair an earlier root of the call had reuses that root's
-    part, mapped to its own vertices, and nothing of it is enumerated,
-    weighed or summed again.  Every other root sums its part from one
-    ``enumerate_clusters`` call over its sets.  Shares add exactly: a float
-    share keeps its terms (``_float_share``), which one ``math.fsum`` adds
-    and rounds once at the end; an exact share is its (numerator,
-    denominator) pair.  Parts are combined in ascending root order, so the
-    report is the one a scan of all polymers in sorted order gives, and the
-    sum does not depend on the order, or on what the shape table held.
+    part, and nothing of it is enumerated, weighed or summed again; without
+    a key every root's part is its own.  Each computed root sums its part
+    from one ``enumerate_clusters`` call over its sets.  Shares add exactly:
+    a float share keeps its terms (``_float_share``), which one
+    ``math.fsum`` adds and rounds once at the end; an exact share is its
+    (numerator, denominator) pair.  So the sum does not depend on the order
+    of the parts, or on what the shape table held.
     """
 
     def __init__(self, g: DependencyGraph, oracle: WeightOracle, m: int,
                  threads: int):
-        self.g, self.oracle, self.m = g, oracle, m
+        self.g, self.oracle, self.m, self.threads = g, oracle, m, threads
         local_key = oracle.local_key
-        if local_key is None:
-            self.parts = [_RootPart(None) for _ in g.vertices()]
-            self.roots = [(part, None) for part in self.parts]
-            missed = None  # every root
-        else:
-            # per root, ascending: (its part, its ball); the parts in order
-            # of their first root
-            self.parts, self.roots, missed, seen = [], [], [], {}
-            for root in g.vertices():
+        # per root, ascending: its part; the parts in order of their first
+        # root, which computes it
+        self.roots, self.parts, computed, seen = [], [], [], {}
+        for root in g.vertices():
+            if local_key is None:
+                key = root
+            else:
                 ball = root_ball(g, root, m)
                 key = tuple(induced_masks(g, ball)), local_key(ball)
-                part = seen.get(key)
-                if part is None:
-                    part = seen[key] = _RootPart(ball)
-                    self.parts.append(part)
-                    missed.append(root)
-                self.roots.append((part, ball))
-        # the sets of the missed roots, enumerated once; each root has its
+            part = seen.get(key)
+            if part is None:
+                part = seen[key] = _RootPart(root)
+                self.parts.append(part)
+                computed.append(root)
+            self.roots.append(part)
+        # the sets of the computed roots, enumerated once; each root has its
         # singleton, so groups and parts pair up in ascending root order
-        self.polymers = sorted(enumerate_connected_subgraphs(g, m, missed))
+        self.polymers = sorted(enumerate_connected_subgraphs(g, m, computed))
         self.weights = _converted_weights(oracle, self.polymers, threads)
         for part, (_, group) in zip(self.parts,
                                     groupby(self.polymers, itemgetter(0))):
             part.polymers = list(group)
 
     def report(self, delta: float, max_degree: int) -> WeightConditionReport:
-        """The weight-decay check of every polymer of order <= m."""
-        g, oracle, m, weights = self.g, self.oracle, self.m, self.weights
-        for part in self.parts:
-            mine = {p: weights[p] for p in part.polymers}
-            part.report = check_weight_condition(
-                g, oracle, m, delta, max_degree=max_degree, weights=mine)
-        # check_weight_condition's rule, one part's maxima at a time.  A
-        # root that reuses a part cannot beat the part's first root: its
-        # values are equal, not larger, and a NaN stays the worst.  So only
-        # each part's first root, whose own polymers the part holds, counts.
-        max_root: dict[int, float] = {}
-        worst: dict[int, Polymer] = {}
-        for part in self.parts:
-            rep = part.report
-            for size, root in rep.max_abs_root_by_size.items():
-                best = max_root.get(size, -1.0)
-                if not math.isnan(best) and (root > best or math.isnan(root)):
-                    max_root[size] = root
-                    worst[size] = rep.worst_polymer_by_size[size]
-        violations: list[tuple[Polymer, float, float]] = []
-        for part, ball in self.roots:
-            if part.report.violations:
-                relabel = part.relabel(ball)
-                violations += [(relabel(p), aw, allowed)
-                               for p, aw, allowed in part.report.violations]
-        return WeightConditionReport(
-            delta, max_degree, weight_decay_threshold(delta, max_degree), m,
-            max_root, worst, violations)
+        """The weight-decay check of every polymer of order <= m, as a scan
+        of all polymers in sorted order gives it.
+
+        One scan covers the computed roots' sets.  It finds the maxima and
+        the worst polymers of all sets: a reusing root's values equal, not
+        exceed, those of its part's first root, and a NaN stays the worst.
+        Violations are listed root by root; a reusing root whose part has
+        one gets its own from a check of its sorted sets.
+        """
+        g, oracle, m = self.g, self.oracle, self.m
+        report = check_weight_condition(g, oracle, m, delta,
+                                        max_degree=max_degree,
+                                        weights=self.weights)
+        if report.violations and len(self.parts) < len(self.roots):
+            found: dict[int, list] = {}
+            for violation in report.violations:
+                found.setdefault(violation[0][0], []).append(violation)
+            report.violations = []
+            for root, part in enumerate(self.roots):
+                if part.root == root:
+                    report.violations += found.get(root, [])
+                elif part.root in found:
+                    own = _converted_weights(oracle, sorted(
+                        enumerate_connected_subgraphs(g, m, [root])),
+                        self.threads)
+                    report.violations += check_weight_condition(
+                        g, oracle, m, delta, max_degree=max_degree,
+                        weights=own).violations
+        return report
 
     def expansion(self, exact: bool = False) -> tuple[Fraction | complex, int]:
         """The truncated expansion to order m and its number of clusters,
@@ -692,23 +649,14 @@ class _Roots:
         g, m, oracle = self.g, self.m, self.oracle
         _SHAPE_TABLE.trim()
         convert = _ratio if exact else _as_complex
-        if exact:
-            weights = {p: convert(oracle.weight(p)) for p in self.polymers}
-            coeffs = _Memo(_exact_coefficient)
-        else:
-            weights = self.weights
-            coeffs = _Memo(_float_coefficient)
-
-        def live(p: Polymer):
-            # enumerate_clusters reads every local polymer of a union here
-            # before it yields the union's clusters, so the folds below find
-            # in ``weights`` the sets of reused roots too.  A weight is 0 iff
-            # its complex, or its pair's numerator, is.
-            w = weights.get(p)
-            if w is None:
-                w = weights[p] = convert(oracle.weight(p))
-            return w[0] if exact else w
-
+        # a computed root's unions also hold sets of reusing roots, which
+        # the weights fill in from the oracle
+        weights = _Memo(lambda p: convert(oracle.weight(p)))
+        if not exact:
+            weights.update(self.weights)
+        coeffs = _Memo(_exact_coefficient if exact else _float_coefficient)
+        # a weight is 0 iff its complex, or its pair's numerator, is
+        live = (lambda p: weights[p][0]) if exact else weights.__getitem__
         for part in self.parts:
             counted = [0]
             clusters = enumerate_clusters(g, m, live, unions=part.polymers,
@@ -716,11 +664,11 @@ class _Roots:
             part.share = (_fold_exact(clusters, weights, coeffs) if exact
                           else _float_share(_terms(clusters, weights, coeffs)))
             part.count = counted[0]
-        shares = [part.share for part, _ in self.roots]
-        count = sum([part.count for part, _ in self.roots])
+        shares = [part.share for part in self.roots]
+        count = sum([part.count for part in self.roots])
         if exact:
             return Fraction(*_fold_ratios(shares)), count
-        return _nearest(_fold_floats(shares)), count
+        return _nearest(shares), count
 
 
 def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
@@ -880,9 +828,9 @@ def check_weight_condition(g: DependencyGraph, oracle: WeightOracle, m: int,
 
     ``weights``, when the caller has them already, maps polymers in sorted
     order to their weights as complexes, and the check covers just those
-    (the engine passes one root's polymers at a time).  The condition over
-    all sizes cannot be checked exhaustively; callers
-    assert it through application-level hypotheses.
+    (the engine passes the sets of the roots that compute their part).  The
+    condition over all sizes cannot be checked exhaustively; callers assert
+    it through application-level hypotheses.
     """
     dmax = g.max_degree() if max_degree is None else max_degree
     eta = weight_decay_threshold(delta, dmax)

@@ -315,8 +315,8 @@ def k_condition_check(f: CnfFormula, delta: float, max_degree: int,
     return ConditionCheck("k-condition", k >= required, k - required, detail)
 
 
-def _proper_coloring(graph: DependencyGraph, coloring: Coloring | None
-                     ) -> Coloring:
+def proper_coloring(graph: DependencyGraph, coloring: Coloring | None
+                    ) -> Coloring:
     """``coloring`` verified against ``graph``; greedy when None."""
     if coloring is None:
         return greedy_coloring(graph)
@@ -343,7 +343,7 @@ def intersection_problem(source, graph: DependencyGraph,
             p = prob(polymer)
             return -p if len(polymer) % 2 else p
 
-    chi = _proper_coloring(graph, coloring).num_colors
+    chi = proper_coloring(graph, coloring).num_colors
     dmax = graph.max_degree()
     bound = weight_decay_threshold(delta, dmax) ** chi
     worst = max(per_event, default=0.0)

@@ -20,6 +20,7 @@ from .clusters import (DEFAULT_MAX_ORDER, DELTA_CEILING, ApproxResult,
                        certified_delta, check_weight_condition,
                        choose_truncation_order, holder_delta,
                        weight_decay_threshold)
+from .cnf import proper_coloring
 from .errors import ResourceCapExceeded
 from .graphs import (Coloring, DependencyGraph, greedy_coloring,
                      strong_product_with_complete)
@@ -55,15 +56,6 @@ class DimensionResult:
     delta_requested: float
 
 
-def _proper_coloring(graph: DependencyGraph, coloring: Coloring | None
-                     ) -> Coloring:
-    """``coloring`` verified against ``graph``; greedy when None."""
-    if coloring is None:
-        return greedy_coloring(graph)
-    coloring.assert_proper(graph)
-    return coloring
-
-
 def _rank_check(ps: ProjectorSet, name: str, threshold: float, delta: float,
                 max_degree: int, chi: int) -> tuple[ConditionCheck, float]:
     ranks = [rank_normalized(p, ps.d) for p in ps.projectors]
@@ -84,7 +76,7 @@ def commuting_problem(ps: ProjectorSet, graph: DependencyGraph,
                       coloring: Coloring | None, delta: float) -> Problem:
     """The commuting family's polymer model, under pairwise commutation and
     max normalized rank <= (1/(e^(1+delta)(2D+1)))^chi."""
-    chi = _proper_coloring(graph, coloring).num_colors
+    chi = proper_coloring(graph, coloring).num_colors
     dmax = graph.max_degree()
     comm = verify_commuting(ps, graph=graph)
     commutation = ConditionCheck(
@@ -316,7 +308,7 @@ def detectability_problem(ps: ProjectorSet, graph: DependencyGraph,
     """The t-round polymer model on the support graph times K_t, under max
     normalized rank <= (1/(e^(1+delta)(2t(D+1)-1)))^(t chi), chi >= 1."""
     product = strong_product_with_complete(graph, t)
-    col = _proper_coloring(graph, coloring)
+    col = proper_coloring(graph, coloring)
     chi = max(col.num_colors, 1)
     dmax = graph.max_degree()
     # 2 * (t(D+1) - 1) + 1 = 2t(D+1) - 1

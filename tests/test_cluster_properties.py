@@ -491,7 +491,8 @@ def test_shape_table_stays_within_its_cap(calls, cap):
     """The table is trimmed only between calls: each call starts by emptying
     it if it holds more than ``cap`` entries, then builds each of its shapes
     once and holds them all until it ends.  So it holds at most ``cap``
-    entries plus one call's shapes and spares."""
+    entries plus one call's shapes.  Each cluster entry carries the mask of
+    the local polymers it uses."""
     table = _ShapeTable(cap)
     for keys in calls:
         size, shapes = table.size, dict(table.shapes)
@@ -506,11 +507,10 @@ def test_shape_table_stays_within_its_cap(calls, cap):
             shape = table.shape(key, m)
             assert built.setdefault((key, m), shape) is shape
             assert [c[1:] for c in shape[1]] == [
-                tuple(c[1:]) for c in _shape_clusters(key, m)[1]]
-            table.spared(shape, 1)
+                (*c[1:], sum({1 << i for i in c[0]}))
+                for c in _shape_clusters(key, m)[1]]
         assert all(table.shapes[k] is shape for k, shape in built.items())
-        assert table.size == sum(len(s[1]) + sum(map(len, s[3].values()))
-                                 for s in table.shapes.values())
+        assert table.size == sum(len(s[1]) for s in table.shapes.values())
 
 
 def _reports(capsys, argv):

@@ -92,17 +92,29 @@ def test_check_cnf_matches_count_sat(tmp_path, capsys, k, share, coloring):
         assert run["chi"] == (3 if coloring else 2)
 
 
-@pytest.mark.parametrize("p", [0.001, 0.2])
+# per-event probability -> (flags, exit code); at 0.005 the hypotheses hold,
+# but the certified delta needs m = 131 > 14
+EVENT_CASES = {0.001: ([], 0), 0.2: ([], 2),
+               0.005: (["--delta", "0.01", "--epsilon", "0.01"], 4)}
+
+
+@pytest.mark.parametrize("p", sorted(EVENT_CASES))
 def test_check_events_spec_matches_prob_intersection(tmp_path, capsys, p):
+    flags, code = EVENT_CASES[p]
     path = _write(tmp_path, "e.spec", format_events_spec(_path_events(p)))
-    check_code, check, check_conds = _call(capsys, ["check", path])
-    run_code, run, run_conds = _call(capsys, ["prob-intersection", path])
-    assert check_code == run_code == (0 if p < 0.01 else 2)
+    check_code, check, check_conds = _call(capsys, ["check", path] + flags)
+    run_code, run, run_conds = _call(capsys,
+                                     ["prob-intersection", path] + flags)
+    assert check_code == run_code == code
+    if code == 4:
+        assert check["error"] == run["error"]
+        assert "truncation order 131 exceeds cap 14" in run["error"]
+        return
     run_conds.pop("weight-decay", None)
     assert check_conds == run_conds
     assert list(check_conds) == ["per-event-probability"]
     if run_code == 0:
-        for key in ("chi", "graph_order", "max_degree"):
+        for key in ("chi", "delta_used", "m", "graph_order", "max_degree"):
             assert check[key] == run[key], key
 
 
