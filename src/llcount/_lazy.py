@@ -1,8 +1,9 @@
 """Module attributes that import their home module on first use (PEP 562).
 
 The projector stack (``projectors``, ``qsat``, ``oracles``) loads numpy, which
-no CNF, events or weights command needs.  Modules that re-export its names
-resolve them through ``lazy_getattr``, so importing them loads none of it.
+no CNF, events or weights command needs, and no CNF command reads a spec
+(``formats``).  Modules that re-export these names resolve them through
+``lazy_getattr``, so importing them loads none of it.
 A module ``__getattr__`` serves attribute lookups from outside the module
 only; code inside it imports what it uses at the point of use.
 """

@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 from . import cnf as cnfmod
-from . import formats
 from ._lazy import lazy_getattr
 from .clusters import (ApproxResult, ConditionCheck,
                        approx_partition_function, capped_truncation_order,
@@ -26,12 +25,13 @@ from .clusters import (ApproxResult, ConditionCheck,
 from .errors import LLCountError, SpecParseError
 from .graphs import greedy_coloring, support_dependency_graph
 
-# The projector stack loads numpy, which no CNF or table command needs, so the
-# projector runners import it where they use it.  Its names stay resolvable
-# on this module for callers that look them up here.
+# The projector stack loads numpy, which no CNF or table command needs, and
+# only spec inputs and --coloring read a spec, so the runners import these
+# where they use them.  Their names stay resolvable on this module for
+# callers that look them up here.
 __getattr__ = lazy_getattr(__name__, {
-    "oracles": "oracles", "qsat": "qsat", "ProjectorSet": "projectors",
-    "verify_commuting": "projectors"})
+    "formats": "formats", "oracles": "oracles", "qsat": "qsat",
+    "ProjectorSet": "projectors", "verify_commuting": "projectors"})
 
 
 def _read(path: str) -> str:
@@ -63,6 +63,8 @@ def _sniff(text: str) -> str:
 
 
 def _load_table_spec(text: str):
+    from . import formats
+
     # events-spec and weights-spec share a grammar; distinguish by keyword.
     if any(line.split()[0] == "weight" for _, line in formats._lines(text)):
         return "weights", formats.parse_weights_spec(text)
@@ -136,8 +138,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="cap on dense operator dimension per evaluation")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, the parse-error code:
+    argparse's own 2 is the hypothesis-violation code.  Subcommand parsers
+    take their parent's class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="llcount",
         description="Certified approximate counting via truncated "
                     "cluster expansions.")
@@ -182,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     _add_common(p)
     p.add_argument("--t", type=int, default=None,
-                   help="also check the detectability rank condition at t")
+                   help="also check the detectability rank condition at t, "
+                        "and choose m as qsat-general --mode detectability "
+                        "does")
     p.add_argument("--stability-cap", type=int, default=3)
 
     p = sub.add_parser("oracle", help="exact desk-scale oracles")
@@ -212,6 +226,7 @@ def _parser() -> argparse.ArgumentParser:
 def _load_projectors(text: str, args) -> ProjectorSet:
     """Parse and validate a projector spec and set its dense cap: --dense-cap,
     else LLCOUNT_MAX_DENSE_DIM, else the default."""
+    from . import formats
     from .oracles import OracleBudget
 
     ps = formats.parse_projector_spec(text)
@@ -252,6 +267,8 @@ def _maybe_coloring(args, graph_of):
     """The ``--coloring`` file parsed against the graph ``graph_of()``, which
     is built only when the flag is given; None without the flag."""
     if getattr(args, "coloring", None):
+        from . import formats
+
         return formats.parse_coloring(_read(args.coloring), graph_of())
     return None
 
@@ -341,6 +358,8 @@ def _run_qsat_general(args) -> dict:
 
 
 def _run_polymer_z(args) -> dict:
+    from . import formats
+
     graph, oracle, _ = formats.parse_weights_spec(_read(args.input))
     _reject_coloring(args, "polymer-z")
     approx = approx_partition_function(graph, oracle, args.epsilon, args.delta,
@@ -383,12 +402,16 @@ def _run_check(args) -> dict:
         checks = [_validation_check(ps), *problem.checks,
                   qsat.stability_check(ps, args.stability_cap, args.delta,
                                        oracle=oracle, graph=graph).as_check()]
-        if args.t:
-            checks += qsat.detectability_problem(ps, graph, coloring, args.t,
-                                                 args.delta).checks
         extra = {"suggested_delta":
                  qsat.suggest_delta_general(ps, args.epsilon, oracle=oracle,
                                             graph=graph)}
+        if args.t:
+            # the order and graph reported are then qsat-general --mode
+            # detectability's, on the product graph
+            problem = qsat.detectability_problem(ps, graph, coloring, args.t,
+                                                 args.delta)
+            graph = problem.graph
+            checks += problem.checks
     elif kind == "weights":
         _reject_coloring(args, "check on a weights-spec")
         graph, oracle, _ = parsed
@@ -416,7 +439,7 @@ def _run_check(args) -> dict:
 
 
 def _run_oracle(args) -> dict:
-    from . import oracles
+    from . import formats, oracles
 
     cmd = args.oracle_command
     budget = oracles.OracleBudget.from_env()

@@ -17,8 +17,6 @@ import functools
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter
@@ -546,6 +544,10 @@ def _converted_weights(oracle: WeightOracle, polymers: Sequence[Polymer],
     # min(threads, len(polymers)) threads without the cpu_count cap.
     workers = min(threads, os.cpu_count() or 1, len(polymers))
     if workers > 1:
+        # concurrent.futures loads logging; a single-threaded call needs
+        # neither
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(oracle.weight, polymers))
     weight = oracle.weight
@@ -630,17 +632,18 @@ class _Roots:
             found: dict[int, list] = {}
             for violation in report.violations:
                 found.setdefault(violation[0][0], []).append(violation)
-            report.violations = []
+            violations = []
             for root, part in enumerate(self.roots):
                 if part.root == root:
-                    report.violations += found.get(root, [])
+                    violations += found.get(root, [])
                 elif part.root in found:
                     own = _converted_weights(oracle, sorted(
                         enumerate_connected_subgraphs(g, m, [root])),
                         self.threads)
-                    report.violations += check_weight_condition(
+                    violations += check_weight_condition(
                         g, oracle, m, delta, max_degree=max_degree,
                         weights=own).violations
+            report = report._replace(violations=violations)
         return report
 
     def expansion(self, exact: bool = False) -> tuple[Fraction | complex, int]:
@@ -763,8 +766,7 @@ def capped_truncation_order(graph_order: int, max_degree: int, delta: float,
     return m
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     """One hypothesis check; margin >= 0 iff the check passed."""
 
     name: str
@@ -773,8 +775,7 @@ class ConditionCheck:
     detail: str
 
 
-@dataclass
-class Problem:
+class Problem(NamedTuple):
     """A polymer model, its hypothesis checks, their certified delta, chi."""
 
     graph: DependencyGraph
@@ -792,8 +793,7 @@ def require(checks: Sequence[ConditionCheck], force: bool) -> None:
             f"{failed[0].name} fails: {failed[0].detail}", checks)
 
 
-@dataclass
-class WeightConditionReport:
+class WeightConditionReport(NamedTuple):
     """Observed per-size weight decay against the required threshold."""
 
     delta: float
@@ -855,8 +855,7 @@ def check_weight_condition(g: DependencyGraph, oracle: WeightOracle, m: int,
     return WeightConditionReport(delta, dmax, eta, m, max_root, worst, violations)
 
 
-@dataclass
-class ApproxResult:
+class ApproxResult(NamedTuple):
     """Approximate value with its certified error provenance."""
 
     value: complex
@@ -868,7 +867,7 @@ class ApproxResult:
     graph_order: int
     max_degree: int
     condition_report: WeightConditionReport | None
-    checks: list[ConditionCheck] = field(default_factory=list)
+    checks: Sequence[ConditionCheck] = ()
     forced: bool = False
     cluster_count: int = 0
     elapsed: float = 0.0

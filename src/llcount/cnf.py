@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .clusters import (ApproxResult, ConditionCheck, Problem, WeightOracle,
                        approx_partition_function, holder_delta,
@@ -23,21 +22,24 @@ from .graphs import (Coloring, DependencyGraph, greedy_coloring,
                      intersection_graph)
 
 
-@dataclass(frozen=True)
 class CnfFormula:
     """CNF over variables 1..variable_count with DIMACS-style signed literals.
 
     Each clause is a tuple of nonzero ints with pairwise distinct variables;
     construction raises ValueError otherwise, or for a literal whose
-    variable lies outside 1..variable_count.
+    variable lies outside 1..variable_count.  Formulas compare and hash by
+    value.
     """
 
-    variable_count: int
-    clauses: tuple[tuple[int, ...], ...]
+    __slots__ = ("variable_count", "clauses", "_forcings")
 
-    def __post_init__(self) -> None:
-        n = self.variable_count
-        for i, c in enumerate(self.clauses):
+    def __init__(self, variable_count: int,
+                 clauses: tuple[tuple[int, ...], ...]) -> None:
+        self.variable_count = variable_count
+        self.clauses = clauses
+        self._forcings = None
+        n = variable_count
+        for i, c in enumerate(clauses):
             variables = set(map(abs, c))
             if len(variables) != len(c):
                 v = next(abs(lit) for j, lit in enumerate(c)
@@ -47,6 +49,19 @@ class CnfFormula:
                 v = 0 if 0 in variables else max(variables)
                 raise ValueError(
                     f"clause {i}: variable {v} outside 1..{n}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.variable_count == other.variable_count
+                and self.clauses == other.clauses)
+
+    def __hash__(self) -> int:
+        return hash((self.variable_count, self.clauses))
+
+    def __repr__(self) -> str:
+        return (f"CnfFormula(variable_count={self.variable_count!r}, "
+                f"clauses={self.clauses!r})")
 
     @property
     def clause_count(self) -> int:
@@ -62,20 +77,23 @@ class CnfFormula:
     def min_width(self) -> int | None:
         return min((len(c) for c in self.clauses), default=None)
 
-    @functools.cached_property
+    @property
     def forcings(self) -> tuple[tuple[int, int, int], ...]:
         """Per clause, (offset, mask, pattern): ``clause_forcing`` shifted right
         by offset = smallest variable - 1, so no int built is n bits wide.
+        Built on first use.
 
         The clause's variables are renumbered by the offset before
         ``clause_forcing`` sees them, which builds the shifted masks directly.
         """
-        out = []
-        for c in self.clauses:
-            offset = min((abs(lit) for lit in c), default=1) - 1
-            out.append((offset, *clause_forcing(
-                [lit - offset if lit > 0 else lit + offset for lit in c])))
-        return tuple(out)
+        if self._forcings is None:
+            out = []
+            for c in self.clauses:
+                offset = min((abs(lit) for lit in c), default=1) - 1
+                out.append((offset, *clause_forcing(
+                    [lit - offset if lit > 0 else lit + offset for lit in c])))
+            self._forcings = tuple(out)
+        return self._forcings
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -159,10 +177,11 @@ def parse_dimacs(text: str) -> CnfFormula:
     if declared_clauses is not None and declared_clauses != len(clauses):
         raise SpecParseError(f"header declares {declared_clauses} clauses, "
                              f"found {len(clauses)}")
-    # each clause was checked as it closed: skip __post_init__'s second pass
+    # each clause was checked as it closed: skip __init__'s second pass
     formula = object.__new__(CnfFormula)
-    object.__setattr__(formula, "variable_count", n)
-    object.__setattr__(formula, "clauses", tuple(clauses))
+    formula.variable_count = n
+    formula.clauses = tuple(clauses)
+    formula._forcings = None
     return formula
 
 
@@ -202,10 +221,11 @@ def clause_forcing(clause: Sequence[int]) -> tuple[int, int]:
 def _forced_bits(f: CnfFormula, clause_indices: Sequence[int]) -> int | None:
     """How many variables falsifying all listed clauses forces, or None when
     no assignment falsifies them all."""
-    base = min((f.forcings[i][0] for i in clause_indices), default=0)
+    forcings = f.forcings
+    base = min((forcings[i][0] for i in clause_indices), default=0)
     mask = pattern = 0
     for i in clause_indices:
-        offset, cm, cp = f.forcings[i]
+        offset, cm, cp = forcings[i]
         cm <<= offset - base
         cp <<= offset - base
         if (mask & cm) & (pattern ^ cp):
@@ -229,7 +249,8 @@ def cnf_local_key(f: CnfFormula, clause_indices: Sequence[int]
     clashes and the same variable count on both, hence the same shared
     ``Fraction``.  Literal signs enter only through the clashes.
     """
-    rows = [f.forcings[i] for i in clause_indices]
+    forcings = f.forcings
+    rows = [forcings[i] for i in clause_indices]
     base = min([row[0] for row in rows])
     # each clause's (mask, pattern) over the variables from base + 1 on
     placed = [(mask << (offset - base), pattern << (offset - base))
@@ -291,8 +312,7 @@ class EventTableOracle:
                 f"declared max-size is {self.max_size}") from None
 
 
-@dataclass
-class ProbabilityResult:
+class ProbabilityResult(NamedTuple):
     """Probability of the intersection of all events, with provenance."""
 
     approx: ApproxResult
@@ -384,8 +404,7 @@ def approx_probability_intersection(source, epsilon: float, delta: float, *,
     return ProbabilityResult(approx, approx.real_value(), problem.chi, delta)
 
 
-@dataclass
-class CountResult:
+class CountResult(NamedTuple):
     """Approximate satisfying-assignment count."""
 
     approx: ApproxResult
@@ -401,7 +420,7 @@ def count_problem(f: CnfFormula, graph: DependencyGraph,
     """The k-condition, then ``intersection_problem`` of the clauses."""
     problem = intersection_problem(f, graph, coloring, delta)
     kcheck = k_condition_check(f, delta, graph.max_degree(), problem.chi)
-    return replace(problem, checks=[kcheck] + problem.checks)
+    return problem._replace(checks=[kcheck] + problem.checks)
 
 
 def count_satisfying(f: CnfFormula, epsilon: float, delta: float, *,

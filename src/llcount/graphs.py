@@ -7,8 +7,7 @@ for reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class DependencyGraph:
@@ -132,8 +131,7 @@ def intersection_graph(sets: Sequence[Iterable[Hashable]]) -> DependencyGraph:
     return DependencyGraph(len(adj), adj)
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """A proper coloring: class_of[v] is the color index of vertex v."""
 
     class_of: tuple[int, ...]

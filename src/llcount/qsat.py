@@ -165,6 +165,8 @@ class StabilityReport(WeightConditionReport):
     checked, the rest is assumed.
     """
 
+    __slots__ = ()
+
     def as_check(self) -> ConditionCheck:
         observed = max(self.max_abs_root_by_size.values(), default=0.0)
         detail = (f"max |IE sum|^(1/|U|) = {observed:.6g} vs eta = "
@@ -186,8 +188,8 @@ def stability_check(ps: ProjectorSet, size_cap: int, delta: float, *,
     """
     oracle = general_oracle(ps) if oracle is None else oracle
     graph = support_dependency_graph(ps) if graph is None else graph
-    return StabilityReport(**vars(check_weight_condition(
-        graph, oracle, size_cap, delta)))
+    return StabilityReport._make(check_weight_condition(
+        graph, oracle, size_cap, delta))
 
 
 def approx_dim_general(ps: ProjectorSet, epsilon: float, delta: float, *,

@@ -99,6 +99,33 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "repeated" in err
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["count-sat"], "usage: llcount count-sat"),
+    (["check", "f.cnf", "--threads", "two"], "usage: llcount check"),
+    (["count-sat", "f.cnf", "--format", "xml"], "usage: llcount count-sat"),
+    (["oracle"], "usage: llcount oracle"),
+    (["count"], "usage: llcount"),
+    ([], "usage: llcount"),
+])
+def test_usage_error_exits_3_with_usage(capsys, argv, usage):
+    # argparse's own exit 2 is the hypothesis-violation code
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(usage + " [-h]")
+    assert "error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["count-sat", "-h"],
+                                  ["oracle", "dim", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: llcount")
+
+
 def test_resource_cap_exit_code(tmp_path, capsys):
     path = tmp_path / "big.cnf"
     clauses = "\n".join(f"{i + 1} 0" for i in range(27))

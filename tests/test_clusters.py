@@ -294,7 +294,10 @@ def test_weight_decay_threshold_value():
 
 def test_weight_threads_capped_by_cpu_count_and_polymer_count(monkeypatch):
     # A fake pool records the thread count it is asked for, so a huge
-    # --threads value is tested without starting those threads.
+    # --threads value is tested without starting those threads.  The engine
+    # imports the pool from concurrent.futures where it starts one.
+    import concurrent.futures
+
     import llcount.clusters as clusters
 
     requested = []
@@ -312,7 +315,8 @@ def test_weight_threads_capped_by_cpu_count_and_polymer_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(clusters, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingPool)
 
     def run(cpus):
         monkeypatch.setattr(clusters.os, "cpu_count", lambda: cpus)

@@ -168,6 +168,26 @@ def test_check_detectability_matches_qsat_general(tmp_path, capsys, family, t):
     assert check_conds[name] == run_conds[name]
 
 
+@pytest.mark.parametrize("epsilon", ["0.1", "0.01"])
+def test_check_t_chooses_the_detectability_order(tmp_path, capsys, epsilon):
+    # one 7-qubit rank-1 projector: at epsilon 0.01 the t=2 product graph
+    # needs order 15, past the cap, where the commuting problem needs 2
+    ps = single_fat_projector(random.Random(11), qubits=7)
+    path = _write(tmp_path, "p.spec", format_projector_spec(ps))
+    flags = ["--t", "2", "--epsilon", epsilon]
+    check_code, check, _ = _call(capsys, ["check", path] + flags)
+    run_code, run, _ = _call(capsys, ["qsat-general", path, "--mode",
+                                      "detectability", "--lambda-star", "1"]
+                             + flags)
+    assert check_code == run_code == (0 if epsilon == "0.1" else 4)
+    if run_code == 4:
+        assert check["error"] == run["error"] == (
+            "truncation order 15 exceeds cap 14; increase delta or epsilon")
+    else:
+        for key in ("m", "delta_used", "graph_order", "max_degree", "chi"):
+            assert check[key] == run[key], key
+
+
 @pytest.mark.parametrize("scale", [0.001, 0.05])
 def test_check_weights_spec_matches_polymer_z(tmp_path, capsys, scale):
     g = build_graph(3, [(0, 1), (1, 2)])

@@ -1,5 +1,6 @@
 """Start-up footprint: the CNF and table commands never load numpy or the
-projector stack, and the package's exports still resolve lazily."""
+projector stack, the CNF commands load no dataclasses, thread pool or spec
+parser, and the package's exports still resolve lazily."""
 
 import json
 import os
@@ -15,6 +16,10 @@ import llcount.projectors
 import llcount.qsat
 
 HEAVY = ("numpy", "llcount.projectors", "llcount.qsat", "llcount.oracles")
+# what a CNF command does not run: record classes, the --threads pool, the
+# spec parser
+LIGHT = ("dataclasses", "inspect", "concurrent.futures", "logging",
+         "llcount.formats")
 
 EXPORTS = {
     "AffineResult", "ApproxResult", "Cluster", "CnfFormula", "Coloring",
@@ -45,9 +50,12 @@ TABLE = "vertices 3\nedges 2\n0 1\n1 2\nmax-size 3\n"
 KEYS = ("0", "1", "2", "0,1", "1,2", "0,1,2")
 
 SCRIPT = """
-import contextlib, io, json, sys
-heavy = {heavy!r}
-loaded = lambda: sorted(m for m in heavy if m in sys.modules)
+import sys
+before = set(sys.modules)
+import contextlib, io, json
+watched = {watched!r}
+loaded = lambda: sorted(m for m in watched
+                        if m in sys.modules and m not in before)
 import llcount.cli
 steps = [loaded()]
 for argv in {calls!r}:
@@ -58,8 +66,20 @@ print(json.dumps(steps))
 """
 
 
-def _src() -> str:
-    return str(Path(llcount.__file__).resolve().parent.parent)
+def _footprint(tmp_path, watched, calls):
+    """Run ``llcount.cli.main`` on each argv of ``calls`` in a fresh process:
+    the ``watched`` modules newly loaded by ``import llcount.cli``, then
+    (argv, exit code, newly loaded) after each call."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(llcount.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT.format(watched=watched, calls=calls)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
+    after_import, *steps = json.loads(proc.stdout)
+    assert [argv for argv, _, _ in steps] == calls
+    for argv, code, _ in steps:
+        assert code == 0, (argv, proc.stderr)
+    return after_import, [loaded for _, _, loaded in steps]
 
 
 def _write_inputs(tmp_path):
@@ -81,16 +101,22 @@ def test_cnf_and_table_commands_load_no_numpy(tmp_path):
              ["prob-intersection", events], ["check", events],
              ["polymer-z", weights, "--delta", "0.5"],
              ["check", weights, "--delta", "0.5"]]
-    env = dict(os.environ, PYTHONPATH=_src())
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT.format(heavy=HEAVY, calls=calls)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
-    after_import, *steps = json.loads(proc.stdout)
+    after_import, steps = _footprint(tmp_path, HEAVY, calls)
     assert after_import == []
-    assert [argv for argv, _, _ in steps] == calls
-    for argv, code, loaded in steps:
-        assert code == 0, (argv, proc.stderr)
-        assert loaded == [], argv
+    assert steps == [[]] * len(calls)
+
+
+def test_cnf_commands_load_no_dataclasses_pool_or_spec_parser(tmp_path):
+    cnf, events, weights = _write_inputs(tmp_path)
+    cnf_calls = [["count-sat", cnf], ["check", cnf],
+                 ["prob-intersection", cnf]]
+    table_calls = [["prob-intersection", events], ["check", events],
+                   ["polymer-z", weights, "--delta", "0.5"],
+                   ["check", weights, "--delta", "0.5"]]
+    after_import, steps = _footprint(tmp_path, LIGHT, cnf_calls + table_calls)
+    assert after_import == []
+    assert steps == ([[]] * len(cnf_calls)
+                     + [["llcount.formats"]] * len(table_calls))
 
 
 def test_projector_commands_still_load_the_projector_stack(tmp_path):
@@ -98,14 +124,8 @@ def test_projector_commands_still_load_the_projector_stack(tmp_path):
     path.write_text("d 2\nqudits 2\nprojector\nsupport 0 1\nmatrix\n"
                     "1 0  0 0  0 0  0 0\n" + "0 0  0 0  0 0  0 0\n" * 3
                     + "end\n")
-    env = dict(os.environ, PYTHONPATH=_src())
-    calls = [["qsat-commuting", str(path)]]
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT.format(heavy=HEAVY, calls=calls)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
-    (_, code, loaded), = json.loads(proc.stdout)[1:]
-    assert code == 0
-    assert loaded == sorted(HEAVY)
+    _, steps = _footprint(tmp_path, HEAVY, [["qsat-commuting", str(path)]])
+    assert steps == [sorted(HEAVY)]
 
 
 def test_exports_resolve_lazily():
@@ -129,5 +149,6 @@ def test_projector_names_stay_on_cli_and_formats():
     for name in ("LocalProjector", "ProjectorSet", "validate_projector"):
         assert getattr(llcount.formats, name) is getattr(llcount.projectors,
                                                          name)
+    assert llcount.cli.formats is llcount.formats
     assert llcount.cli.qsat is llcount.qsat
     assert llcount.cli.oracles is llcount.oracles
