@@ -24,7 +24,7 @@ from typing import (Callable, Hashable, Iterable, Iterator, NamedTuple,
                     Sequence)
 
 from .errors import HypothesisViolation, NumericFailure, ResourceCapExceeded
-from .graphs import (DependencyGraph, connected_masks,
+from .graphs import (DependencyGraph, ball_sets, connected_masks,
                      enumerate_connected_subgraphs, induced_masks, mask_bits,
                      root_ball)
 
@@ -44,7 +44,7 @@ def incompatible(a: Polymer, b: Polymer, g: DependencyGraph) -> bool:
     if sa.intersection(b):
         return True
     for v in b:
-        if g.neighbor_set(v) & sa:
+        if not sa.isdisjoint(g.neighbors(v)):
             return True
     return False
 
@@ -572,15 +572,15 @@ class _RootPart:
 class _Roots:
     """One call's truncated expansion and decay check, split by root.
 
-    A root's part (see ``_RootPart``) lies in the root's ball, the vertices
-    ``enumerate_connected_subgraphs`` grows the root's sets in: every
-    polymer of a cluster lies in the cluster's union.  So the part depends
-    only on m, the ball's adjacency masks and the weights of the sets of
-    ball positions.  Under an oracle's ``local_key`` contract, a root whose
-    (masks, key) pair an earlier root of the call had reuses that root's
-    part, and nothing of it is enumerated, weighed or summed again; without
-    a key every root's part is its own.  Each computed root sums its part
-    from one ``enumerate_clusters`` call over its sets.  Shares add exactly:
+    A root's part (see ``_RootPart``) lies in the root's ball (see
+    ``graphs.root_ball``), built once per root: every polymer of a cluster
+    lies in the cluster's union.  So the part depends only on m, the ball's
+    adjacency masks and the weights of the sets of ball positions.  Under an
+    oracle's ``local_key`` contract, a root whose (masks, key) pair an
+    earlier root of the call had reuses that root's part, and nothing of it
+    is enumerated, weighed or summed again; without a key every root's part
+    is its own.  Each computed root sums its part from one
+    ``enumerate_clusters`` call over its sets.  Shares add exactly:
     a float share keeps its terms (``_float_share``), which one
     ``math.fsum`` adds and rounds once at the end; an exact share is its
     (numerator, denominator) pair.  So the sum does not depend on the order
@@ -593,26 +593,19 @@ class _Roots:
         local_key = oracle.local_key
         # per root, ascending: its part; the parts in order of their first
         # root, which computes it
-        self.roots, self.parts, computed, seen = [], [], [], {}
+        self.roots, self.parts, polymers, seen = [], [], [], {}
         for root in g.vertices():
-            if local_key is None:
-                key = root
-            else:
-                ball = root_ball(g, root, m)
-                key = tuple(induced_masks(g, ball)), local_key(ball)
+            ball = root_ball(g, root, m)
+            masks = induced_masks(g, ball)
+            key = root if local_key is None else (tuple(masks), local_key(ball))
             part = seen.get(key)
             if part is None:
                 part = seen[key] = _RootPart(root)
+                part.polymers = sorted(ball_sets(ball, masks, m))
+                polymers += part.polymers  # sorted: each set starts at its root
                 self.parts.append(part)
-                computed.append(root)
             self.roots.append(part)
-        # the sets of the computed roots, enumerated once; each root has its
-        # singleton, so groups and parts pair up in ascending root order
-        self.polymers = sorted(enumerate_connected_subgraphs(g, m, computed))
-        self.weights = _converted_weights(oracle, self.polymers, threads)
-        for part, (_, group) in zip(self.parts,
-                                    groupby(self.polymers, itemgetter(0))):
-            part.polymers = list(group)
+        self.weights = _converted_weights(oracle, polymers, threads)
 
     def report(self, delta: float, max_degree: int) -> WeightConditionReport:
         """The weight-decay check of every polymer of order <= m, as a scan
@@ -637,8 +630,9 @@ class _Roots:
                 if part.root == root:
                     violations += found.get(root, [])
                 elif part.root in found:
+                    ball = root_ball(g, root, m)
                     own = _converted_weights(oracle, sorted(
-                        enumerate_connected_subgraphs(g, m, [root])),
+                        ball_sets(ball, induced_masks(g, ball), m)),
                         self.threads)
                     violations += check_weight_condition(
                         g, oracle, m, delta, max_degree=max_degree,

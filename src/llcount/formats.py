@@ -43,7 +43,7 @@ from ._lazy import lazy_getattr
 from .clusters import WeightOracle
 from .cnf import EventTableOracle
 from .errors import SpecParseError
-from .graphs import (Coloring, DependencyGraph, build_graph,
+from .graphs import (Coloring, DependencyGraph, build_graph, check_edge,
                      enumerate_connected_subgraphs)
 
 # numpy and the projector module load with the first projector spec; the
@@ -100,7 +100,7 @@ def parse_edge_list(text: str) -> DependencyGraph:
         u = _int(parts[0], lineno, "endpoint")
         v = _int(parts[1], lineno, "endpoint")
         try:
-            build_graph(n, [(u, v)])
+            check_edge(n, u, v)
         except ValueError as exc:
             raise SpecParseError(str(exc), lineno) from None
         edges.append((u, v))

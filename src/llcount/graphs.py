@@ -1,8 +1,7 @@
 """Finite simple graphs plus the enumeration, coloring and product primitives
 that the polymer-model machinery is built on.
 
-Vertices are dense integer indices 0..n-1; optional labels are carried only
-for reporting.
+Vertices are dense integer indices 0..n-1.
 """
 
 from __future__ import annotations
@@ -17,16 +16,14 @@ class DependencyGraph:
     symmetric and loop-free on construction.
     """
 
-    __slots__ = ("vertex_count", "_adj", "_nbr", "labels")
+    __slots__ = ("vertex_count", "_adj")
 
-    def __init__(self, vertex_count: int, adjacency: Sequence[Iterable[int]],
-                 labels: Sequence | None = None):
+    def __init__(self, vertex_count: int, adjacency: Sequence[Iterable[int]]):
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         rows = [tuple(sorted(row)) for row in adjacency]
         if len(rows) != vertex_count:
             raise ValueError("adjacency length does not match vertex_count")
-        nbr = [frozenset(row) for row in rows]
         for v, row in enumerate(rows):
             # whole-row tests, in the order a scan of the sorted row meets the
             # faults: a negative neighbour lies before v, one past the end
@@ -35,23 +32,26 @@ class DependencyGraph:
                 continue
             if row[0] < 0:
                 raise ValueError(f"neighbor {row[0]} of vertex {v} out of range")
-            if v in nbr[v]:
+            if v in row:
                 raise ValueError(f"self-loop at vertex {v}")
             if row[-1] >= vertex_count:
                 w = next(w for w in row if w >= vertex_count)
                 raise ValueError(f"neighbor {w} of vertex {v} out of range")
-            if len(nbr[v]) != len(row):
+            if len(set(row)) != len(row):
                 raise ValueError(f"duplicate neighbor in adjacency of vertex {v}")
+        # the vertices that look for themselves in a row come in ascending
+        # order, so each search of a row goes on from where the last ended
+        start = [0] * vertex_count
         for v, row in enumerate(rows):
             for w in row:
-                if v not in nbr[w]:
+                back, i = rows[w], start[w]
+                while i < len(back) and back[i] < v:
+                    i += 1
+                if i == len(back) or back[i] != v:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
-        if labels is not None and len(labels) != vertex_count:
-            raise ValueError("labels length does not match vertex_count")
+                start[w] = i + 1
         self.vertex_count = vertex_count
         self._adj = tuple(rows)
-        self._nbr = tuple(nbr)
-        self.labels = tuple(labels) if labels is not None else None
 
     def vertices(self) -> range:
         return range(self.vertex_count)
@@ -59,19 +59,10 @@ class DependencyGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._nbr[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def max_degree(self) -> int:
         if self.vertex_count == 0:
             return 0
         return max(len(row) for row in self._adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbr[u]
 
     def edge_count(self) -> int:
         return sum(len(row) for row in self._adj) // 2
@@ -86,21 +77,25 @@ class DependencyGraph:
         return f"DependencyGraph(n={self.vertex_count}, m={self.edge_count()})"
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]],
-                labels: Sequence | None = None) -> DependencyGraph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> DependencyGraph:
     """Build a graph from an edge list, deduplicating repeated edges.
 
     Raises ValueError for out-of-range endpoints or self-loops.
     """
     adj = [set() for _ in range(n)]
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) has an endpoint out of range [0, {n})")
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v})")
+        check_edge(n, u, v)
         adj[u].add(v)
         adj[v].add(u)
-    return DependencyGraph(n, adj, labels)
+    return DependencyGraph(n, adj)
+
+
+def check_edge(n: int, u: int, v: int) -> None:
+    """Raise ValueError unless (u, v) joins two distinct vertices of 0..n-1."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) has an endpoint out of range [0, {n})")
+    if u == v:
+        raise ValueError(f"self-loop ({u}, {v})")
 
 
 def support_dependency_graph(ps) -> DependencyGraph:
@@ -177,39 +172,39 @@ def strong_product_with_complete(g: DependencyGraph, t: int) -> DependencyGraph:
         raise ValueError("t must be a positive integer")
     n = g.vertex_count
     adj = []
-    labels = []
     for v in range(n):
-        base_label = g.labels[v] if g.labels is not None else v
         for tau in range(t):
             row = [v * t + s for s in range(t) if s != tau]
             for u in g.neighbors(v):
                 row.extend(u * t + s for s in range(t))
             adj.append(row)
-            labels.append((base_label, tau))
-    return DependencyGraph(n * t, adj, labels)
+    return DependencyGraph(n * t, adj)
 
 
-def enumerate_connected_subgraphs(g: DependencyGraph, m: int,
-                                  roots: Iterable[int] | None = None
+def enumerate_connected_subgraphs(g: DependencyGraph, m: int
                                   ) -> Iterator[tuple[int, ...]]:
     """Yield every connected induced subgraph of order 1..m exactly once.
 
     Subgraphs are identified by their sorted vertex tuple.  Enumeration grows
     rooted sets from each vertex, with vertices below the root forbidden so
     each set is emitted only from its smallest vertex.  The order of emission
-    is deterministic (DFS, ascending extensions).  Given ``roots``, only the
-    sets whose smallest vertex is among them are yielded, root by root.
-
-    A root's sets are grown on bitmasks over its ball (see ``root_ball``), so
-    bit 0 is the root and ascending bits are ascending vertices.  The cost
+    is deterministic (DFS, ascending extensions), root by root.  The cost
     per root is its ball plus the sets it emits.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    for root in g.vertices() if roots is None else roots:
+    for root in g.vertices():
         ball = root_ball(g, root, m)
-        for subset in connected_masks(induced_masks(g, ball), m, 0):
-            yield tuple([ball[i] for i in mask_bits(subset)])
+        yield from ball_sets(ball, induced_masks(g, ball), m)
+
+
+def ball_sets(ball: Sequence[int], masks: Sequence[int], m: int
+              ) -> Iterator[tuple[int, ...]]:
+    """The connected sets of order <= m with smallest vertex ``ball[0]``, as
+    sorted tuples grown lazily on bitmasks over the root's ``root_ball`` and
+    its ``induced_masks``, in the order of ``enumerate_connected_subgraphs``."""
+    return (tuple([ball[i] for i in mask_bits(subset)])
+            for subset in connected_masks(masks, m, 0))
 
 
 def root_ball(g: DependencyGraph, root: int, m: int) -> list[int]:

@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cnf import CnfFormula, EventTableOracle, clause_forcing
-from .errors import ResourceCapExceeded
+from .errors import ResourceCapExceeded, SpecParseError
 from .graphs import Coloring, DependencyGraph
-from .projectors import ProjectorSet
+from .projectors import DEFAULT_DENSE_CAP, ProjectorSet
 
 _ENV_PREFIX = "LLCOUNT_MAX_"
 
@@ -30,18 +30,28 @@ class OracleBudget:
 
     max_events: int = 20
     max_variables: int = 26
-    max_dense_dim: int = 2 ** 14
+    max_dense_dim: int = DEFAULT_DENSE_CAP
     max_polymer_model_vertices: int = 16
     max_ursell_edges: int = 20
 
     @classmethod
     def from_env(cls) -> "OracleBudget":
+        """The caps, with each set ``LLCOUNT_MAX_*`` variable in place of its
+        default; one that is not a positive integer raises SpecParseError."""
         kwargs = {}
         for field_name in ("events", "variables", "dense_dim",
                            "polymer_model_vertices", "ursell_edges"):
-            raw = os.environ.get(_ENV_PREFIX + field_name.upper())
+            name = _ENV_PREFIX + field_name.upper()
+            raw = os.environ.get(name)
             if raw is not None:
-                kwargs["max_" + field_name] = int(raw)
+                try:
+                    value = int(raw)
+                except ValueError:
+                    value = 0
+                if value < 1:
+                    raise SpecParseError(
+                        f"{name} must be a positive integer, got {raw!r}")
+                kwargs["max_" + field_name] = value
         return cls(**kwargs)
 
 

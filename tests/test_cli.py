@@ -286,6 +286,33 @@ def test_dense_cap_below_one_is_rejected(tmp_path, capsys, command, cap):
     assert "--dense-cap" in err
 
 
+@pytest.mark.parametrize("command", ["qsat-commuting", "check"])
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5", ""])
+def test_dense_cap_from_environment_must_be_a_positive_integer(
+        tmp_path, capsys, monkeypatch, command, value):
+    monkeypatch.setenv("LLCOUNT_MAX_DENSE_DIM", value)
+    code, _, err = _run(capsys, [command, _pair_spec(tmp_path),
+                                 "--format", "jsonl"])
+    assert code == 3
+    assert "LLCOUNT_MAX_DENSE_DIM must be a positive integer" in err
+
+
+def test_oracle_caps_from_environment_must_be_positive_integers(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p3.txt"
+    path.write_text("3 2\n0 1\n1 2\n")
+    monkeypatch.setenv("LLCOUNT_MAX_URSELL_EDGES", "-1")
+    code, _, err = _run(capsys, ["oracle", "ursell", str(path),
+                                 "--format", "jsonl"])
+    assert code == 3
+    assert "LLCOUNT_MAX_URSELL_EDGES must be a positive integer" in err
+    monkeypatch.setenv("LLCOUNT_MAX_URSELL_EDGES", "1")
+    code, _, err = _run(capsys, ["oracle", "ursell", str(path),
+                                 "--format", "jsonl"])
+    assert code == 4
+    assert "exceeds Ursell brute-force cap 1" in err
+
+
 def test_check_validates_each_projector_once(tmp_path, capsys, monkeypatch):
     import llcount.formats
     import llcount.projectors

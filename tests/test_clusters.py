@@ -354,20 +354,27 @@ def test_cluster_is_a_named_tuple():
     assert len(set(emitted)) == len(emitted)
 
 
+@pytest.mark.parametrize("local_key", [None, lambda ball: 0],
+                         ids=["unkeyed", "keyed"])
 @pytest.mark.parametrize("run", [
-    lambda oracle: approx_partition_function(P3, oracle, 0.5, 1.0),
-    lambda oracle: truncated_expansion(P3, oracle, 3),
-])
-def test_connected_sets_are_enumerated_once_per_call(monkeypatch, run):
-    from llcount import clusters
+    lambda g, oracle: approx_partition_function(g, oracle, 0.5, 1.0),
+    lambda g, oracle: truncated_expansion(g, oracle, 2),
+], ids=["approx", "truncated"])
+def test_each_root_ball_is_built_once_per_call(monkeypatch, run, local_key):
+    from llcount import clusters, graphs
 
     calls = []
+    original = graphs.root_ball
 
-    def counting(g, m, roots=None):
-        calls.append(m)
-        return enumerate_connected_subgraphs(g, m, roots)
+    def counting(g, root, m):
+        calls.append(root)
+        return original(g, root, m)
 
-    monkeypatch.setattr(clusters, "enumerate_connected_subgraphs", counting)
-    oracle = WeightOracle(lambda p: 0.01 ** len(p))
-    run(oracle)
-    assert len(calls) == 1
+    monkeypatch.setattr(graphs, "root_ball", counting)
+    monkeypatch.setattr(clusters, "root_ball", counting)
+    # the weight depends on the size alone, so every ball may share one key
+    # and the inner roots of the path reuse the first root's part
+    oracle = WeightOracle(lambda p: 0.01 ** len(p), local_key)
+    path = build_graph(6, [(v, v + 1) for v in range(5)])
+    run(path, oracle)
+    assert sorted(calls) == list(path.vertices())

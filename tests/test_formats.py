@@ -38,6 +38,51 @@ def test_edge_list_errors():
         parse_edge_list("2 2\n0 1\n")  # declared 2 edges, found 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty graph file"),
+    ("# comment\n3\n", "line 2: header must be 'n m'"),
+    ("3 x\n", "line 1: expected integer edge count, got 'x'"),
+    ("3 1\n0 1 2\n", "line 2: edge line must be 'u v'"),
+    ("3 1\n0 y\n", "line 2: expected integer endpoint, got 'y'"),
+    ("3 2\n0 1\n1 3\n",
+     "line 3: edge (1, 3) has an endpoint out of range [0, 3)"),
+    ("3 2\n0 1\n\n-1 2\n",
+     "line 4: edge (-1, 2) has an endpoint out of range [0, 3)"),
+    ("3 2\n0 1\n2 2\n", "line 3: self-loop (2, 2)"),
+    # an endpoint is checked on its own line, before later lines are read
+    ("3 2\n0 5\nx\n",
+     "line 2: edge (0, 5) has an endpoint out of range [0, 3)"),
+    ("3 2\n0 1\n", "header declares 2 edges, found 1"),
+    ("3 1\n0 1\n1 2\n", "header declares 1 edges, found 2"),
+])
+def test_edge_list_error_messages(text, message):
+    with pytest.raises(SpecParseError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+
+
+def test_long_edge_list_builds_its_graph_once(monkeypatch):
+    import llcount.formats
+
+    calls = []
+
+    def counting(n, edges):
+        calls.append(n)
+        return build_graph(n, edges)
+
+    monkeypatch.setattr(llcount.formats, "build_graph", counting)
+    n = 4000
+    path = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+    g = parse_edge_list(path)
+    assert (g.vertex_count, g.edge_count(), g.max_degree()) == (n, n - 1, 2)
+    assert calls == [n]
+    with pytest.raises(SpecParseError) as err:
+        parse_edge_list(path + f"{n - 1} {n}\n")
+    assert str(err.value) == (
+        f"line {n + 1}: edge ({n - 1}, {n}) has an endpoint out of range "
+        f"[0, {n})")
+
+
 def test_projector_spec_roundtrip():
     rng = random.Random(1)
     ps = overlapping_pair(rng, 8, 7, 1, conjugated=True)

@@ -227,6 +227,16 @@ def _validation_error(n, adjacency):
     ([[1], [], [4, 0]], "neighbor 4 of vertex 2 out of range"),
     ([[2, 1], [], [0]], "asymmetric adjacency between 0 and 1"),
     ([[], [2], [0]], "asymmetric adjacency between 1 and 2"),
+    # long rows: a star with 100 leaves, and a vertex adjacent to all
+    ([list(range(1, 101))] + [[0]] * 99 + [[]],
+     "asymmetric adjacency between 0 and 100"),
+    ([list(range(1, 101)) + [100]] + [[0]] * 100,
+     "duplicate neighbor in adjacency of vertex 0"),
+    ([list(range(1, 102))] + [[0]] * 100,
+     "neighbor 101 of vertex 0 out of range"),
+    ([[]] * 50 + [list(range(101))] + [[]] * 50, "self-loop at vertex 50"),
+    ([[w for w in range(1, 101) if w != 50]] + [[0]] * 100,
+     "asymmetric adjacency between 50 and 0"),
 ])
 def test_invalid_adjacency_reports_the_first_failed_check(adjacency, message):
     n = len(adjacency)
