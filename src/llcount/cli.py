@@ -62,15 +62,6 @@ def _sniff(text: str) -> str:
     return "unknown"
 
 
-def _load_table_spec(text: str):
-    from . import formats
-
-    # events-spec and weights-spec share a grammar; distinguish by keyword.
-    if any(line.split()[0] == "weight" for _, line in formats._lines(text)):
-        return "weights", formats.parse_weights_spec(text)
-    return "events", formats.parse_events_spec(text)
-
-
 def _conditions_json(checks) -> list[dict]:
     return [{"name": c.name, "passed": c.passed, "margin": c.margin,
              "detail": c.detail} for c in checks]
@@ -121,31 +112,94 @@ def _emit(report: dict, fmt: str, stream=None) -> None:
             stream.write(f"{key:>20}: {report[key]}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=0.1,
-                   help="target relative error in (0, 1]")
-    p.add_argument("--delta", type=float, default=0.1,
-                   help="decay-margin parameter of the hypotheses")
-    p.add_argument("--force", action="store_true",
-                   help="compute even when a checked hypothesis fails "
-                        "(no error certificate)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for weight evaluation")
-    p.add_argument("--coloring", metavar="PATH",
-                   help="optional proper-coloring file (v c lines)")
-    p.add_argument("--format", choices=("human", "jsonl"), default="human")
-    p.add_argument("--dense-cap", type=int, default=None,
-                   help="cap on dense operator dimension per evaluation")
+# Every flag of every command, written once: its add_argument keywords.  The
+# flags that some mode or input kind of a command does not read (_UNREAD)
+# default to None, so a run can tell that they were given.
+_FLAGS = {
+    "--epsilon": dict(type=float, default=0.1,
+                      help="target relative error in (0, 1]"),
+    "--delta": dict(type=float, default=0.1,
+                    help="decay-margin parameter of the hypotheses"),
+    "--force": dict(action="store_true", help="compute even when a checked "
+                    "hypothesis fails (no error certificate)"),
+    "--threads": dict(type=int, default=1,
+                      help="worker threads for weight evaluation"),
+    "--coloring": dict(metavar="PATH",
+                       help="optional proper-coloring file (v c lines)"),
+    "--format": dict(choices=("human", "jsonl"), default="human"),
+    "--dense-cap": dict(type=int,
+                        help="cap on dense operator dimension per evaluation"),
+    "--exact-rational": dict(action="store_true", help="exact rational "
+                             "expansion; only the final exp rounds"),
+    "--mode": dict(choices=("stability", "detectability"),
+                   default="stability"),
+    "--t": dict(type=int, help="detectability rounds (default 1)"),
+    "--lambda-star": dict(type=float,
+                          help="certified lower bound on the spectral gap"),
+    "--stability-cap": dict(type=int, help="largest set size the stability "
+                                           "check probes (default 3)"),
+}
+
+_RUN = "--epsilon --delta --force --threads --coloring --format"
+
+# Each command's help line and the flags its runner reads.
+_COMMANDS = {
+    "count-sat": ("approximate #SAT of a DIMACS CNF",
+                  _RUN + " --exact-rational"),
+    "prob-intersection": ("approximate Pr[all events] from a DIMACS CNF or "
+                          "an events-spec", _RUN),
+    "qsat-commuting": ("kernel-intersection dimension, commuting family",
+                       _RUN + " --dense-cap"),
+    "qsat-general": ("kernel-intersection dimension, general family",
+                     _RUN + " --dense-cap --mode --t --lambda-star"),
+    "polymer-z": ("approximate a polymer partition function from a "
+                  "graph+weights spec",
+                  "--epsilon --delta --force --threads --format"),
+    "check": ("hypothesis report only", "--epsilon --delta --coloring "
+              "--format --dense-cap --t --stability-cap"),
+}
+_ORACLES = {
+    "sat-count": ("exhaustive satisfying-assignment count", "--format"),
+    "prob": ("exact inclusion-exclusion probability", "--format"),
+    "dim": ("exact kernel-intersection dimension and gap", "--format"),
+    "detect-trace": ("exact detectability trace", "--format --t"),
+    "polymer-z": ("exact polymer partition function", "--format"),
+    "ursell": ("brute-force Ursell function of an edge-list graph",
+               "--format"),
+}
+
+# The flags that a command takes but one of its modes or input kinds ignores.
+_UNREAD = {
+    ("qsat-general", "stability"): "--coloring --t --lambda-star",
+    ("check", "cnf"): "--t --stability-cap --dense-cap",
+    ("check", "events"): "--t --stability-cap --dense-cap",
+    ("check", "weights"): "--coloring --t --stability-cap --dense-cap",
+}
 
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 3, the parse-error code:
     argparse's own 2 is the hypothesis-violation code.  Subcommand parsers
-    take their parent's class."""
+    take their parent's class, and refuse a flag they do not take with their
+    own usage rather than leave it to the top-level parser."""
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
+def _add_commands(sub, commands: dict) -> None:
+    for name, (help_text, flags) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input")
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,65 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified approximate counting via truncated "
                     "cluster expansions.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count-sat", help="approximate #SAT of a DIMACS CNF")
-    p.add_argument("input")
-    _add_common(p)
-    p.add_argument("--exact-rational", action="store_true",
-                   help="exact rational truncated expansion (CNF weights "
-                        "are dyadic); only the final exp rounds")
-
-    p = sub.add_parser("prob-intersection",
-                       help="approximate Pr[all events] from a DIMACS CNF "
-                            "or an events-spec")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("qsat-commuting",
-                       help="kernel-intersection dimension, commuting family")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("qsat-general",
-                       help="kernel-intersection dimension, general family")
-    p.add_argument("input")
-    _add_common(p)
-    p.add_argument("--mode", choices=("stability", "detectability"),
-                   default="stability")
-    p.add_argument("--t", type=int, default=1,
-                   help="detectability rounds (mode=detectability)")
-    p.add_argument("--lambda-star", type=float, default=None,
-                   help="certified lower bound on the spectral gap")
-
-    p = sub.add_parser("polymer-z",
-                       help="approximate a polymer partition function from "
-                            "a graph+weights spec")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("check", help="hypothesis report only")
-    p.add_argument("input")
-    _add_common(p)
-    p.add_argument("--t", type=int, default=None,
-                   help="also check the detectability rank condition at t, "
-                        "and choose m as qsat-general --mode detectability "
-                        "does")
-    p.add_argument("--stability-cap", type=int, default=3)
-
-    p = sub.add_parser("oracle", help="exact desk-scale oracles")
-    osub = p.add_subparsers(dest="oracle_command", required=True)
-    for name, help_text, extra in (
-            ("sat-count", "exhaustive satisfying-assignment count", ()),
-            ("prob", "exact inclusion-exclusion probability", ()),
-            ("dim", "exact kernel-intersection dimension and gap", ()),
-            ("detect-trace", "exact detectability trace", ("t",)),
-            ("polymer-z", "exact polymer partition function", ()),
-            ("ursell", "brute-force Ursell function of an edge-list graph", ())):
-        op = osub.add_parser(name, help=help_text)
-        op.add_argument("input")
-        op.add_argument("--format", choices=("human", "jsonl"), default="human")
-        if "t" in extra:
-            op.add_argument("--t", type=int, default=1)
+    _add_commands(sub, _COMMANDS)
+    oracle = sub.add_parser("oracle", help="exact desk-scale oracles")
+    _add_commands(oracle.add_subparsers(dest="oracle_command", required=True),
+                  _ORACLES)
     return ap
 
 
@@ -230,10 +229,7 @@ def _load_projectors(text: str, args) -> ProjectorSet:
     from .oracles import OracleBudget
 
     ps = formats.parse_projector_spec(text)
-    cap = getattr(args, "dense_cap", None)
-    if cap is None:
-        cap = OracleBudget.from_env().max_dense_dim
-    ps.dense_cap = cap
+    ps.dense_cap = args.dense_cap or OracleBudget.from_env().max_dense_dim
     return ps
 
 
@@ -258,15 +254,18 @@ def _validation_check(ps: ProjectorSet) -> ConditionCheck:
         f"{worst.spectrum_deviation:.3e}")
 
 
-def _reject_coloring(args, where: str) -> None:
-    if args.coloring:
-        raise SpecParseError(f"--coloring does not apply to {where}")
+def _refuse_unread(args, kind: str, where: str) -> None:
+    """Refuse, naming it, a flag given to a mode or input ``kind`` of the
+    command that does not read it; the error calls that run ``where``."""
+    for flag in _UNREAD.get((args.command, kind), "").split():
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise SpecParseError(f"{flag} does not apply to {where}")
 
 
 def _maybe_coloring(args, graph_of):
     """The ``--coloring`` file parsed against the graph ``graph_of()``, which
     is built only when the flag is given; None without the flag."""
-    if getattr(args, "coloring", None):
+    if args.coloring:
         from . import formats
 
         return formats.parse_coloring(_read(args.coloring), graph_of())
@@ -279,30 +278,34 @@ def _run_count_sat(args) -> dict:
     res = cnfmod.count_satisfying(
         f, args.epsilon, args.delta, coloring=coloring, force=args.force,
         threads=args.threads, exact=args.exact_rational)
-    return {"command": "count-sat", "input": args.input,
-            "value": res.count, "normalized_value": res.probability,
+    return {"value": res.count, "normalized_value": res.probability,
             "absolute_value": res.count, "chi": res.chi_used,
             "variable_count": res.variable_count,
             "delta_requested": res.delta_requested,
             **_approx_fields(res.approx)}
 
 
-def _run_prob_intersection(args) -> dict:
-    text = _read(args.input)
+def _events(text: str, command: str):
+    """The events of a DIMACS CNF or an events-spec, and a function that
+    builds their dependency graph."""
     if _sniff(text) == "cnf":
-        source = cnfmod.parse_dimacs(text)
-        coloring = _maybe_coloring(
-            args, lambda: cnfmod.cnf_dependency_graph(source))
-    else:
-        kind, source = _load_table_spec(text)
-        if kind != "events":
-            raise SpecParseError("prob-intersection needs a CNF or events-spec")
-        coloring = _maybe_coloring(args, lambda: source.graph)
+        f = cnfmod.parse_dimacs(text)
+        return f, lambda: cnfmod.cnf_dependency_graph(f)
+    from . import formats
+
+    kind, source = formats.parse_table_spec(text)
+    if kind != "events":
+        raise SpecParseError(f"{command} needs a CNF or events-spec")
+    return source, lambda: source.graph
+
+
+def _run_prob_intersection(args) -> dict:
+    source, graph_of = _events(_read(args.input), "prob-intersection")
     res = cnfmod.approx_probability_intersection(
-        source, args.epsilon, args.delta, coloring=coloring,
-        force=args.force, threads=args.threads)
-    return {"command": "prob-intersection", "input": args.input,
-            "value": res.probability, "normalized_value": res.probability,
+        source, args.epsilon, args.delta,
+        coloring=_maybe_coloring(args, graph_of), force=args.force,
+        threads=args.threads)
+    return {"value": res.probability, "normalized_value": res.probability,
             "chi": res.chi_used, "delta_requested": res.delta_requested,
             **_approx_fields(res.approx)}
 
@@ -315,13 +318,11 @@ def _run_qsat_commuting(args) -> dict:
         ps, args.epsilon, args.delta,
         coloring=_maybe_coloring(args, lambda: support_dependency_graph(ps)),
         force=args.force, threads=args.threads)
-    return _dim_report("qsat-commuting", args, res, ps)
+    return _dim_report(res, ps)
 
 
-def _dim_report(command: str, args, res: qsat.DimensionResult,
-                ps: ProjectorSet) -> dict:
-    return {"command": command, "input": args.input,
-            "value": res.normalized, "normalized_value": res.normalized,
+def _dim_report(res: qsat.DimensionResult, ps: ProjectorSet) -> dict:
+    return {"value": res.normalized, "normalized_value": res.normalized,
             "absolute_value": res.absolute,
             "log2_absolute_value": res.log2_absolute, "chi": res.chi_used,
             "d": ps.d, "qudit_count": ps.qudit_count,
@@ -332,20 +333,19 @@ def _dim_report(command: str, args, res: qsat.DimensionResult,
 def _run_qsat_general(args) -> dict:
     from . import qsat
 
+    _refuse_unread(args, args.mode, f"qsat-general --mode {args.mode}")
     ps = _load_projectors(_read(args.input), args)
     if args.mode == "stability":
-        _reject_coloring(args, "qsat-general --mode stability")
         res = qsat.approx_dim_general(ps, args.epsilon, args.delta,
                                       force=args.force, threads=args.threads)
-        return _dim_report("qsat-general", args, res, ps)
+        return _dim_report(res, ps)
     params = qsat.DetectabilityParams(
-        t=args.t, epsilon=args.epsilon,
+        t=args.t or 1, epsilon=args.epsilon,
         coloring=_maybe_coloring(args, lambda: support_dependency_graph(ps)),
         lambda_star=args.lambda_star)
     res = qsat.approx_dim_detectability(ps, params, args.delta,
                                         force=args.force, threads=args.threads)
-    return {"command": "qsat-general", "input": args.input,
-            "mode": "detectability", "value": res.z,
+    return {"mode": "detectability", "value": res.z,
             "normalized_value": res.z, "absolute_value": res.absolute_z,
             "log2_absolute_value": res.log2_absolute_z,
             "chi": res.chi_used, "d": ps.d, "qudit_count": ps.qudit_count,
@@ -361,11 +361,9 @@ def _run_polymer_z(args) -> dict:
     from . import formats
 
     graph, oracle, _ = formats.parse_weights_spec(_read(args.input))
-    _reject_coloring(args, "polymer-z")
     approx = approx_partition_function(graph, oracle, args.epsilon, args.delta,
                                        force=args.force, threads=args.threads)
-    return {"command": "polymer-z", "input": args.input,
-            "value": approx.value.real, "value_im": approx.value.imag,
+    return {"value": approx.value.real, "value_im": approx.value.imag,
             "delta_requested": args.delta, **_approx_fields(approx)}
 
 
@@ -374,7 +372,10 @@ def _run_check(args) -> dict:
     text = _read(args.input)
     kind = _sniff(text)
     if kind == "table":
-        kind, parsed = _load_table_spec(text)
+        from . import formats
+
+        kind, parsed = formats.parse_table_spec(text)
+    _refuse_unread(args, kind, f"check on {kind} input")
     problem = None
     if kind == "cnf":
         f = cnfmod.parse_dimacs(text)
@@ -400,7 +401,7 @@ def _run_check(args) -> dict:
         # the one graph
         oracle = qsat.general_oracle(ps)
         checks = [_validation_check(ps), *problem.checks,
-                  qsat.stability_check(ps, args.stability_cap, args.delta,
+                  qsat.stability_check(ps, args.stability_cap or 3, args.delta,
                                        oracle=oracle, graph=graph).as_check()]
         extra = {"suggested_delta":
                  qsat.suggest_delta_general(ps, args.epsilon, oracle=oracle,
@@ -413,7 +414,6 @@ def _run_check(args) -> dict:
             graph = problem.graph
             checks += problem.checks
     elif kind == "weights":
-        _reject_coloring(args, "check on a weights-spec")
         graph, oracle, _ = parsed
         m = capped_truncation_order(graph.vertex_count, graph.max_degree(),
                                     args.delta, args.epsilon)
@@ -431,8 +431,7 @@ def _run_check(args) -> dict:
             extra["m"] = capped_truncation_order(
                 graph.vertex_count, graph.max_degree(), problem.delta_used,
                 args.epsilon)
-    return {"command": "check", "input": args.input,
-            "status": "pass" if all(c.passed for c in checks) else "fail",
+    return {"status": "pass" if all(c.passed for c in checks) else "fail",
             "conditions": _conditions_json(checks),
             "graph_order": graph.vertex_count,
             "max_degree": graph.max_degree(), **extra}
@@ -448,41 +447,31 @@ def _run_oracle(args) -> dict:
         f = cnfmod.parse_dimacs(text)
         value = oracles.brute_force_sat_count(f, budget=budget)
     elif cmd == "prob":
-        if _sniff(text) == "cnf":
-            value = float(oracles.exact_inclusion_exclusion_probability(
-                cnfmod.parse_dimacs(text), budget=budget))
-        else:
-            kind, parsed = _load_table_spec(text)
-            if kind != "events":
-                raise SpecParseError("oracle prob needs a CNF or events-spec")
-            value = oracles.exact_inclusion_exclusion_probability(
-                parsed, budget=budget)
+        value = float(oracles.exact_inclusion_exclusion_probability(
+            _events(text, "oracle prob")[0], budget=budget))
     elif cmd == "dim":
         ps = formats.parse_projector_spec(text)
         exact = oracles.exact_dimension_full_diagonalization(ps, budget=budget)
-        return {"command": "oracle-dim", "input": args.input,
-                "value": exact.normalized_dim,
+        return {"command": "oracle-dim", "value": exact.normalized_dim,
                 "normalized_value": exact.normalized_dim,
                 "absolute_value": exact.absolute_dim,
                 "lambda_star": exact.lambda_star}
     elif cmd == "detect-trace":
         ps = formats.parse_projector_spec(text)
         coloring = greedy_coloring(support_dependency_graph(ps))
-        value = oracles.exact_detectability_trace(ps, coloring, args.t,
+        value = oracles.exact_detectability_trace(ps, coloring, args.t or 1,
                                                   budget=budget)
     elif cmd == "polymer-z":
         graph, oracle, _ = formats.parse_weights_spec(text)
         z = oracles.brute_force_polymer_z(graph, oracle, budget=budget)
-        return {"command": "oracle-polymer-z", "input": args.input,
-                "value": z.real, "value_im": z.imag}
+        return {"command": "oracle-polymer-z", "value": z.real,
+                "value_im": z.imag}
     elif cmd == "ursell":
         graph = formats.parse_edge_list(text)
         frac = oracles.ursell_bruteforce(graph, budget=budget)
-        return {"command": "oracle-ursell", "input": args.input,
-                "value": float(frac), "exact": str(frac)}
-    else:  # pragma: no cover - argparse prevents this
-        raise SpecParseError(f"unknown oracle {cmd!r}")
-    return {"command": f"oracle-{cmd}", "input": args.input, "value": value}
+        return {"command": "oracle-ursell", "value": float(frac),
+                "exact": str(frac)}
+    return {"command": f"oracle-{cmd}", "value": value}
 
 
 _RUNNERS = {
@@ -516,11 +505,13 @@ def _validate_args(args) -> None:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    fmt = getattr(args, "format", "human")
+    fmt = args.format
     start = time.perf_counter()
     try:
         _validate_args(args)
-        report = _RUNNERS[args.command](args)
+        # an oracle's report names the oracle in its own "command"
+        report = {"command": args.command, "input": args.input,
+                  **_RUNNERS[args.command](args)}
     except LLCountError as exc:
         err = {"command": args.command, "error": str(exc),
                "exit_code": exc.exit_code}

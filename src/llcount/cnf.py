@@ -351,13 +351,14 @@ def intersection_problem(source, graph: DependencyGraph,
     local_key = None
     if isinstance(source, CnfFormula):
         # a clause's variables are distinct, so it is false with probability
-        # 2^-width
-        per_event = [math.ldexp(1.0, -len(c)) for c in source.clauses]
+        # 2^-width, and the narrowest clause is the likeliest to be
+        worst = math.ldexp(1.0, -source.min_width()) if source.clauses else 0.0
         weight_fn = functools.partial(cnf_polymer_weight, source)
         local_key = functools.partial(cnf_local_key, source)
     else:
         prob = source.joint_complement_probability
-        per_event = [float(prob((v,))) for v in graph.vertices()]
+        worst = max((float(prob((v,))) for v in graph.vertices()),
+                    default=0.0)
 
         def weight_fn(polymer):
             p = prob(polymer)
@@ -366,7 +367,6 @@ def intersection_problem(source, graph: DependencyGraph,
     chi = proper_coloring(graph, coloring).num_colors
     dmax = graph.max_degree()
     bound = weight_decay_threshold(delta, dmax) ** chi
-    worst = max(per_event, default=0.0)
     check = ConditionCheck(
         "per-event-probability", worst <= bound, bound - worst,
         f"max Pr[complement] = {worst:.6g} vs "

@@ -81,6 +81,23 @@ def _finite(tok: str, lineno: int) -> float:
     return x
 
 
+def _edges(lines: list[tuple[int, str]], n: int) -> list[tuple[int, int]]:
+    """The edges of an n-vertex graph's ``u v`` lines, each checked there."""
+    edges = []
+    for lineno, s in lines:
+        parts = s.split()
+        if len(parts) != 2:
+            raise SpecParseError("edge line must be 'u v'", lineno)
+        u = _int(parts[0], lineno, "endpoint")
+        v = _int(parts[1], lineno, "endpoint")
+        try:
+            check_edge(n, u, v)
+        except ValueError as exc:
+            raise SpecParseError(str(exc), lineno) from None
+        edges.append((u, v))
+    return edges
+
+
 def parse_edge_list(text: str) -> DependencyGraph:
     """Parse the `n m` / `u v` edge-list format."""
     lines = list(_lines(text))
@@ -92,18 +109,7 @@ def parse_edge_list(text: str) -> DependencyGraph:
         raise SpecParseError("header must be 'n m'", lineno)
     n = _int(parts[0], lineno, "vertex count")
     m = _int(parts[1], lineno, "edge count")
-    edges = []
-    for lineno, s in lines[1:]:
-        parts = s.split()
-        if len(parts) != 2:
-            raise SpecParseError("edge line must be 'u v'", lineno)
-        u = _int(parts[0], lineno, "endpoint")
-        v = _int(parts[1], lineno, "endpoint")
-        try:
-            check_edge(n, u, v)
-        except ValueError as exc:
-            raise SpecParseError(str(exc), lineno) from None
-        edges.append((u, v))
+    edges = _edges(lines[1:], n)
     if len(edges) != m:
         raise SpecParseError(f"header declares {m} edges, found {len(edges)}")
     return build_graph(n, edges)
@@ -274,29 +280,21 @@ def _parse_graph_block(lines: list[tuple[int, str]], pos: int):
     if len(parts) != 2 or parts[0] != "vertices":
         raise SpecParseError("expected 'vertices N'", lineno)
     n = _int(parts[1], lineno, "vertex count")
+    if n < 0:
+        raise SpecParseError("vertex count must be non-negative", lineno)
     pos += 1
     lineno, s = _line_at(lines, pos, "edges M")
     parts = s.split()
     if len(parts) != 2 or parts[0] != "edges":
         raise SpecParseError("expected 'edges M'", lineno)
     m = _int(parts[1], lineno, "edge count")
+    if m < 0:
+        raise SpecParseError("edge count must be non-negative", lineno)
     pos += 1
-    edges = []
-    for _ in range(m):
-        if pos >= len(lines):
-            raise SpecParseError(f"expected {m} edge lines, file ended early")
-        lineno, s = lines[pos]
-        parts = s.split()
-        if len(parts) != 2:
-            raise SpecParseError("edge line must be 'u v'", lineno)
-        edges.append((_int(parts[0], lineno, "endpoint"),
-                      _int(parts[1], lineno, "endpoint")))
-        pos += 1
-    try:
-        graph = build_graph(n, edges)
-    except ValueError as exc:
-        raise SpecParseError(str(exc)) from None
-    return graph, pos
+    edges = _edges(lines[pos:pos + m], n)
+    if len(edges) < m:
+        raise SpecParseError(f"expected {m} edge lines, file ended early")
+    return build_graph(n, edges), pos + m
 
 
 def _parse_key(tok: str, lineno: int, n: int) -> tuple[int, ...]:
@@ -312,7 +310,14 @@ def _parse_key(tok: str, lineno: int, n: int) -> tuple[int, ...]:
     return key
 
 
-def _parse_table(lines, pos, keyword: str, graph: DependencyGraph):
+def _parse_table_spec(text: str, keyword: str | None):
+    """``parse_table_spec`` of a spec whose entries are ``keyword`` lines;
+    without ``keyword``, 'weight' if the first entry line is one, else 'prob'.
+    """
+    lines = list(_lines(text))
+    if not lines:
+        raise SpecParseError("empty table file")
+    graph, pos = _parse_graph_block(lines, 0)
     lineno, s = _line_at(lines, pos, "max-size K")
     parts = s.split()
     if len(parts) != 2 or parts[0] != "max-size":
@@ -321,6 +326,9 @@ def _parse_table(lines, pos, keyword: str, graph: DependencyGraph):
     if max_size < 1:
         raise SpecParseError("max-size must be at least 1", lineno)
     pos += 1
+    if keyword is None:
+        keyword = ("weight" if pos < len(lines)
+                   and lines[pos][1].split()[0] == "weight" else "prob")
     table = {}
     while pos < len(lines):
         lineno, s = lines[pos]
@@ -347,7 +355,38 @@ def _parse_table(lines, pos, keyword: str, graph: DependencyGraph):
             raise SpecParseError(
                 f"table is missing connected set {p}; every connected set "
                 f"up to size {max_size} needs an entry")
-    return table, max_size
+    if keyword == "weight":
+        def fn(polymer):
+            try:
+                return table[tuple(polymer)]
+            except KeyError:
+                raise SpecParseError(
+                    f"weights table has no entry for polymer "
+                    f"{tuple(polymer)}; declared max-size is {max_size}"
+                ) from None
+
+        return "weights", (graph, WeightOracle(fn), max_size)
+    probs = {}
+    for key, value in table.items():
+        if value.imag != 0.0 or not 0.0 <= value.real <= 1.0:
+            raise SpecParseError(
+                f"probability for {key} must be real in [0, 1], got {value}")
+        probs[key] = value.real
+    for key, value in probs.items():
+        for v in key:
+            smaller = tuple(x for x in key if x != v)
+            if smaller in probs and value > probs[smaller] + 1e-12:
+                raise SpecParseError(
+                    f"probability table is not monotone: P{key} = {value} > "
+                    f"P{smaller} = {probs[smaller]}")
+    return "events", EventTableOracle(graph, probs, max_size)
+
+
+def parse_table_spec(text: str):
+    """Parse an events- or weights-spec, as its first ``prob`` or ``weight``
+    line makes it, into ("events", EventTableOracle) or ("weights", (graph,
+    WeightOracle, max_size)); a line of the other kind is an error there."""
+    return _parse_table_spec(text, None)
 
 
 def parse_events_spec(text: str) -> EventTableOracle:
@@ -356,44 +395,12 @@ def parse_events_spec(text: str) -> EventTableOracle:
     Values must be probabilities in [0, 1], non-increasing when a connected
     set is extended by one vertex (where both sets are in the table).
     """
-    lines = list(_lines(text))
-    if not lines:
-        raise SpecParseError("empty events file")
-    graph, pos = _parse_graph_block(lines, 0)
-    table_c, max_size = _parse_table(lines, pos, "prob", graph)
-    table = {}
-    for key, value in table_c.items():
-        if value.imag != 0.0 or not 0.0 <= value.real <= 1.0:
-            raise SpecParseError(
-                f"probability for {key} must be real in [0, 1], got {value}")
-        table[key] = value.real
-    for key, value in table.items():
-        for v in key:
-            smaller = tuple(x for x in key if x != v)
-            if smaller in table and value > table[smaller] + 1e-12:
-                raise SpecParseError(
-                    f"probability table is not monotone: P{key} = {value} > "
-                    f"P{smaller} = {table[smaller]}")
-    return EventTableOracle(graph, table, max_size)
+    return _parse_table_spec(text, "prob")[1]
 
 
 def parse_weights_spec(text: str):
     """Parse a weights-spec; returns (graph, WeightOracle, max_size)."""
-    lines = list(_lines(text))
-    if not lines:
-        raise SpecParseError("empty weights file")
-    graph, pos = _parse_graph_block(lines, 0)
-    table, max_size = _parse_table(lines, pos, "weight", graph)
-
-    def fn(polymer):
-        try:
-            return table[tuple(polymer)]
-        except KeyError:
-            raise SpecParseError(
-                f"weights table has no entry for polymer {tuple(polymer)}; "
-                f"declared max-size is {max_size}") from None
-
-    return graph, WeightOracle(fn), max_size
+    return _parse_table_spec(text, "weight")[1]
 
 
 def format_events_spec(oracle: EventTableOracle) -> str:

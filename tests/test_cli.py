@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -106,6 +107,7 @@ def test_parse_error_exit_code(tmp_path, capsys):
     (["oracle"], "usage: llcount oracle"),
     (["count"], "usage: llcount"),
     ([], "usage: llcount"),
+    (["qsat-general", "p.spec", "--t", "two"], "usage: llcount qsat-general"),
 ])
 def test_usage_error_exits_3_with_usage(capsys, argv, usage):
     # argparse's own exit 2 is the hypothesis-violation code
@@ -826,3 +828,125 @@ def test_nonfinite_sum_exits_5(tmp_path, capsys):
         assert code == 5 and out == ""
         assert "Traceback" not in err
         assert _last_json(err)["error"] == error
+
+
+# ---------------------------------------------------------------------------
+# Each command, mode and input kind accepts only the flags it reads.
+
+# (command and mode, input kind) -> the optional flags its run reads beyond
+# --epsilon, --delta and --format, which every run command reads
+_READS = {
+    ("count-sat", "cnf"): "--force --threads --coloring --exact-rational",
+    ("prob-intersection", "cnf"): "--force --threads --coloring",
+    ("prob-intersection", "events"): "--force --threads --coloring",
+    ("qsat-commuting", "projectors"):
+        "--force --threads --coloring --dense-cap",
+    ("qsat-general", "projectors"): "--force --threads --dense-cap",
+    ("qsat-general --mode stability", "projectors"):
+        "--force --threads --dense-cap",
+    ("qsat-general --mode detectability", "projectors"):
+        "--force --threads --coloring --dense-cap --t --lambda-star",
+    ("polymer-z", "weights"): "--force --threads",
+    ("check", "cnf"): "--coloring",
+    ("check", "events"): "--coloring",
+    ("check", "weights"): "",
+    ("check", "projectors"): "--coloring --dense-cap --t --stability-cap",
+}
+
+# what each command's -h lists
+_HELP_FLAGS = {
+    "count-sat": "--force --threads --coloring --exact-rational",
+    "prob-intersection": "--force --threads --coloring",
+    "qsat-commuting": "--force --threads --coloring --dense-cap",
+    "qsat-general": "--force --threads --coloring --dense-cap --mode --t "
+                    "--lambda-star",
+    "polymer-z": "--force --threads",
+    "check": "--coloring --dense-cap --t --stability-cap",
+}
+
+_UNREAD = [
+    # dropped from the command
+    ("count-sat", "cnf", "--dense-cap"),
+    ("prob-intersection", "cnf", "--dense-cap"),
+    ("prob-intersection", "events", "--dense-cap"),
+    ("polymer-z", "weights", "--dense-cap"),
+    ("polymer-z", "weights", "--coloring"),
+    *(("check", kind, flag) for kind in ("cnf", "events", "weights",
+                                         "projectors")
+      for flag in ("--force", "--threads")),
+    # refused by the mode or the input kind
+    *((mode, "projectors", flag)
+      for mode in ("qsat-general", "qsat-general --mode stability")
+      for flag in ("--coloring", "--t", "--lambda-star")),
+    *(("check", kind, flag) for kind in ("cnf", "events", "weights")
+      for flag in ("--t", "--stability-cap", "--dense-cap")),
+    ("check", "weights", "--coloring"),
+]
+
+
+def _flag_argv(tmp_path, command, kind, flags):
+    """The argv of ``command`` on the ``kind`` input with each of ``flags``
+    given a value that run accepts."""
+    from llcount.cnf import cnf_dependency_graph, parse_dimacs
+    from llcount.formats import (parse_events_spec, parse_projector_spec,
+                                 parse_weights_spec)
+    from llcount.graphs import greedy_coloring, support_dependency_graph
+
+    inputs = _large_delta_inputs(tmp_path)
+    text = open(inputs[kind]).read()
+    graph = {"cnf": lambda: cnf_dependency_graph(parse_dimacs(text)),
+             "events": lambda: parse_events_spec(text).graph,
+             "weights": lambda: parse_weights_spec(text)[0],
+             "projectors": lambda: support_dependency_graph(
+                 parse_projector_spec(text))}[kind]()
+    coloring = tmp_path / "g.col"
+    coloring.write_text("".join(
+        f"{v} {c}\n" for v, c in enumerate(greedy_coloring(graph).class_of)))
+    values = {"--epsilon": ["0.2"], "--force": [], "--exact-rational": [],
+              "--threads": ["2"], "--coloring": [str(coloring)],
+              "--dense-cap": ["1024"], "--t": ["1"], "--lambda-star": ["0.5"],
+              "--stability-cap": ["2"]}
+    name, *mode = command.split()
+    argv = [name, inputs[kind], *mode, "--delta", "1.0", "--format", "jsonl"]
+    for flag in flags:
+        argv += [flag, *values[flag]]
+    return argv
+
+
+def _exit(capsys, argv):
+    """The exit code and stderr of ``main``, a usage error's included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, kind, flag", _UNREAD)
+def test_a_flag_the_run_does_not_read_exits_3(tmp_path, capsys, command,
+                                              kind, flag):
+    code, err = _exit(capsys, _flag_argv(tmp_path, command, kind, [flag]))
+    assert code == 3
+    assert flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, kind", list(_READS))
+def test_each_flag_the_run_reads_is_accepted(tmp_path, capsys, command,
+                                             kind):
+    for flag in [None, "--epsilon", *_READS[command, kind].split()]:
+        code, err = _exit(capsys, _flag_argv(tmp_path, command, kind,
+                                             [flag] if flag else []))
+        assert code in (0, 2), (flag, err)
+
+
+@pytest.mark.parametrize("command", list(_HELP_FLAGS))
+def test_help_lists_the_flags_the_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "-h"])
+    assert info.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    listed = re.findall(r"\[(--?[\w-]+)", usage)
+    assert sorted(listed) == sorted(
+        ["-h", "--epsilon", "--delta", "--format",
+         *_HELP_FLAGS[command].split()])

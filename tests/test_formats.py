@@ -12,7 +12,7 @@ from llcount.formats import (format_edge_list, format_events_spec,
                              format_projector_spec, format_weights_spec,
                              parse_coloring, parse_edge_list,
                              parse_events_spec, parse_projector_spec,
-                             parse_weights_spec)
+                             parse_table_spec, parse_weights_spec)
 from llcount.graphs import build_graph
 from llcount.projectors import LocalProjector, ProjectorSet
 from gen import overlapping_pair
@@ -59,6 +59,49 @@ def test_edge_list_error_messages(text, message):
     with pytest.raises(SpecParseError) as err:
         parse_edge_list(text)
     assert str(err.value) == message
+
+
+GRAPH_BLOCK = "vertices 3\nedges 2\n"
+ENTRIES = "max-size 1\n{0} 0 0.01\n{0} 1 0.01\n{0} 2 0.01\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    # the graph block of a table spec shares the edge-list grammar
+    (GRAPH_BLOCK + "0 1\n1 5\n" + ENTRIES.format("weight"),
+     "line 4: edge (1, 5) has an endpoint out of range [0, 3)"),
+    (GRAPH_BLOCK + "0 1\n2 2\n" + ENTRIES.format("prob"),
+     "line 4: self-loop (2, 2)"),
+    (GRAPH_BLOCK + "0 5\nx\n", "line 3: edge (0, 5) has an endpoint out of "
+     "range [0, 3)"),
+    (GRAPH_BLOCK + "0 1 2\n", "line 3: edge line must be 'u v'"),
+    (GRAPH_BLOCK + "0 1\n", "expected 2 edge lines, file ended early"),
+    ("vertices -1\nedges 0\nmax-size 1\n",
+     "line 1: vertex count must be non-negative"),
+    ("vertices 3\nedges -1\nmax-size 1\n",
+     "line 2: edge count must be non-negative"),
+    # the first entry line picks the kind; a line of the other kind fails
+    # where it stands
+    (GRAPH_BLOCK + "0 1\n1 2\n" + ENTRIES.format("prob")
+     + "weight 0,1 0.001\n",
+     "line 9: expected 'prob' line, got 'weight 0,1 0.001'"),
+    (GRAPH_BLOCK + "0 1\n1 2\n"
+     + ENTRIES.format("weight").replace("weight 1", "prob 1"),
+     "line 7: expected 'weight' line, got 'prob 1 0.01'"),
+])
+def test_table_spec_error_messages(text, message):
+    with pytest.raises(SpecParseError) as err:
+        parse_table_spec(text)
+    assert str(err.value) == message
+
+
+def test_table_spec_kind_is_its_first_entry_keyword():
+    g = build_graph(2, [(0, 1)])
+    text = format_weights_spec(g, {(0,): 0.02, (1,): 0.03, (0, 1): 0.001}, 2)
+    kind, (graph, oracle, max_size) = parse_table_spec(text)
+    assert (kind, graph.edge_count(), max_size) == ("weights", 1, 2)
+    assert oracle.weight((0, 1)) == 0.001
+    kind, oracle = parse_table_spec(text.replace("weight", "prob"))
+    assert kind == "events" and oracle.table[(0, 1)] == 0.001
 
 
 def test_long_edge_list_builds_its_graph_once(monkeypatch):

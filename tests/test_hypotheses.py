@@ -251,8 +251,7 @@ def _weights_path(tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ["polymer-z", "w.spec"], ["check", "w.spec"],
-    ["qsat-general", "pair.spec"],
+    ["check", "w.spec"], ["qsat-general", "pair.spec"],
     ["qsat-general", "pair.spec", "--mode", "stability"]])
 def test_coloring_is_rejected_where_no_hypothesis_uses_it(tmp_path, capsys,
                                                           command):
