@@ -181,7 +181,11 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 3, the parse-error code:
     argparse's own 2 is the hypothesis-violation code.  Subcommand parsers
     take their parent's class, and refuse a flag they do not take with their
-    own usage rather than leave it to the top-level parser."""
+    own usage rather than leave it to the top-level parser.  Abbreviated
+    flags are refused: ``--t`` is not ``--threads``."""
+
+    def __init__(self, *args, allow_abbrev: bool = False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

@@ -13,12 +13,11 @@ orderings, which is the multiplicity of the multiset among ordered tuples.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import (Callable, Hashable, Iterable, Iterator, NamedTuple,
                     Sequence)
@@ -436,20 +435,22 @@ def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
 
     Streams the clusters.  Each distinct polymer weight is converted once, and
     so is each distinct Ursell coefficient, keyed by incompatibility masks
-    and orderings.  The float sum is exact and rounded once (see
-    ``_nearest``), so it does not depend on the order of the clusters.
-    The exact sum runs on integers: weights and coefficients become
-    (numerator, denominator) pairs, the total is kept over the least common
-    denominator of its terms, and the one ``Fraction`` built at the end is
-    the rational a ``Fraction`` fold gives.
+    and orderings.  The terms enter one exact sum (``_fold``), which is
+    rounded once (``_rounded``), so the value does not depend on the order of
+    the clusters.
     """
-    if exact:
-        return Fraction(*_fold_exact(
-            clusters, _Memo(lambda p: _ratio(oracle.weight(p))),
-            _Memo(_exact_coefficient)))
-    return _nearest([_float_share(_terms(
-        clusters, _Memo(lambda p: _as_complex(oracle.weight(p))),
-        _Memo(_float_coefficient)))])
+    weights, coeffs = _converters(oracle, exact)
+    return _rounded(_fold(_term_triples(clusters, weights, coeffs, exact)),
+                    exact)
+
+
+def _converters(oracle: WeightOracle, exact: bool) -> tuple[_Memo, _Memo]:
+    """Memos of each polymer's weight and each (masks, orderings) key's
+    coefficient: (numerator, denominator) pairs when ``exact``, else a
+    complex and a float."""
+    convert = _ratio if exact else _as_complex
+    return (_Memo(lambda p: convert(oracle.weight(p))),
+            _Memo(_exact_coefficient if exact else _float_coefficient))
 
 
 def _float_coefficient(key: tuple[tuple[int, ...], int]) -> float:
@@ -462,78 +463,74 @@ def _exact_coefficient(key: tuple[tuple[int, ...], int]) -> tuple[int, int]:
     return _ratio(_ursell_from_masks(masks) * orderings)
 
 
-def _terms(clusters: Iterable[Cluster], weights, coeffs) -> Iterator[complex]:
-    """Each cluster's term, with ``weights`` and ``coeffs`` mapping polymers
-    and (masks, orderings) to converted values."""
-    for polymers, _, orderings, masks in clusters:
-        prod = complex(1.0)
-        for p in polymers:
-            prod *= weights[p]
-        yield coeffs[masks, orderings] * prod
-
-
-def _float_share(terms: Iterable[complex]) -> tuple[list[float], list[float]]:
-    """A float share: the real and the imaginary parts of its ``terms``, the
-    latter empty when all are 0."""
-    zs = list(terms)
-    im = [z.imag for z in zs]
-    return [z.real for z in zs], im if any(im) else []
-
-
-def _nearest(shares: Sequence[tuple[list[float], list[float]]]) -> complex:
-    """The complex nearest to the exact sum of the float ``shares``.
-
-    ``math.fsum`` adds every term exactly and rounds once, so the value does
-    not depend on the order of the terms.  A nonfinite sum raises
-    ``NumericFailure``.
-    """
-    try:
-        re = math.fsum(chain.from_iterable([re for re, _ in shares]))
-        im = math.fsum(chain.from_iterable([im for _, im in shares]))
-    except (OverflowError, ValueError):  # inf - inf, or past float range
-        raise NumericFailure(_NONFINITE) from None
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise NumericFailure(_NONFINITE)
-    return complex(re, im)
-
-
 def _ratio(x) -> tuple[int, int]:
     """``Fraction(x)`` as a (numerator, denominator) pair."""
     x = Fraction(x)
     return x.numerator, x.denominator
 
 
-def _fold_exact(clusters: Iterable[Cluster], weights, coeffs
-                ) -> tuple[int, int]:
-    """The clusters' exact sum as an unreduced (numerator, denominator) pair,
-    with ``weights`` and ``coeffs`` giving (numerator, denominator) pairs."""
-    total = (0, 1)
+def _term_triples(clusters: Iterable[Cluster], weights, coeffs, exact: bool
+                  ) -> Iterator[tuple[int, int, int]]:
+    """Each cluster's term as a (real numerator, imaginary numerator,
+    denominator) triple, with ``weights`` and ``coeffs`` mapping polymers and
+    (masks, orderings) to converted values.
+
+    An exact term is the product of (numerator, denominator) pairs.  A float
+    term is the float coefficient times the complex product of the weights,
+    taken as the dyadic rational it is; a nonfinite one raises
+    ``NumericFailure``.
+    """
     for polymers, _, orderings, masks in clusters:
-        num, den = coeffs[masks, orderings]
+        if exact:
+            num, den = coeffs[masks, orderings]
+            for p in polymers:
+                wn, wd = weights[p]
+                num *= wn
+                den *= wd
+            yield num, 0, den
+            continue
+        prod = complex(1.0)
         for p in polymers:
-            wn, wd = weights[p]
-            num *= wn
-            den *= wd
-        total = _add_ratio(total, (num, den))
-    return total
+            prod *= weights[p]
+        z = coeffs[masks, orderings] * prod
+        try:
+            re, re_den = z.real.as_integer_ratio()
+            im, im_den = z.imag.as_integer_ratio()
+        except (OverflowError, ValueError):  # an infinite or NaN part
+            raise NumericFailure(_NONFINITE) from None
+        den = max(re_den, im_den)  # both are powers of two
+        yield re * (den // re_den), im * (den // im_den), den
 
 
-def _add_ratio(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """The pair a + b over lcm of their denominators."""
-    total, common = a
-    num, den = b
-    scale, rest = divmod(common, den)
-    if rest:
-        g = math.gcd(common, den)
-        total *= den // g
-        common = common // g * den
-        return total + num * (common // den), common
-    return total + num * scale, common
+def _fold(triples: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """The exact sum of (real numerator, imaginary numerator, denominator)
+    triples, as one such triple over the lcm of their denominators."""
+    re = im = 0
+    common = 1
+    for num_re, num_im, den in triples:
+        scale, rest = divmod(common, den)
+        if rest:
+            lift = den // math.gcd(common, den)
+            re *= lift
+            im *= lift
+            common *= lift
+            scale = common // den
+        re += num_re * scale
+        im += num_im * scale
+    return re, im, common
 
 
-def _fold_ratios(shares: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of (numerator, denominator) pairs, as one such pair."""
-    return functools.reduce(_add_ratio, shares, (0, 1))
+def _rounded(total: tuple[int, int, int], exact: bool) -> Fraction | complex:
+    """A folded sum as a ``Fraction`` when ``exact``, else as the nearest
+    complex; CPython rounds int / int correctly.  A sum beyond float range
+    raises ``NumericFailure``."""
+    re, im, den = total
+    if exact:
+        return Fraction(re, den)
+    try:
+        return complex(re / den, im / den)
+    except OverflowError:
+        raise NumericFailure(_NONFINITE) from None
 
 
 def _converted_weights(oracle: WeightOracle, polymers: Sequence[Polymer],
@@ -557,16 +554,17 @@ def _converted_weights(oracle: WeightOracle, polymers: Sequence[Polymer],
 class _RootPart:
     """What the expansion holds of the connected sets rooted at one vertex.
 
-    ``root`` is the first root that has the part.  ``polymers`` are the
-    sorted sets of order <= m whose smallest vertex is ``root``; ``share``
-    and ``count`` are the exact sum and the number of the clusters whose
-    union is one of them.
+    ``root`` is the first root that has the part and ``roots`` the number of
+    roots that have it.  ``polymers`` are the sorted sets of order <= m whose
+    smallest vertex is ``root``; the part's clusters are those whose union is
+    one of them.
     """
 
-    __slots__ = ("root", "polymers", "share", "count")
+    __slots__ = ("root", "roots", "polymers")
 
     def __init__(self, root: int):
         self.root = root
+        self.roots = 0
 
 
 class _Roots:
@@ -579,12 +577,11 @@ class _Roots:
     oracle's ``local_key`` contract, a root whose (masks, key) pair an
     earlier root of the call had reuses that root's part, and nothing of it
     is enumerated, weighed or summed again; without a key every root's part
-    is its own.  Each computed root sums its part from one
-    ``enumerate_clusters`` call over its sets.  Shares add exactly:
-    a float share keeps its terms (``_float_share``), which one
-    ``math.fsum`` adds and rounds once at the end; an exact share is its
-    (numerator, denominator) pair.  So the sum does not depend on the order
-    of the parts, or on what the shape table held.
+    is its own.  Each distinct part is summed once, exactly (``_fold``),
+    from one ``enumerate_clusters`` call over its sets; the expansion adds
+    that sum times the part's number of roots, exactly, and rounds once.  So
+    the sum does not depend on the order of the parts, on how many roots
+    share one, or on what the shape table held.
     """
 
     def __init__(self, g: DependencyGraph, oracle: WeightOracle, m: int,
@@ -604,6 +601,7 @@ class _Roots:
                 part.polymers = sorted(ball_sets(ball, masks, m))
                 polymers += part.polymers  # sorted: each set starts at its root
                 self.parts.append(part)
+            part.roots += 1
             self.roots.append(part)
         self.weights = _converted_weights(oracle, polymers, threads)
 
@@ -643,29 +641,25 @@ class _Roots:
     def expansion(self, exact: bool = False) -> tuple[Fraction | complex, int]:
         """The truncated expansion to order m and its number of clusters,
         skipped ones included."""
-        g, m, oracle = self.g, self.m, self.oracle
+        g, m = self.g, self.m
         _SHAPE_TABLE.trim()
-        convert = _ratio if exact else _as_complex
         # a computed root's unions also hold sets of reusing roots, which
         # the weights fill in from the oracle
-        weights = _Memo(lambda p: convert(oracle.weight(p)))
+        weights, coeffs = _converters(self.oracle, exact)
         if not exact:
             weights.update(self.weights)
-        coeffs = _Memo(_exact_coefficient if exact else _float_coefficient)
         # a weight is 0 iff its complex, or its pair's numerator, is
         live = (lambda p: weights[p][0]) if exact else weights.__getitem__
+        shares = []
+        count = 0
         for part in self.parts:
             counted = [0]
             clusters = enumerate_clusters(g, m, live, unions=part.polymers,
                                           counted=counted)
-            part.share = (_fold_exact(clusters, weights, coeffs) if exact
-                          else _float_share(_terms(clusters, weights, coeffs)))
-            part.count = counted[0]
-        shares = [part.share for part in self.roots]
-        count = sum([part.count for part in self.roots])
-        if exact:
-            return Fraction(*_fold_ratios(shares)), count
-        return _nearest(shares), count
+            re, im, den = _fold(_term_triples(clusters, weights, coeffs, exact))
+            shares.append((re * part.roots, im * part.roots, den))
+            count += counted[0] * part.roots
+        return _rounded(_fold(shares), exact), count
 
 
 def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,

@@ -394,7 +394,6 @@ def approx_probability_intersection(source, epsilon: float, delta: float, *,
         # strong-dependency factorization across disconnected parts is the
         # caller's (unverifiable) promise
         graph = source.graph
-        exact = False
     else:
         raise TypeError("source must be a CnfFormula or an event oracle")
     problem = intersection_problem(source, graph, coloring, delta)

@@ -950,3 +950,18 @@ def test_help_lists_the_flags_the_command_reads(capsys, command):
     assert sorted(listed) == sorted(
         ["-h", "--epsilon", "--delta", "--format",
          *_HELP_FLAGS[command].split()])
+
+
+@pytest.mark.parametrize("command, kind, flag, value", [
+    ("count-sat", "cnf", "--t", "2"),      # would be --threads
+    ("count-sat", "cnf", "--eps", "0.5"),  # would be --epsilon
+    ("polymer-z", "weights", "--t", "0"),  # would fail as --threads
+])
+def test_an_abbreviated_flag_exits_3(tmp_path, capsys, command, kind, flag,
+                                     value):
+    path = _large_delta_inputs(tmp_path)[kind]
+    code, err = _exit(capsys, [command, path, flag, value])
+    assert code == 3
+    assert err.splitlines()[-1].endswith(
+        f"error: unrecognized arguments: {flag} {value}")
+    assert "--threads" not in err.splitlines()[-1]

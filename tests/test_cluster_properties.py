@@ -8,11 +8,12 @@ a root's part under the CNF local key."""
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import llcount.clusters
@@ -332,6 +333,29 @@ def test_nonfinite_terms_are_a_numeric_failure(weight):
         truncated_expansion(g, WeightOracle(lambda p: weight), 2)
 
 
+def test_a_partial_sum_past_float_range_is_no_failure():
+    # math.fsum raises "intermediate overflow" on these terms; their exact
+    # sum is 1e308, and only its exp leaves float range
+    weights = [1e308, 1e308, -1e308]
+    g = build_graph(len(weights), [])
+    oracle = WeightOracle(lambda p: weights[p[0]])
+    assert truncated_expansion(g, oracle, 1) == 1e308
+    assert _sum_clusters(enumerate_clusters(g, 1), oracle) == 1e308
+    with pytest.raises(NumericFailure, match="exp of the truncated log"):
+        approx_partition_function(g, oracle, 1.0, 5.0, force=True)
+
+
+@pytest.mark.parametrize("weights", [
+    [float("nan")], [float("inf")], [1.0, float("-inf")], [1e308, 1e308]])
+def test_a_nonfinite_term_or_total_is_a_numeric_failure(weights):
+    g = build_graph(len(weights), [])
+    oracle = WeightOracle(lambda p: weights[p[0]])
+    with pytest.raises(NumericFailure, match="nonfinite truncated expansion"):
+        truncated_expansion(g, oracle, 1)
+    with pytest.raises(NumericFailure, match="nonfinite truncated expansion"):
+        _sum_clusters(enumerate_clusters(g, 1), oracle)
+
+
 # ---------------------------------------------------------------------------
 # The engine: one union at a time, memoized by (shape, local weights), and
 # one root's part reused for every later root of the same key
@@ -381,6 +405,55 @@ def test_engine_equals_streamed_reference(model, exact):
         assert type(got) is type(want)
         assert got == want
         assert _Roots(g, oracle, m, 1).expansion(exact)[1] == count
+
+
+def _literal_terms(clusters, table):
+    """Each cluster's float term as the engine forms it: the float
+    coefficient times the complex product of the weights, in order."""
+    for c in clusters:
+        prod = complex(1.0)
+        for p in c.polymers:
+            w = table[p]
+            prod *= complex(float(w)) if isinstance(w, Fraction) else complex(w)
+        yield float(_ursell_from_masks(c.incompatibility_masks)
+                    * c.orderings) * prod
+
+
+@SETTINGS
+@given(engine_models(), st.sampled_from([1, 3]))
+def test_float_sum_is_fsum_of_the_literal_terms(model, threads):
+    g, m, table, local_key = model
+    terms = list(_literal_terms(enumerate_clusters(g, m), table))
+    want = complex(math.fsum([z.real for z in terms]),
+                   math.fsum([z.imag for z in terms]))
+    bits = (want.real.hex(), want.imag.hex())
+    got = _sum_clusters(enumerate_clusters(g, m), WeightOracle(
+        table.__getitem__))
+    assert (got.real.hex(), got.imag.hex()) == bits
+    for key in (local_key, None):
+        got = truncated_expansion(g, WeightOracle(table.__getitem__, key), m,
+                                  threads=threads)
+        assert (got.real.hex(), got.imag.hex()) == bits
+
+
+@SETTINGS
+@given(engine_models(), st.sampled_from([1, 3]))
+def test_exact_sum_is_the_fraction_sum_of_the_literal_terms(model, threads):
+    g, m, table, local_key = model
+    assume(not any(isinstance(w, complex) for w in table.values()))
+    want = Fraction(0)
+    for c in enumerate_clusters(g, m):
+        term = _ursell_from_masks(c.incompatibility_masks) * c.orderings
+        for p in c.polymers:
+            term *= Fraction(table[p])
+        want += term
+    got = _sum_clusters(enumerate_clusters(g, m),
+                        WeightOracle(table.__getitem__), exact=True)
+    assert type(got) is Fraction and got == want
+    for key in (local_key, None):
+        got = truncated_expansion(g, WeightOracle(table.__getitem__, key), m,
+                                  threads=threads, exact=True)
+        assert type(got) is Fraction and got == want
 
 
 @st.composite

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from llcount.clusters import WeightOracle, _sum_clusters, enumerate_clusters
 from llcount.cnf import (CnfFormula, EventTableOracle,
                          approx_probability_intersection, cnf_dependency_graph,
                          cnf_polymer_weight, count_satisfying,
@@ -210,6 +211,27 @@ def test_event_table_oracle_path():
 
     with pytest.raises(SpecParseError):
         oracle.joint_complement_probability((0, 2))  # not in table
+
+
+def test_event_table_oracle_exact_log():
+    # a table's floats are rationals, so the exact sum is the rational one
+    g = build_graph(3, [(0, 1), (1, 2)])
+    table = {
+        (0,): 0.001, (1,): 0.0008, (2,): 0.0006,
+        (0, 1): 5e-05, (1, 2): 4e-05, (0, 1, 2): 1e-06,
+    }
+    oracle = EventTableOracle(g, table, 3)
+    res = approx_probability_intersection(oracle, 0.01, 0.1, exact=True)
+    approx = approx_probability_intersection(oracle, 0.01, 0.1).approx
+    m = res.approx.truncation_order
+    assert m == approx.truncation_order
+    assert isinstance(res.approx.exact_log, Fraction)
+    assert res.approx.exact_log == _sum_clusters(
+        enumerate_clusters(g, m), WeightOracle(lambda p: Fraction(
+            (-1) ** len(p) * table[p])), exact=True)
+    assert res.approx.log_value == float(res.approx.exact_log)
+    assert res.approx.log_value == pytest.approx(approx.log_value,
+                                                 rel=1e-12)
 
 
 def test_event_oracle_per_event_violation():
