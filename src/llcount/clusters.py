@@ -19,13 +19,12 @@ import time
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-from typing import (Callable, Hashable, Iterable, Iterator, NamedTuple,
-                    Sequence)
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HypothesisViolation, NumericFailure, ResourceCapExceeded
 from .graphs import (DependencyGraph, ball_sets, connected_masks,
-                     enumerate_connected_subgraphs, induced_masks, mask_bits,
-                     root_ball)
+                     enumerate_connected_subgraphs, induced_masks, keyed_ball,
+                     mask_bits)
 
 Polymer = tuple[int, ...]
 
@@ -54,19 +53,21 @@ class WeightOracle:
     Evaluations are memoized by polymer tuple, so the oracle is safe for
     concurrent use (pure function plus an idempotent cache).
 
-    ``local_key``, when given, maps a sorted vertex list (a root's ball, see
-    ``graphs.root_ball``) to a hashable key, under this contract: if two
-    lists of the same length have equal keys, then every set of positions
-    weighs the same on both, in value and in type.  The engine then reuses
-    one root's part of the expansion for every later root whose ball has
-    the same adjacency and key.  Without a key every root's part is computed.
+    ``labels``, when given, maps the host graph to the labels of its
+    vertices and edges that ``graphs.keyed_ball`` reads, under this
+    contract: if two roots' balls have equal keys (the same adjacency masks,
+    and position by position the same vertex labels and the same labels on
+    their edges), then every set of positions weighs the same on both, in
+    value and in type.  The engine then reuses one root's part of the
+    expansion for every later root with the same key.  Without labels every
+    root's part is computed.
     """
 
     def __init__(self, fn: Callable[[Polymer], complex],
-                 local_key: Callable[[Sequence[int]], Hashable] | None = None):
+                 labels: Callable[[DependencyGraph], tuple] | None = None):
         self._fn = fn
         self._memo: dict[Polymer, complex] = {}
-        self.local_key = local_key
+        self.labels = labels
 
     def weight(self, polymer: Polymer):
         w = self._memo.get(polymer)
@@ -455,7 +456,9 @@ def _converters(oracle: WeightOracle, exact: bool) -> tuple[_Memo, _Memo]:
 
 def _float_coefficient(key: tuple[tuple[int, ...], int]) -> float:
     masks, orderings = key
-    return float(_ursell_from_masks(masks) * orderings)
+    u = _ursell_from_masks(masks)
+    # int / int is correctly rounded, so this is float(u * orderings)
+    return u.numerator * orderings / u.denominator
 
 
 def _exact_coefficient(key: tuple[tuple[int, ...], int]) -> tuple[int, int]:
@@ -571,30 +574,31 @@ class _Roots:
     """One call's truncated expansion and decay check, split by root.
 
     A root's part (see ``_RootPart``) lies in the root's ball (see
-    ``graphs.root_ball``), built once per root: every polymer of a cluster
+    ``graphs.keyed_ball``), built once per root with its adjacency masks
+    and, under an oracle's ``labels``, its key: every polymer of a cluster
     lies in the cluster's union.  So the part depends only on m, the ball's
-    adjacency masks and the weights of the sets of ball positions.  Under an
-    oracle's ``local_key`` contract, a root whose (masks, key) pair an
-    earlier root of the call had reuses that root's part, and nothing of it
-    is enumerated, weighed or summed again; without a key every root's part
-    is its own.  Each distinct part is summed once, exactly (``_fold``),
-    from one ``enumerate_clusters`` call over its sets; the expansion adds
-    that sum times the part's number of roots, exactly, and rounds once.  So
-    the sum does not depend on the order of the parts, on how many roots
-    share one, or on what the shape table held.
+    adjacency masks and the weights of the sets of ball positions.  Under
+    the ``labels`` contract, a root whose key an earlier root of the call
+    had reuses that root's part, and nothing of it is enumerated, weighed or
+    summed again; without labels every root's part is its own.  Each
+    distinct part is summed once, exactly (``_fold``), from one
+    ``enumerate_clusters`` call over its sets; the expansion adds that sum
+    times the part's number of roots, exactly, and rounds once.  So the sum
+    does not depend on the order of the parts, on how many roots share one,
+    or on what the shape table held.
     """
 
     def __init__(self, g: DependencyGraph, oracle: WeightOracle, m: int,
                  threads: int):
         self.g, self.oracle, self.m, self.threads = g, oracle, m, threads
-        local_key = oracle.local_key
+        labels = None if oracle.labels is None else oracle.labels(g)
         # per root, ascending: its part; the parts in order of their first
         # root, which computes it
         self.roots, self.parts, polymers, seen = [], [], [], {}
         for root in g.vertices():
-            ball = root_ball(g, root, m)
-            masks = induced_masks(g, ball)
-            key = root if local_key is None else (tuple(masks), local_key(ball))
+            ball, masks, key = keyed_ball(g, root, m, labels)
+            if key is None:
+                key = root
             part = seen.get(key)
             if part is None:
                 part = seen[key] = _RootPart(root)
@@ -628,9 +632,9 @@ class _Roots:
                 if part.root == root:
                     violations += found.get(root, [])
                 elif part.root in found:
-                    ball = root_ball(g, root, m)
-                    own = _converted_weights(oracle, sorted(
-                        ball_sets(ball, induced_masks(g, ball), m)),
+                    ball, masks, _ = keyed_ball(g, root, m)
+                    own = _converted_weights(
+                        oracle, sorted(ball_sets(ball, masks, m)),
                         self.threads)
                     violations += check_weight_condition(
                         g, oracle, m, delta, max_degree=max_degree,

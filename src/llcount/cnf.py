@@ -69,29 +69,25 @@ class CnfFormula:
 
     def uniform_k(self) -> int | None:
         """Common clause width, or None if widths differ (or no clauses)."""
-        widths = {len(c) for c in self.clauses}
+        widths = set(map(len, self.clauses))
         if len(widths) == 1:
             return widths.pop()
         return None
 
     def min_width(self) -> int | None:
-        return min((len(c) for c in self.clauses), default=None)
+        return min(map(len, self.clauses), default=None)
 
     @property
     def forcings(self) -> tuple[tuple[int, int, int], ...]:
         """Per clause, (offset, mask, pattern): ``clause_forcing`` shifted right
         by offset = smallest variable - 1, so no int built is n bits wide.
         Built on first use.
-
-        The clause's variables are renumbered by the offset before
-        ``clause_forcing`` sees them, which builds the shifted masks directly.
         """
         if self._forcings is None:
             out = []
             for c in self.clauses:
-                offset = min((abs(lit) for lit in c), default=1) - 1
-                out.append((offset, *clause_forcing(
-                    [lit - offset if lit > 0 else lit + offset for lit in c])))
+                offset = min(map(abs, c), default=1) - 1
+                out.append((offset, *clause_forcing(c, offset)))
             self._forcings = tuple(out)
         return self._forcings
 
@@ -99,15 +95,18 @@ class CnfFormula:
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text; raises SpecParseError with a line number.
 
-    A clause mentioning the same variable twice is rejected.  The `p cnf`
+    A literal is an ASCII integer, ``[+-]?[0-9]+``; 0 closes a clause.  A
+    clause mentioning the same variable twice is rejected.  The `p cnf`
     header is optional; without it the variable count is inferred.  At most
-    one header may appear, and its clause count must match the clauses read.
-    A line starting with `%` opens the SATLIB trailer: after it only blank
-    lines, comments and one lone `0` may follow.
+    one header may appear, its counts are ASCII integers of at least 0, and
+    its clause count must match the clauses read.  A line starting with `%`
+    opens the SATLIB trailer: after it only blank lines, comments and one
+    lone `0` may follow.
 
-    A line holding exactly one whole clause is read in one pass; any other
-    line (a bad token, several clauses, a clause spanning lines) goes through
-    the per-token loop, which decides every error.
+    A line holding exactly one whole clause, in ASCII, is read by whole-line
+    string and int operations; any other line (a header, a comment, a bad
+    token, several clauses, a clause spanning lines) goes through the
+    per-token loop, which decides every error.
     """
     declared_vars = declared_clauses = None
     clauses: list[tuple[int, ...]] = []
@@ -115,7 +114,23 @@ def parse_dimacs(text: str) -> CnfFormula:
     current: list[int] = []
     current_line = None
     trailer = None  # after a '%' line: whether its lone '0' has been seen
+    # on ASCII text without '_', int() reads exactly [+-]?[0-9]+
+    plain = text.isascii() and "_" not in text
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        # a whole clause on one line, the common case, read without a
+        # per-token loop
+        if ((plain or raw.isascii() and "_" not in raw) and not current
+                and trailer is None and raw.endswith(" 0")):
+            try:
+                lits = tuple(map(int, raw[:-2].split()))
+            except ValueError:
+                pass
+            else:
+                variables = set(map(abs, lits))
+                if lits and len(variables) == len(lits) and 0 not in variables:
+                    clauses.append(lits)
+                    max_var = max(max_var, max(variables))
+                    continue
         s = raw.strip()
         if not s or s.startswith("c"):
             continue
@@ -128,35 +143,22 @@ def parse_dimacs(text: str) -> CnfFormula:
         if s.startswith("%"):
             trailer = False
             continue
-        if not current:
-            try:
-                lits = list(map(int, s.split()))
-            except ValueError:
-                pass
-            else:
-                if len(lits) > 1 and lits[-1] == 0 and lits.count(0) == 1:
-                    del lits[-1]
-                    variables = set(map(abs, lits))
-                    if len(variables) != len(lits):
-                        _append_clause(clauses, lits, lineno)  # raises
-                    clauses.append(tuple(lits))
-                    max_var = max(max_var, max(variables))
-                    continue
         if s.startswith("p"):
             parts = s.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise SpecParseError(f"bad problem line {s!r}", lineno)
             if declared_vars is not None:
                 raise SpecParseError(f"second problem line {s!r}", lineno)
             try:
-                declared_vars = int(parts[2])
-                declared_clauses = int(parts[3])
+                declared_vars, declared_clauses = map(_count, parts[2:])
             except ValueError:
-                raise SpecParseError(f"bad problem line {s!r}", lineno) from None
+                raise SpecParseError(f"bad problem line {s!r}",
+                                     lineno) from None
             continue
+        read = int if s.isascii() and "_" not in s else _integer
         for tok in s.split():
             try:
-                lit = int(tok)
+                lit = read(tok)
             except ValueError:
                 raise SpecParseError(f"bad literal {tok!r}", lineno) from None
             if lit == 0:
@@ -185,6 +187,23 @@ def parse_dimacs(text: str) -> CnfFormula:
     return formula
 
 
+def _integer(tok: str) -> int:
+    """The value of an ASCII ``[+-]?[0-9]+`` token; ValueError otherwise.
+    ``int`` alone would also read '1_2' and non-ASCII digits."""
+    if not tok.isascii() or "_" in tok:
+        raise ValueError(f"not an ASCII integer: {tok!r}")
+    return int(tok)
+
+
+def _count(tok: str) -> int:
+    """The value of an ASCII ``[+-]?[0-9]+`` token of at least 0; ValueError
+    otherwise."""
+    n = _integer(tok)
+    if n < 0:
+        raise ValueError(f"negative count: {tok!r}")
+    return n
+
+
 def _append_clause(clauses: list, literals: list[int], lineno: int) -> None:
     if not literals:
         raise SpecParseError("empty clause", lineno)
@@ -199,21 +218,25 @@ def _append_clause(clauses: list, literals: list[int], lineno: int) -> None:
 
 def cnf_dependency_graph(f: CnfFormula) -> DependencyGraph:
     """One vertex per clause; an edge iff the clauses share a variable."""
-    return intersection_graph([[abs(l) for l in c] for c in f.clauses])
+    return intersection_graph(map(abs, c) for c in f.clauses)
 
 
-def clause_forcing(clause: Sequence[int]) -> tuple[int, int]:
+def clause_forcing(clause: Sequence[int], offset: int = 0) -> tuple[int, int]:
     """Bit-encoded assignment forced by falsifying the clause.
 
     Literal +v forces v=0, -v forces v=1; returned as (mask, pattern) ints
-    with bit v-1 set in mask, and in pattern when the forced value is 1.
+    with bit v-1-offset set in mask, and in pattern when the forced value is
+    1.  Every variable of the clause must exceed ``offset``.
     """
+    base = offset + 1
     mask = 0
     pattern = 0
     for lit in clause:
-        bit = 1 << (abs(lit) - 1)
-        mask |= bit
-        if lit < 0:
+        if lit > 0:
+            mask |= 1 << (lit - base)
+        else:
+            bit = 1 << (-lit - base)
+            mask |= bit
             pattern |= bit
     return mask, pattern
 
@@ -235,34 +258,42 @@ def _forced_bits(f: CnfFormula, clause_indices: Sequence[int]) -> int | None:
     return mask.bit_count()
 
 
-def cnf_local_key(f: CnfFormula, clause_indices: Sequence[int]
-                  ) -> tuple[tuple[tuple[int, int], ...], int]:
-    """A ``WeightOracle.local_key`` for clause polymers: the clauses' masks
-    with their offsets less the smallest, and a bitmask, one bit per pair
-    (a, b) of positions with a < b in lexicographic order, of the pairs
-    that force a shared variable to opposite values.
+def cnf_labels(f: CnfFormula, g: DependencyGraph
+               ) -> tuple[list[int], list[list[int | None]]]:
+    """The ``WeightOracle.labels`` of clause polymers on ``g``, the formula's
+    dependency graph: each clause's mask (its forcing mask, over the
+    variables from its offset + 1 on); and on each edge from a clause to a
+    higher one, twice the difference of their offsets, plus 1 when the two
+    force a shared variable to opposite values.  The edges to lower clauses
+    get None, which ``graphs.keyed_ball`` does not read.
 
     Sound because a polymer's weight is 0 when two of its clauses clash, and
     otherwise depends only on its size and on the number of variables its
-    clauses hold.  Equal keys make one list of clauses a shift of the other
-    with the same clashing pairs, so every set of positions has the same
-    clashes and the same variable count on both, hence the same shared
-    ``Fraction``.  Literal signs enter only through the clashes.
+    clauses hold.  Only adjacent clauses share a variable, so only they can
+    clash, and a ball is connected, so the offset differences on its edges
+    fix every relative offset.  Equal keys therefore make one ball's clauses
+    a shift of the other's with the same clashing pairs: every set of
+    positions has the same clashes and the same variable count on both,
+    hence the same shared ``Fraction``.  Literal signs enter only through
+    the clashes.
     """
     forcings = f.forcings
-    rows = [forcings[i] for i in clause_indices]
-    base = min([row[0] for row in rows])
-    # each clause's (mask, pattern) over the variables from base + 1 on
-    placed = [(mask << (offset - base), pattern << (offset - base))
-              for offset, mask, pattern in rows]
-    clashes = 0
-    bit = 1
-    for a, (ma, pa) in enumerate(placed):
-        for mb, pb in placed[a + 1:]:
-            if ma & mb & (pa ^ pb):
-                clashes |= bit
-            bit <<= 1
-    return tuple([(offset - base, mask) for offset, mask, _ in rows]), clashes
+    edges = []
+    for v, (offset, mask, pattern) in enumerate(forcings):
+        row = []
+        for w in g.neighbors(v):
+            if w < v:
+                row.append(None)
+                continue
+            w_offset, w_mask, w_pattern = forcings[w]
+            shift = w_offset - offset
+            # both clauses placed over the variables from the lower offset on
+            up, w_up = max(-shift, 0), max(shift, 0)
+            clash = ((mask << up) & (w_mask << w_up)
+                     & ((pattern << up) ^ (w_pattern << w_up)))
+            row.append(2 * shift + (clash != 0))
+        edges.append(row)
+    return [mask for _, mask, _ in forcings], edges
 
 
 _ZERO = Fraction(0)
@@ -348,13 +379,13 @@ def intersection_problem(source, graph: DependencyGraph,
                          coloring: Coloring | None, delta: float) -> Problem:
     """The events of ``source`` (a CnfFormula or an event oracle) as a
     polymer model, under max Pr[complement] <= (1/(e^(1+delta)(2D+1)))^chi."""
-    local_key = None
+    labels = None
     if isinstance(source, CnfFormula):
         # a clause's variables are distinct, so it is false with probability
         # 2^-width, and the narrowest clause is the likeliest to be
         worst = math.ldexp(1.0, -source.min_width()) if source.clauses else 0.0
         weight_fn = functools.partial(cnf_polymer_weight, source)
-        local_key = functools.partial(cnf_local_key, source)
+        labels = functools.partial(cnf_labels, source)
     else:
         prob = source.joint_complement_probability
         worst = max((float(prob((v,))) for v in graph.vertices()),
@@ -372,7 +403,7 @@ def intersection_problem(source, graph: DependencyGraph,
         f"max Pr[complement] = {worst:.6g} vs "
         f"(1/(e^(1+delta)(2D+1)))^chi = {bound:.6g} "
         f"(delta={delta}, D={dmax}, chi={chi})")
-    return Problem(graph, WeightOracle(weight_fn, local_key), [check],
+    return Problem(graph, WeightOracle(weight_fn, labels), [check],
                    holder_delta(worst, chi, dmax, delta, check.passed), chi)
 
 

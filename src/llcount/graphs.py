@@ -6,6 +6,7 @@ Vertices are dense integer indices 0..n-1.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -13,10 +14,11 @@ class DependencyGraph:
     """Immutable simple undirected graph.
 
     Adjacency is stored as sorted duplicate-free tuples and is validated to be
-    symmetric and loop-free on construction.
+    symmetric and loop-free on construction; the maximum degree is computed
+    once, there.
     """
 
-    __slots__ = ("vertex_count", "_adj")
+    __slots__ = ("vertex_count", "_adj", "_max_degree")
 
     def __init__(self, vertex_count: int, adjacency: Sequence[Iterable[int]]):
         if vertex_count < 0:
@@ -50,8 +52,23 @@ class DependencyGraph:
                 if i == len(back) or back[i] != v:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
                 start[w] = i + 1
-        self.vertex_count = vertex_count
+        self._set_rows(rows)
+
+    @classmethod
+    def from_sorted_rows(cls, rows: Sequence[tuple[int, ...]]
+                         ) -> DependencyGraph:
+        """The graph with these neighbour rows, taken as they are: each
+        row sorted, duplicate-free and loop-free, and the rows symmetric.
+        For graph constructions whose rows are so by design; it skips the O(E)
+        validation of ``__init__``."""
+        g = object.__new__(cls)
+        g._set_rows(rows)
+        return g
+
+    def _set_rows(self, rows: Sequence[tuple[int, ...]]) -> None:
+        self.vertex_count = len(rows)
         self._adj = tuple(rows)
+        self._max_degree = max(map(len, rows), default=0)
 
     def vertices(self) -> range:
         return range(self.vertex_count)
@@ -60,9 +77,7 @@ class DependencyGraph:
         return self._adj[v]
 
     def max_degree(self) -> int:
-        if self.vertex_count == 0:
-            return 0
-        return max(len(row) for row in self._adj)
+        return self._max_degree
 
     def edge_count(self) -> int:
         return sum(len(row) for row in self._adj) // 2
@@ -87,7 +102,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> DependencyGraph:
         check_edge(n, u, v)
         adj[u].add(v)
         adj[v].add(u)
-    return DependencyGraph(n, adj)
+    return DependencyGraph.from_sorted_rows(
+        [tuple(sorted(row)) for row in adj])
 
 
 def check_edge(n: int, u: int, v: int) -> None:
@@ -105,25 +121,36 @@ def support_dependency_graph(ps) -> DependencyGraph:
     return intersection_graph([p.support for p in ps.projectors])
 
 
-def intersection_graph(sets: Sequence[Iterable[Hashable]]) -> DependencyGraph:
+def intersection_graph(sets: Iterable[Iterable[Hashable]]) -> DependencyGraph:
     """One vertex per set; an edge iff two sets share an element.
 
-    Built from an element -> vertex inverted index, so the cost is the total
+    Built from an element -> holders inverted index, so the cost is the total
     set size plus the edges found, not all pairs of sets.  Elements held by
     the same sets form one holder group, which updates the adjacency once.
     """
-    holders: dict[Hashable, list[int]] = {}
+    # each element's holders, ascending, as one small tuple
+    holders: dict[Hashable, tuple[int, ...]] = {}
+    get = holders.get
+    v = -1
     for v, elements in enumerate(sets):
+        one = (v,)
         for x in elements:
-            holders.setdefault(x, []).append(v)
-    adj: list[set[int]] = [set() for _ in sets]
-    for vs in set(map(tuple, holders.values())):
-        if len(vs) > 1:
+            holders[x] = get(x, ()) + one
+    adj: list[set[int]] = [set() for _ in range(v + 1)]
+    for vs in set(holders.values()):
+        if len(vs) == 2:
+            u, w = vs
+            if u != w:  # an element repeated within one set
+                adj[u].add(w)
+                adj[w].add(u)
+        elif len(vs) > 2:
             for v in vs:
-                adj[v].update(vs)
-    for v, row in enumerate(adj):
-        row.discard(v)
-    return DependencyGraph(len(adj), adj)
+                row = adj[v]
+                row.update(vs)
+                row.discard(v)
+    # symmetric, loop-free and duplicate-free by construction
+    return DependencyGraph.from_sorted_rows(
+        [tuple(sorted(row)) for row in adj])
 
 
 class Coloring(NamedTuple):
@@ -170,15 +197,15 @@ def strong_product_with_complete(g: DependencyGraph, t: int) -> DependencyGraph:
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
-    n = g.vertex_count
     adj = []
-    for v in range(n):
+    for v in g.vertices():
         for tau in range(t):
             row = [v * t + s for s in range(t) if s != tau]
             for u in g.neighbors(v):
                 row.extend(u * t + s for s in range(t))
-            adj.append(row)
-    return DependencyGraph(n * t, adj)
+            adj.append(tuple(sorted(row)))
+    # symmetric, loop-free and duplicate-free because g is
+    return DependencyGraph.from_sorted_rows(adj)
 
 
 def enumerate_connected_subgraphs(g: DependencyGraph, m: int
@@ -194,51 +221,85 @@ def enumerate_connected_subgraphs(g: DependencyGraph, m: int
     if m < 1:
         raise ValueError("m must be a positive integer")
     for root in g.vertices():
-        ball = root_ball(g, root, m)
-        yield from ball_sets(ball, induced_masks(g, ball), m)
+        ball, masks, _ = keyed_ball(g, root, m)
+        yield from ball_sets(ball, masks, m)
 
 
 def ball_sets(ball: Sequence[int], masks: Sequence[int], m: int
               ) -> Iterator[tuple[int, ...]]:
     """The connected sets of order <= m with smallest vertex ``ball[0]``, as
-    sorted tuples grown lazily on bitmasks over the root's ``root_ball`` and
-    its ``induced_masks``, in the order of ``enumerate_connected_subgraphs``."""
+    sorted tuples grown lazily on bitmasks over the root's ball and its
+    adjacency masks (see ``keyed_ball``), in the order of
+    ``enumerate_connected_subgraphs``."""
     return (tuple([ball[i] for i in mask_bits(subset)])
             for subset in connected_masks(masks, m, 0))
 
 
-def root_ball(g: DependencyGraph, root: int, m: int) -> list[int]:
-    """The sorted vertices that the connected sets of order <= m with
-    smallest vertex ``root`` lie in: the root, and the vertices above it
-    within m - 1 steps of it through such vertices."""
+def keyed_ball(g: DependencyGraph, root: int, m: int,
+               labels: tuple[Sequence[Hashable], Sequence[Sequence[Hashable]]]
+               | None = None
+               ) -> tuple[list[int], tuple[int, ...], Hashable | None]:
+    """The ball of ``root``, its adjacency masks and, given ``labels``, its
+    key.
+
+    The ball holds the sorted vertices that the connected sets of order <= m
+    with smallest vertex ``root`` lie in: the root, and the vertices above
+    it within m - 1 steps of it through such vertices.  So G[ball] is
+    connected.  Mask i has bit j set iff ball[i] and ball[j] are adjacent.
+
+    ``labels`` is a pair (vertex labels, edge labels): a label per vertex,
+    and per vertex v a sequence aligned with ``g.neighbors(v)`` whose items
+    at the neighbours above v label those edges.  The key is then (masks,
+    the ball's vertex labels in order, then the labels of its edges (i, j),
+    i < j, in order); without labels it is None.
+    """
+    neighbors = g.neighbors
     seen = {root}
     frontier = [root]
     for _ in range(m - 1):
         grown = []
         for v in frontier:
-            for w in g.neighbors(v):
+            for w in neighbors(v):
                 if w > root and w not in seen:
                     seen.add(w)
                     grown.append(w)
         if not grown:
             break
         frontier = grown
-    return sorted(seen)
+    ball = sorted(seen)
+    if labels is None:
+        return ball, tuple(induced_masks(g, ball)), None
+    vertex_labels, edge_labels = labels
+    key = [vertex_labels[v] for v in ball]
+    masks = tuple(induced_masks(g, ball, edge_labels, key))
+    return ball, masks, (masks, tuple(key))
 
 
-def induced_masks(g: DependencyGraph, vertices: Sequence[int]) -> list[int]:
+def induced_masks(g: DependencyGraph, vertices: Sequence[int],
+                  edge_labels: Sequence[Sequence[Hashable]] | None = None,
+                  out: list | None = None) -> list[int]:
     """Adjacency bitmasks of the induced subgraph G[vertices], with bit i
-    standing for vertices[i]."""
-    index = {v: i for i, v in enumerate(vertices)}
-    out = []
+    standing for vertices[i].
+
+    Given ``edge_labels`` (per vertex v a sequence aligned with
+    ``g.neighbors(v)``) and a sorted ``vertices``, the labels of the induced
+    edges (v, w), v < w, are appended to ``out`` in order.
+    """
+    index = {v: i for i, v in enumerate(vertices)}.get
+    neighbors = g.neighbors
+    unlabelled = repeat(None)
+    masks = []
     for v in vertices:
         mask = 0
-        for w in g.neighbors(v):
-            i = index.get(w)
+        for w, label in zip(neighbors(v), unlabelled if edge_labels is None
+                            else edge_labels[v]):
+            i = index(w)
             if i is not None:
                 mask |= 1 << i
-        out.append(mask)
-    return out
+                if out is not None and w > v:
+                    out.append(label)
+        masks.append(mask)
+    return masks
 
 
 def mask_bits(mask: int) -> list[int]:

@@ -663,6 +663,89 @@ def test_dimacs_header_mismatch_exits_3(tmp_path, capsys, text, error):
         assert _last_json(err)["error"] == error
 
 
+@pytest.mark.parametrize("text, error", [
+    ("p cnf 12 1\n1_2 2 0\n", "line 2: bad literal '1_2'"),
+    ("p cnf 3 1\n\u0663 1 0\n", "line 2: bad literal '\u0663'"),
+    ("p cnf 3 1\n1 2 \uff10\n", "line 2: bad literal '\uff10'"),
+    ("c x\np cnf 1_2 1\n1 2 0\n", "line 2: bad problem line 'p cnf 1_2 1'"),
+    ("p cnf -1 0\n", "line 1: bad problem line 'p cnf -1 0'"),
+    ("p cnf 3 -2\n", "line 1: bad problem line 'p cnf 3 -2'"),
+])
+def test_dimacs_literals_and_counts_are_ascii_integers(tmp_path, capsys,
+                                                       text, error):
+    """int() would read '1_2' as 12 and the Arabic-Indic three as 3; a
+    literal is [+-]?[0-9]+ in ASCII, and a header count one of at least 0."""
+    path = tmp_path / "bad.cnf"
+    path.write_text(text, encoding="utf-8")
+    for command in ("count-sat", "check"):
+        code, _, err = _run(capsys, [command, str(path), "--format", "jsonl"])
+        assert code == 3
+        assert _last_json(err)["error"] == error
+
+
+def _gc_inputs(tmp_path):
+    """(argv, exit code or escaping exception type) for each way a call
+    ends."""
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    ok = _write_cnf(tmp_path, chain_cnf(random.Random(7), 20, share=6))
+    # k = 6 fails the k-condition
+    weak = _write_cnf(tmp_path, chain_cnf(random.Random(5), 4, k=6, share=3),
+                      "weak.cnf")
+    events = write("e.spec", "vertices 3\nedges 2\n0 1\n1 2\nmax-size 3\n"
+                   "prob 0 0.005\nprob 1 0.005\nprob 2 0.005\n"
+                   "prob 0,1 2.5e-05\nprob 1,2 2.5e-05\nprob 0,1,2 1.25e-07\n")
+    big = write("big.spec", "vertices 2\nedges 1\n0 1\nmax-size 2\n"
+                "weight 0 1e200\nweight 1 1e200\nweight 0,1 1e200\n")
+    return [
+        (["count-sat", ok], 0),
+        (["check", weak], 2),
+        (["count-sat"], 3),  # argparse's usage error, a SystemExit
+        (["count-sat", write("u.cnf", "p cnf 12 1\n1_2 2 0\n")], 3),
+        (["check", events, "--delta", "0.01", "--epsilon", "0.01"], 4),
+        (["polymer-z", big, "--force", "--delta", "5"], 5),
+        # 2^2000 leaves float range in count_satisfying's ldexp
+        (["count-sat", write("wide.cnf", "p cnf 2000 1\n1 2000 0\n")],
+         OverflowError),
+    ]
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
+def test_main_pauses_gc_and_restores_the_callers_state(
+        tmp_path, capsys, monkeypatch, caller_gc):
+    import gc
+
+    import llcount.cli
+
+    inside = []
+    original = llcount.cli._validate_args
+
+    def recording(args):
+        inside.append(gc.isenabled())
+        return original(args)
+
+    monkeypatch.setattr(llcount.cli, "_validate_args", recording)
+    was = gc.isenabled()
+    try:
+        (gc.enable if caller_gc else gc.disable)()
+        for argv, want in _gc_inputs(tmp_path):
+            try:
+                got = main(argv + ["--format", "jsonl"])
+            except SystemExit as exc:
+                got = exc.code
+            except OverflowError:
+                got = OverflowError
+            capsys.readouterr()
+            assert got == want, argv
+            assert gc.isenabled() is caller_gc, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside and not any(inside)
+
+
 def test_general_weights_are_checked_and_computed_once(tmp_path, capsys,
                                                        monkeypatch):
     """qsat-general --mode stability checks the weights once, in the engine;

@@ -6,6 +6,7 @@ engine that sums each computed root's part from one enumeration, the
 process-wide shape table trimmed to its cap between calls, and the reuse of
 a root's part under the CNF local key."""
 
+import functools
 import itertools
 import json
 import math
@@ -19,17 +20,19 @@ from hypothesis import strategies as st
 import llcount.clusters
 import llcount.cnf
 from llcount.cli import main
-from llcount.clusters import (WeightOracle, _clusters_with_union, _Roots,
-                              _shape_clusters, _ShapeTable, _sum_clusters,
-                              _ursell_from_masks, approx_partition_function,
-                              enumerate_clusters, truncated_expansion)
-from llcount.cnf import (CnfFormula, cnf_dependency_graph, cnf_local_key,
+from llcount.clusters import (WeightOracle, _clusters_with_union,
+                              _float_coefficient, _Roots, _shape_clusters,
+                              _ShapeTable, _sum_clusters, _ursell_from_masks,
+                              approx_partition_function, enumerate_clusters,
+                              truncated_expansion)
+from llcount.cnf import (CnfFormula, cnf_dependency_graph, cnf_labels,
                          cnf_polymer_weight)
 from llcount.errors import HypothesisViolation, NumericFailure
 from llcount.formats import format_weights_spec
 from llcount.graphs import (DependencyGraph, build_graph,
                             enumerate_connected_subgraphs, induced_masks,
-                            intersection_graph, root_ball)
+                            intersection_graph, keyed_ball,
+                            strong_product_with_complete)
 
 from gen import chain_cnf, random_graph, random_weight_table, ring_cnf
 
@@ -232,6 +235,33 @@ def test_intersection_graph_equals_all_pairs(sets, hub_members):
         want.neighbors(v) for v in want.vertices()]
 
 
+def _rows(g):
+    return [g.neighbors(v) for v in g.vertices()]
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=14),
+       st.integers(1, 3), st.randoms(use_true_random=False))
+def test_unvalidated_graphs_equal_the_validated_graph(sets, t, rng):
+    """The graph constructions that hand their rows over unvalidated build
+    what DependencyGraph's validating constructor builds from the same
+    rows, with the same maximum degree; a set may repeat an element."""
+    g = intersection_graph(sets)
+    edges = list(g.edges())
+    # repeated edges, both ways round
+    edges += [(v, u) for u, v in edges] + rng.sample(edges, len(edges) // 2)
+    rng.shuffle(edges)
+    built = [g, build_graph(g.vertex_count, edges),
+             strong_product_with_complete(g, t)]
+    assert _rows(built[1]) == _rows(g)
+    for got in built:
+        want = DependencyGraph(got.vertex_count, _rows(got))
+        assert _rows(got) == _rows(want)
+        assert all(type(row) is tuple for row in _rows(got))
+        assert got.max_degree() == want.max_degree() == max(
+            map(len, _rows(want)), default=0)
+
+
 def _graph_from_masks(key):
     return DependencyGraph(len(key), [[j for j in range(len(key)) if mask >> j & 1]
                                       for mask in key])
@@ -362,10 +392,10 @@ def test_a_nonfinite_term_or_total_is_a_numeric_failure(weights):
 
 @st.composite
 def engine_models(draw):
-    """(graph, order m, polymer -> weight, local key or None) from three
+    """(graph, order m, polymer -> weight, oracle labels or None) from three
     kinds of model: random graphs whose polymers all weigh differently;
     CNF chains and rings, whose dyadic weights repeat along the chain, with
-    their CNF local key (most roots reuse a part); and dyadic models with
+    their CNF labels (most roots reuse a part); and dyadic models with
     exact zeros."""
     kind = draw(st.sampled_from(["distinct", "cnf", "zeros"]))
     m = draw(st.integers(1, 5))
@@ -379,7 +409,7 @@ def engine_models(draw):
         g = cnf_dependency_graph(f)
         return g, m, {p: cnf_polymer_weight(f, p)
                       for p in enumerate_connected_subgraphs(g, m)
-                      }, lambda ball: cnf_local_key(f, ball)
+                      }, functools.partial(cnf_labels, f)
     g = draw(multi_component_graphs())
     if kind == "distinct":
         return g, m, _weights(g, m, seed, draw(st.booleans())), None
@@ -390,7 +420,7 @@ def engine_models(draw):
 @SETTINGS
 @given(engine_models(), st.booleans())
 def test_engine_equals_streamed_reference(model, exact):
-    g, m, table, local_key = model
+    g, m, table, labels = model
     if exact and any(isinstance(w, complex) for w in table.values()):
         exact = False
     oracle = WeightOracle(table.__getitem__)
@@ -399,7 +429,7 @@ def test_engine_equals_streamed_reference(model, exact):
     count = sum(1 for _ in enumerate_clusters(g, m))
     # both sums are exact and rounded once, so the floats agree to the bit,
     # well inside eps times the sum of |terms|, with the root memo on or off
-    for key in (local_key, None):
+    for key in (labels, None):
         oracle = WeightOracle(table.__getitem__, key)
         got = truncated_expansion(g, oracle, m, exact=exact)
         assert type(got) is type(want)
@@ -422,7 +452,7 @@ def _literal_terms(clusters, table):
 @SETTINGS
 @given(engine_models(), st.sampled_from([1, 3]))
 def test_float_sum_is_fsum_of_the_literal_terms(model, threads):
-    g, m, table, local_key = model
+    g, m, table, labels = model
     terms = list(_literal_terms(enumerate_clusters(g, m), table))
     want = complex(math.fsum([z.real for z in terms]),
                    math.fsum([z.imag for z in terms]))
@@ -430,16 +460,28 @@ def test_float_sum_is_fsum_of_the_literal_terms(model, threads):
     got = _sum_clusters(enumerate_clusters(g, m), WeightOracle(
         table.__getitem__))
     assert (got.real.hex(), got.imag.hex()) == bits
-    for key in (local_key, None):
+    for key in (labels, None):
         got = truncated_expansion(g, WeightOracle(table.__getitem__, key), m,
                                   threads=threads)
         assert (got.real.hex(), got.imag.hex()) == bits
 
 
+def test_float_coefficient_is_the_exact_coefficient_rounded_once():
+    """On one edge at m = 6 the cluster of {0} and {1} three times each has
+    Ursell function -1/6 and 20 orderings: float(-1/6) * 20 is not
+    float(-20/6), and the float coefficient is the latter."""
+    clusters = _shape_clusters((2, 1), 6)[1]
+    assert any(masks == (62, 61, 59, 55, 47, 31) and orderings == 20
+               for _, _, orderings, masks in clusters)
+    for _, _, orderings, masks in clusters:
+        x = _ursell_from_masks(masks) * orderings
+        assert _float_coefficient((masks, orderings)) == float(x)
+
+
 @SETTINGS
 @given(engine_models(), st.sampled_from([1, 3]))
 def test_exact_sum_is_the_fraction_sum_of_the_literal_terms(model, threads):
-    g, m, table, local_key = model
+    g, m, table, labels = model
     assume(not any(isinstance(w, complex) for w in table.values()))
     want = Fraction(0)
     for c in enumerate_clusters(g, m):
@@ -450,7 +492,7 @@ def test_exact_sum_is_the_fraction_sum_of_the_literal_terms(model, threads):
     got = _sum_clusters(enumerate_clusters(g, m),
                         WeightOracle(table.__getitem__), exact=True)
     assert type(got) is Fraction and got == want
-    for key in (local_key, None):
+    for key in (labels, None):
         got = truncated_expansion(g, WeightOracle(table.__getitem__, key), m,
                                   threads=threads, exact=True)
         assert type(got) is Fraction and got == want
@@ -483,16 +525,24 @@ def cnf_formulas(draw):
     return CnfFormula(n + (count - 1) * step, tuple(clauses))
 
 
+def _engine_keys(f, m):
+    """Each root's (ball, engine key) under the CNF labels."""
+    g = cnf_dependency_graph(f)
+    labels = cnf_labels(f, g)
+    out = []
+    for root in g.vertices():
+        ball, _, key = keyed_ball(g, root, m, labels)
+        out.append((ball, key))
+    return out
+
+
 @SETTINGS
 @given(cnf_formulas(), st.integers(1, 4))
 def test_cnf_local_key_is_sound(f, m):
     """Whenever two roots share an engine key, every set of ball positions
     weighs the same on both, in value and in type."""
-    g = cnf_dependency_graph(f)
     balls = {}
-    for root in g.vertices():
-        ball = root_ball(g, root, m)
-        key = tuple(induced_masks(g, ball)), cnf_local_key(f, ball)
+    for ball, key in _engine_keys(f, m):
         balls.setdefault(key, []).append(ball)
     for first, *others in balls.values():
         for other in others:
@@ -503,13 +553,37 @@ def test_cnf_local_key_is_sound(f, m):
                     assert a == b and type(a) is type(b)
 
 
+def _reference_key(f, ball):
+    """The CNF key built from the ball's clauses alone: each clause's mask
+    with its offset less the smallest, and one bit per pair (a, b), a < b,
+    of positions whose clauses force a shared variable to opposite values."""
+    rows = [f.forcings[i] for i in ball]
+    base = min(offset for offset, _, _ in rows)
+    placed = [(mask << (offset - base), pattern << (offset - base))
+              for offset, mask, pattern in rows]
+    clashes = [bool(ma & mb & (pa ^ pb))
+               for (ma, pa), (mb, pb) in itertools.combinations(placed, 2)]
+    return [(offset - base, mask) for offset, mask, _ in rows], clashes
+
+
+@SETTINGS
+@given(cnf_formulas(), st.integers(1, 5))
+def test_edge_label_keys_equal_exactly_when_clause_keys_do(f, m):
+    """Two roots share an engine key iff their balls have the same adjacency
+    and the same clause key, so the engine's parts are the same as with
+    keys built from every pair of ball clauses."""
+    roots = _engine_keys(f, m)
+    for (ball_a, key_a), (ball_b, key_b) in itertools.combinations(roots, 2):
+        same_reference = (key_a[0] == key_b[0] and _reference_key(f, ball_a)
+                          == _reference_key(f, ball_b))
+        assert (key_a == key_b) == same_reference
+
+
 def test_cnf_local_key_repeats_along_a_chain():
     """A chain's inner roots share keys, so most roots reuse a part."""
     f = chain_cnf(random.Random(3), 60, k=12, share=6)
-    g = cnf_dependency_graph(f)
-    keys = {(tuple(induced_masks(g, ball)), cnf_local_key(f, ball))
-            for ball in (root_ball(g, r, 5) for r in g.vertices())}
-    assert len(keys) < g.vertex_count // 2
+    keys = {key for _, key in _engine_keys(f, 5)}
+    assert len(keys) < len(f.clauses) // 2
 
 
 def _result_fields(res):
@@ -535,8 +609,8 @@ def test_root_memo_on_and_off_give_identical_results(make, n, k, share, delta,
     f = make(random.Random(n * k + share), n, k=k, share=share)
     g = cnf_dependency_graph(f)
     results = []
-    for local_key in (lambda ball: cnf_local_key(f, ball), None):
-        oracle = WeightOracle(lambda p: cnf_polymer_weight(f, p), local_key)
+    for labels in (functools.partial(cnf_labels, f), None):
+        oracle = WeightOracle(lambda p: cnf_polymer_weight(f, p), labels)
         results.append(approx_partition_function(
             g, oracle, 0.5, delta, force=force, exact=exact))
     with_memo, without = results
@@ -545,9 +619,9 @@ def test_root_memo_on_and_off_give_identical_results(make, n, k, share, delta,
     if force:
         # unforced, both stop at the same first violation
         messages = []
-        for local_key in (lambda ball: cnf_local_key(f, ball), None):
+        for labels in (functools.partial(cnf_labels, f), None):
             oracle = WeightOracle(lambda p: cnf_polymer_weight(f, p),
-                                  local_key)
+                                  labels)
             with pytest.raises(HypothesisViolation) as caught:
                 approx_partition_function(g, oracle, 0.5, delta, exact=exact)
             messages.append((str(caught.value), [
@@ -631,8 +705,8 @@ def test_reports_do_not_depend_on_the_shape_table_or_threads(
                 assert _reports(capsys, argv + ["--threads", threads]) == cold
                 assert set(shapes.shapes) == used
         with monkeypatch.context() as patch:
-            # the CNF oracle without its local key: every root a miss
+            # the CNF oracle without its labels: every root a miss
             patch.setattr(llcount.cnf, "WeightOracle",
-                          lambda fn, local_key=None: WeightOracle(fn))
+                          lambda fn, labels=None: WeightOracle(fn))
             assert _reports(capsys, argv) == cold
             assert _reports(capsys, argv + ["--threads", "2"]) == cold

@@ -354,27 +354,33 @@ def test_cluster_is_a_named_tuple():
     assert len(set(emitted)) == len(emitted)
 
 
-@pytest.mark.parametrize("local_key", [None, lambda ball: 0],
+def _one_label(g):
+    """Labels under which balls of one adjacency share a key."""
+    return [0] * g.vertex_count, [[0] * len(g.neighbors(v))
+                                  for v in g.vertices()]
+
+
+@pytest.mark.parametrize("labels", [None, _one_label],
                          ids=["unkeyed", "keyed"])
 @pytest.mark.parametrize("run", [
     lambda g, oracle: approx_partition_function(g, oracle, 0.5, 1.0),
     lambda g, oracle: truncated_expansion(g, oracle, 2),
 ], ids=["approx", "truncated"])
-def test_each_root_ball_is_built_once_per_call(monkeypatch, run, local_key):
+def test_each_root_ball_is_built_once_per_call(monkeypatch, run, labels):
     from llcount import clusters, graphs
 
     calls = []
-    original = graphs.root_ball
+    original = graphs.keyed_ball
 
-    def counting(g, root, m):
+    def counting(g, root, m, labels=None):
         calls.append(root)
-        return original(g, root, m)
+        return original(g, root, m, labels)
 
-    monkeypatch.setattr(graphs, "root_ball", counting)
-    monkeypatch.setattr(clusters, "root_ball", counting)
+    monkeypatch.setattr(graphs, "keyed_ball", counting)
+    monkeypatch.setattr(clusters, "keyed_ball", counting)
     # the weight depends on the size alone, so every ball may share one key
     # and the inner roots of the path reuse the first root's part
-    oracle = WeightOracle(lambda p: 0.01 ** len(p), local_key)
+    oracle = WeightOracle(lambda p: 0.01 ** len(p), labels)
     path = build_graph(6, [(v, v + 1) for v in range(5)])
     run(path, oracle)
     assert sorted(calls) == list(path.vertices())

@@ -4,6 +4,7 @@ widths, and the SATLIB `%` trailer."""
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,10 +18,16 @@ from llcount.errors import SpecParseError
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 
+def _number(tok):
+    """An ASCII [+-]?[0-9]+ token's value, else None."""
+    return int(tok) if re.fullmatch("[+-]?[0-9]+", tok) else None
+
+
 def _reference_parse(text):
     """DIMACS read one token at a time: each literal is converted, each
     clause closed and checked for a repeated variable at its `0`.  One
-    `p cnf` header at most, whose clause count must match."""
+    `p cnf` header at most, with counts of at least 0, whose clause count
+    must match."""
     declared = declared_clauses = None
     clauses = []
     max_var = 0
@@ -42,21 +49,19 @@ def _reference_parse(text):
             continue
         if s.startswith("p"):
             parts = s.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise SpecParseError(f"bad problem line {s!r}", lineno)
             if declared is not None:
                 raise SpecParseError(f"second problem line {s!r}", lineno)
-            try:
-                declared = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError:
-                raise SpecParseError(f"bad problem line {s!r}", lineno) from None
+            declared, declared_clauses = map(_number, parts[2:])
+            if not (declared is not None and declared_clauses is not None
+                    and min(declared, declared_clauses) >= 0):
+                raise SpecParseError(f"bad problem line {s!r}", lineno)
             continue
         for tok in s.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise SpecParseError(f"bad literal {tok!r}", lineno) from None
+            lit = _number(tok)
+            if lit is None:
+                raise SpecParseError(f"bad literal {tok!r}", lineno)
             if lit == 0:
                 _close(clauses, current, current_line or lineno)
                 current = []
@@ -103,10 +108,13 @@ _clause_line = st.lists(_literal, min_size=1, max_size=5).map(
     lambda lits: " ".join(lits) + " 0")
 # anything: several clauses, clause fragments, odd numerals, bad tokens
 _token = st.one_of(st.integers(-9, 9).map(str),
-                   st.sampled_from(["+3", "1_0", "-0", "x", "2.0", "00"]))
+                   st.sampled_from(["+3", "1_0", "-0", "x", "2.0", "00",
+                                    "\u0663", "-\uff11"]))
 _any_line = st.lists(_token, min_size=1, max_size=7).map(" ".join)
 _special = st.sampled_from(["", "c a comment", "p cnf 9 4", "p cnf 3 2",
-                            "p cnf x 1", "p dnf 3 1", "%", "0", "  0  "])
+                            "p cnf x 1", "p dnf 3 1", "%", "0", "  0  ",
+                            "p cnf -1 0", "p cnf 3 -2", "p cnf 1_2 1",
+                            "pq cnf 3 1"])
 _lines = st.lists(st.one_of(_clause_line, _clause_line, _any_line, _special),
                   max_size=12)
 
@@ -142,6 +150,70 @@ def _headed(draw):
 def test_parse_dimacs_with_header_matches_per_token_reader(lines, pad):
     text = "\n".join(pad + s + pad for s in lines) + "\n"
     assert _outcome(parse_dimacs, text) == _outcome(_reference_parse, text)
+
+
+# the deviations from the common layout (a header line, then one whole
+# clause per line) that the per-token loop must decide
+_DEVIATIONS = {
+    "comment": lambda lines, i: lines.insert(i, "c a comment"),
+    "blank": lambda lines, i: lines.insert(i, ""),
+    "split": lambda lines, i: lines.insert(i, "4 -5"),  # closed by the next
+    "trailer": lambda lines, i: lines.extend(["%", "0"]),
+    "plus": lambda lines, i: lines.insert(i, "+3 -1 0"),
+    "underscore": lambda lines, i: lines.insert(i, "1_2 2 0"),
+    "arabic three": lambda lines, i: lines.insert(i, "\u0663 1 0"),
+    "no final 0": lambda lines, i: lines.append("2 3"),
+    "two clauses": lambda lines, i: lines.insert(i, "1 0 -2 0"),
+    "tab": lambda lines, i: lines.insert(i, "1\t2 0"),
+    "trailing space": lambda lines, i: lines.insert(i, "1 2 0 "),
+    "repeat": lambda lines, i: lines.insert(i, "1 -2 -1 0"),
+    "empty": lambda lines, i: lines.insert(i, " 0"),
+    "zero literal": lambda lines, i: lines.insert(i, "1 0 0"),
+}
+# whole clauses of distinct variables
+_distinct_clause_line = st.lists(
+    st.integers(1, 9), min_size=1, max_size=5, unique=True).flatmap(
+    lambda vs: st.tuples(*[st.sampled_from([str(v), str(-v)]) for v in vs])
+).map(lambda lits: " ".join(lits) + " 0")
+
+
+@st.composite
+def _near_common(draw):
+    """A `p cnf N M` header and whole clause lines, M right or wrong (also
+    negative), N of 9, 3 or -1, and at most one deviation from the layout."""
+    body = draw(st.lists(_distinct_clause_line, max_size=10))
+    deviation = draw(st.sampled_from([None, None, *_DEVIATIONS]))
+    if deviation is not None:
+        _DEVIATIONS[deviation](body, draw(st.integers(0, len(body))))
+    off = draw(st.sampled_from([0, 0, 0, -1, 1, -len(body) - 2]))
+    n = draw(st.sampled_from([9, 9, 3, -1]))
+    closed = sum(s.endswith(" 0") for s in body) + body.count("1 0 -2 0")
+    return [f"p cnf {n} {closed + off}"] + body
+
+
+def _tokenwise(lines):
+    """The lines with each clause line's final ' 0' written as a tab and 0,
+    which the one-line read does not take: the per-token loop reads the
+    same clauses, with the same errors and lines."""
+    return [s[:-2] + "\t0" if s.endswith(" 0") and not s.startswith("p")
+            else s for s in lines]
+
+
+@SETTINGS
+@given(_near_common())
+@example(["p cnf 12 1", "1_2 2 0"])
+@example(["p cnf -1 0"])
+@example(["p cnf 3 -2"])
+@example(["p cnf 1 1", " 0"])
+def test_one_line_read_equals_per_token_read(lines):
+    """parse_dimacs gives the same formula, or the same error and line, as
+    the per-token loop alone and as the literal reference reader, on the
+    common layout and on every deviation from it."""
+    text = "\n".join(lines) + "\n"
+    tokenwise = "\n".join(_tokenwise(lines)) + "\n"
+    outcome = _outcome(parse_dimacs, text)
+    assert outcome == _outcome(parse_dimacs, tokenwise)
+    assert outcome == _outcome(_reference_parse, text)
 
 
 def test_satlib_trailer_is_accepted():

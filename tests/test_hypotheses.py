@@ -311,9 +311,9 @@ def test_forcing_masks_are_computed_once_per_formula(tmp_path, capsys,
                                                      monkeypatch):
     calls = []
 
-    def counting(clause):
+    def counting(clause, *offset):
         calls.append(clause)
-        return clause_forcing(clause)
+        return clause_forcing(clause, *offset)
 
     monkeypatch.setattr(llcount.cnf, "clause_forcing", counting)
     f = chain_cnf(random.Random(2), 5, share=6)
