@@ -410,12 +410,6 @@ def _finish_cluster(g: DependencyGraph, polymers: list[Polymer],
 _NONFINITE = "nonfinite truncated expansion value"
 
 
-def _as_complex(w) -> complex:
-    if isinstance(w, Fraction):
-        return complex(float(w))
-    return complex(w)
-
-
 class _Memo(dict):
     """A dict that fills a missing key with ``fn(key)``."""
 
@@ -436,73 +430,61 @@ def _sum_clusters(clusters: Iterable[Cluster], oracle: WeightOracle, *,
 
     Streams the clusters.  Each distinct polymer weight is converted once, and
     so is each distinct Ursell coefficient, keyed by incompatibility masks
-    and orderings.  The terms enter one exact sum (``_fold``), which is
-    rounded once (``_rounded``), so the value does not depend on the order of
-    the clusters.
+    and orderings.  Every term is exact and enters one exact sum (``_fold``),
+    which is rounded once (``_rounded``), so the value does not depend on the
+    order of the clusters.
     """
-    weights, coeffs = _converters(oracle, exact)
-    return _rounded(_fold(_term_triples(clusters, weights, coeffs, exact)),
-                    exact)
+    weights, coeffs = _converters(oracle)
+    return _rounded(_fold(_term_triples(clusters, weights, coeffs)), exact)
 
 
-def _converters(oracle: WeightOracle, exact: bool) -> tuple[_Memo, _Memo]:
-    """Memos of each polymer's weight and each (masks, orderings) key's
-    coefficient: (numerator, denominator) pairs when ``exact``, else a
-    complex and a float."""
-    convert = _ratio if exact else _as_complex
-    return (_Memo(lambda p: convert(oracle.weight(p))),
-            _Memo(_exact_coefficient if exact else _float_coefficient))
+def _converters(oracle: WeightOracle) -> tuple[_Memo, _Memo]:
+    """Memos of each polymer's weight as a (real numerator, imaginary
+    numerator, denominator) triple and of each (masks, orderings) key's
+    coefficient as a (numerator, denominator) pair."""
+    return _Memo(lambda p: _triple(oracle.weight(p))), _Memo(_coefficient)
 
 
-def _float_coefficient(key: tuple[tuple[int, ...], int]) -> float:
+def _coefficient(key: tuple[tuple[int, ...], int]) -> tuple[int, int]:
     masks, orderings = key
-    u = _ursell_from_masks(masks)
-    # int / int is correctly rounded, so this is float(u * orderings)
-    return u.numerator * orderings / u.denominator
+    u = _ursell_from_masks(masks) * orderings
+    return u.numerator, u.denominator
 
 
-def _exact_coefficient(key: tuple[tuple[int, ...], int]) -> tuple[int, int]:
-    masks, orderings = key
-    return _ratio(_ursell_from_masks(masks) * orderings)
+def _triple(w) -> tuple[int, int, int]:
+    """A weight as the exact (real numerator, imaginary numerator,
+    denominator) triple it is; a float is a dyadic rational.  A nonfinite
+    weight raises ``NumericFailure``."""
+    try:
+        if isinstance(w, complex):
+            re, re_den = w.real.as_integer_ratio()
+            im, im_den = w.imag.as_integer_ratio()
+            den = max(re_den, im_den)  # both are powers of two
+            return re * (den // re_den), im * (den // im_den), den
+        w = Fraction(w)
+    except (OverflowError, ValueError):  # an infinite or NaN part
+        raise NumericFailure(_NONFINITE) from None
+    return w.numerator, 0, w.denominator
 
 
-def _ratio(x) -> tuple[int, int]:
-    """``Fraction(x)`` as a (numerator, denominator) pair."""
-    x = Fraction(x)
-    return x.numerator, x.denominator
-
-
-def _term_triples(clusters: Iterable[Cluster], weights, coeffs, exact: bool
+def _term_triples(clusters: Iterable[Cluster], weights, coeffs
                   ) -> Iterator[tuple[int, int, int]]:
-    """Each cluster's term as a (real numerator, imaginary numerator,
-    denominator) triple, with ``weights`` and ``coeffs`` mapping polymers and
-    (masks, orderings) to converted values.
-
-    An exact term is the product of (numerator, denominator) pairs.  A float
-    term is the float coefficient times the complex product of the weights,
-    taken as the dyadic rational it is; a nonfinite one raises
-    ``NumericFailure``.
-    """
+    """Each cluster's exact term as a (real numerator, imaginary numerator,
+    denominator) triple: the product of its coefficient's pair and its
+    weights' triples, with ``weights`` and ``coeffs`` mapping polymers and
+    (masks, orderings) to them."""
     for polymers, _, orderings, masks in clusters:
-        if exact:
-            num, den = coeffs[masks, orderings]
-            for p in polymers:
-                wn, wd = weights[p]
-                num *= wn
-                den *= wd
-            yield num, 0, den
-            continue
-        prod = complex(1.0)
+        re, den = coeffs[masks, orderings]
+        im = 0
         for p in polymers:
-            prod *= weights[p]
-        z = coeffs[masks, orderings] * prod
-        try:
-            re, re_den = z.real.as_integer_ratio()
-            im, im_den = z.imag.as_integer_ratio()
-        except (OverflowError, ValueError):  # an infinite or NaN part
-            raise NumericFailure(_NONFINITE) from None
-        den = max(re_den, im_den)  # both are powers of two
-        yield re * (den // re_den), im * (den // im_den), den
+            wre, wim, wden = weights[p]
+            if wim:
+                re, im = re * wre - im * wim, re * wim + im * wre
+            else:
+                re *= wre
+                im *= wre
+            den *= wden
+        yield re, im, den
 
 
 def _fold(triples: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
@@ -526,9 +508,11 @@ def _fold(triples: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
 def _rounded(total: tuple[int, int, int], exact: bool) -> Fraction | complex:
     """A folded sum as a ``Fraction`` when ``exact``, else as the nearest
     complex; CPython rounds int / int correctly.  A sum beyond float range
-    raises ``NumericFailure``."""
+    raises ``NumericFailure``; an exact sum that is not real, ``TypeError``."""
     re, im, den = total
     if exact:
+        if im:
+            raise TypeError("exact truncated expansion is not real")
         return Fraction(re, den)
     try:
         return complex(re / den, im / den)
@@ -551,7 +535,7 @@ def _converted_weights(oracle: WeightOracle, polymers: Sequence[Polymer],
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(oracle.weight, polymers))
     weight = oracle.weight
-    return {p: _as_complex(weight(p)) for p in polymers}
+    return {p: complex(weight(p)) for p in polymers}
 
 
 class _RootPart:
@@ -647,20 +631,15 @@ class _Roots:
         skipped ones included."""
         g, m = self.g, self.m
         _SHAPE_TABLE.trim()
-        # a computed root's unions also hold sets of reusing roots, which
-        # the weights fill in from the oracle
-        weights, coeffs = _converters(self.oracle, exact)
-        if not exact:
-            weights.update(self.weights)
-        # a weight is 0 iff its complex, or its pair's numerator, is
-        live = (lambda p: weights[p][0]) if exact else weights.__getitem__
+        weights, coeffs = _converters(self.oracle)
         shares = []
         count = 0
         for part in self.parts:
             counted = [0]
-            clusters = enumerate_clusters(g, m, live, unions=part.polymers,
+            clusters = enumerate_clusters(g, m, self.oracle.weight,
+                                          unions=part.polymers,
                                           counted=counted)
-            re, im, den = _fold(_term_triples(clusters, weights, coeffs, exact))
+            re, im, den = _fold(_term_triples(clusters, weights, coeffs))
             shares.append((re * part.roots, im * part.roots, den))
             count += counted[0] * part.roots
         return _rounded(_fold(shares), exact), count
@@ -670,10 +649,10 @@ def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
                         threads: int = 1, exact: bool = False):
     """Truncated cluster expansion of log Z to total cluster size m.
 
-    Returns a complex number, or an exact Fraction when ``exact`` is set (the
-    oracle must then return rationals).  The float value is the correctly
-    rounded sum of the cluster terms, so it is bit-identical for any thread
-    count and any reuse of root parts.
+    Every term is exact, a float weight being the dyadic rational it is.
+    Returns the exact sum rounded once to the nearest complex, or, when
+    ``exact`` is set, as a Fraction (the sum must then be real).  So the
+    value is bit-identical for any thread count and any reuse of root parts.
     """
     return _Roots(g, oracle, m, threads).expansion(exact)[0]
 

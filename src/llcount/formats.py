@@ -31,7 +31,11 @@ Weights specs are the same with ``weight KEY re [im]`` lines.  Keys are
 comma-joined ascending vertex ids.  Every connected set up to max-size must
 have an entry.  Colorings are ``v c`` lines, one per vertex.
 
-All numbers are decimal with optional exponent; ``#`` starts a comment.
+Every integer (a count, a dimension, a vertex, qudit or color index, a key
+entry) is ASCII ``[+-]?[0-9]+``: ``1_0`` and non-ASCII digits, which
+Python's ``int`` reads, are errors naming their line.  The counts of an
+edge-list header are non-negative.  Every other number is decimal with
+optional exponent; ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Iterator
 
 from ._lazy import lazy_getattr
 from .clusters import WeightOracle
-from .cnf import EventTableOracle
+from .cnf import EventTableOracle, _integer
 from .errors import SpecParseError
 from .graphs import (Coloring, DependencyGraph, build_graph, check_edge,
                      enumerate_connected_subgraphs)
@@ -62,7 +66,7 @@ def _lines(text: str) -> Iterator[tuple[int, str]]:
 
 def _int(tok: str, lineno: int, what: str) -> int:
     try:
-        return int(tok)
+        return _integer(tok)
     except ValueError:
         raise SpecParseError(f"expected integer {what}, got {tok!r}", lineno) from None
 
@@ -109,6 +113,8 @@ def parse_edge_list(text: str) -> DependencyGraph:
         raise SpecParseError("header must be 'n m'", lineno)
     n = _int(parts[0], lineno, "vertex count")
     m = _int(parts[1], lineno, "edge count")
+    if n < 0 or m < 0:
+        raise SpecParseError("header counts must be non-negative", lineno)
     edges = _edges(lines[1:], n)
     if len(edges) != m:
         raise SpecParseError(f"header declares {m} edges, found {len(edges)}")
@@ -299,7 +305,7 @@ def _parse_graph_block(lines: list[tuple[int, str]], pos: int):
 
 def _parse_key(tok: str, lineno: int, n: int) -> tuple[int, ...]:
     try:
-        key = tuple(int(t) for t in tok.split(","))
+        key = tuple(map(_integer, tok.split(",")))
     except ValueError:
         raise SpecParseError(f"bad vertex-set key {tok!r}", lineno) from None
     if key != tuple(sorted(key)) or len(set(key)) != len(key):

@@ -683,6 +683,27 @@ def test_dimacs_literals_and_counts_are_ascii_integers(tmp_path, capsys,
         assert _last_json(err)["error"] == error
 
 
+@pytest.mark.parametrize("argv, text, error", [
+    (["qsat-commuting"], "d 2\nqudits 1_0\n",
+     "line 2: expected integer qudit count, got '1_0'"),
+    (["polymer-z"], "vertices 1\nedges 0\nmax-size 1_0\nweight 0 0.01\n",
+     "line 3: expected integer max set size, got '1_0'"),
+    (["oracle", "ursell"], "-5 0\n",
+     "line 1: header counts must be non-negative"),
+    (["oracle", "ursell"], "3 -1\n",
+     "line 1: header counts must be non-negative"),
+])
+def test_spec_integers_are_ascii_and_header_counts_non_negative(
+        tmp_path, capsys, argv, text, error):
+    """int() would read '1_0' as 10; an edge-list header of -5 vertices
+    would parse as the empty graph."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = _run(capsys, argv + [str(path), "--format", "jsonl"])
+    assert code == 3
+    assert _last_json(err)["error"] == error
+
+
 def _gc_inputs(tmp_path):
     """(argv, exit code or escaping exception type) for each way a call
     ends."""

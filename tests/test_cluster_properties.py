@@ -1,10 +1,10 @@
 """Property tests of the cluster engine's fast paths against literal loops:
 shape-cached cluster enumeration, the bitmask shape enumeration, the streamed
 summation, the skipping of clusters that hold a zero-weight polymer, the
-indexed intersection graph, the integer exact sum, the exact float sum, the
-engine that sums each computed root's part from one enumeration, the
-process-wide shape table trimmed to its cap between calls, and the reuse of
-a root's part under the CNF local key."""
+indexed intersection graph, the integer exact sum, the float sum rounded
+once from the exact one, the engine that sums each computed root's part from
+one enumeration, the process-wide shape table trimmed to its cap between
+calls, and the reuse of a root's part under the CNF local key."""
 
 import functools
 import itertools
@@ -21,7 +21,7 @@ import llcount.clusters
 import llcount.cnf
 from llcount.cli import main
 from llcount.clusters import (WeightOracle, _clusters_with_union,
-                              _float_coefficient, _Roots, _shape_clusters,
+                              _coefficient, _Roots, _shape_clusters,
                               _ShapeTable, _sum_clusters, _ursell_from_masks,
                               approx_partition_function, enumerate_clusters,
                               truncated_expansion)
@@ -67,30 +67,37 @@ def _uncached_clusters(g, m):
     return out
 
 
+def _exact_parts(w):
+    """A weight's real and imaginary parts as Fractions."""
+    if isinstance(w, complex):
+        return Fraction(w.real), Fraction(w.imag)
+    return Fraction(w), Fraction(0)
+
+
+def _literal_terms(clusters, weight):
+    """Each cluster's term as exact (real, imaginary) Fractions: its Ursell
+    coefficient times the complex product of its weights, in order."""
+    for c in clusters:
+        re = _ursell_from_masks(c.incompatibility_masks) * c.orderings
+        im = Fraction(0)
+        for p in c.polymers:
+            wre, wim = _exact_parts(weight(p))
+            re, im = re * wre - im * wim, re * wim + im * wre
+        yield re, im
+
+
 def _list_sum(clusters, oracle, exact):
     """The summation loop over a materialized cluster list, converting every
-    weight and coefficient at each use.  The float sum is the correctly
-    rounded sum of the terms, which does not depend on their order."""
-    if exact:
-        total = Fraction(0)
-        for c in clusters:
-            coeff = _ursell_from_masks(c.incompatibility_masks) * c.orderings
-            prod = Fraction(1)
-            for p in c.polymers:
-                prod *= Fraction(oracle.weight(p))
-            total += coeff * prod
-        return total
-    # each float term as the engine forms it, summed exactly and rounded once
+    weight and coefficient at each use: the exact Fraction sum of each
+    component, as a Fraction when ``exact`` (it must then be real), else
+    rounded once to the nearest complex."""
     re = im = Fraction(0)
-    for c in clusters:
-        coeff = float(_ursell_from_masks(c.incompatibility_masks) * c.orderings)
-        prod = complex(1.0)
-        for p in c.polymers:
-            w = oracle.weight(p)
-            prod *= complex(float(w)) if isinstance(w, Fraction) else complex(w)
-        term = coeff * prod
-        re += Fraction(term.real)
-        im += Fraction(term.imag)
+    for term_re, term_im in _literal_terms(clusters, oracle.weight):
+        re += term_re
+        im += term_im
+    if exact:
+        assert im == 0
+        return re
     return complex(float(re), float(im))
 
 
@@ -196,8 +203,7 @@ def test_zero_weight_clusters_are_skipped_exactly(g, m, seed, zeros):
     exact = truncated_expansion(g, WeightOracle(weight), m, exact=True)
     assert exact == _sum_clusters(full, WeightOracle(weight), exact=True)
     got = truncated_expansion(g, WeightOracle(weight), m)
-    want = _sum_clusters(full, WeightOracle(weight))
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert got == _sum_clusters(full, WeightOracle(weight)) == complex(exact)
 
 
 @SETTINGS
@@ -373,6 +379,14 @@ def test_a_partial_sum_past_float_range_is_no_failure():
     assert _sum_clusters(enumerate_clusters(g, 1), oracle) == 1e308
     with pytest.raises(NumericFailure, match="exp of the truncated log"):
         approx_partition_function(g, oracle, 1.0, 5.0, force=True)
+    # nor is a term past float range: at m = 2 the terms -w^2/2 of weights
+    # 1e200 and 1e200j are -5e399 and 5e399, which cancel exactly
+    weights = [1e200, 1e200j]
+    g = build_graph(len(weights), [])
+    oracle = WeightOracle(lambda p: weights[p[0]])
+    assert truncated_expansion(g, oracle, 2) == complex(1e200, 1e200)
+    assert _sum_clusters(enumerate_clusters(g, 2), oracle) == complex(1e200,
+                                                                      1e200)
 
 
 @pytest.mark.parametrize("weights", [
@@ -384,6 +398,11 @@ def test_a_nonfinite_term_or_total_is_a_numeric_failure(weights):
         truncated_expansion(g, oracle, 1)
     with pytest.raises(NumericFailure, match="nonfinite truncated expansion"):
         _sum_clusters(enumerate_clusters(g, 1), oracle)
+    if not all(map(math.isfinite, weights)):
+        # exact mode converts each weight the same way
+        with pytest.raises(NumericFailure,
+                           match="nonfinite truncated expansion"):
+            truncated_expansion(g, oracle, 1, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -437,45 +456,110 @@ def test_engine_equals_streamed_reference(model, exact):
         assert _Roots(g, oracle, m, 1).expansion(exact)[1] == count
 
 
-def _literal_terms(clusters, table):
-    """Each cluster's float term as the engine forms it: the float
-    coefficient times the complex product of the weights, in order."""
-    for c in clusters:
-        prod = complex(1.0)
-        for p in c.polymers:
-            w = table[p]
-            prod *= complex(float(w)) if isinstance(w, Fraction) else complex(w)
-        yield float(_ursell_from_masks(c.incompatibility_masks)
-                    * c.orderings) * prod
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
 
 
 @SETTINGS
 @given(engine_models(), st.sampled_from([1, 3]))
-def test_float_sum_is_fsum_of_the_literal_terms(model, threads):
+def test_float_sum_is_the_exact_sum_of_the_literal_terms_rounded_once(
+        model, threads):
+    # complex weights too: each component's exact sum, rounded once
     g, m, table, labels = model
-    terms = list(_literal_terms(enumerate_clusters(g, m), table))
-    want = complex(math.fsum([z.real for z in terms]),
-                   math.fsum([z.imag for z in terms]))
-    bits = (want.real.hex(), want.imag.hex())
+    bits = _bits(_list_sum(enumerate_clusters(g, m),
+                           WeightOracle(table.__getitem__), False))
     got = _sum_clusters(enumerate_clusters(g, m), WeightOracle(
         table.__getitem__))
-    assert (got.real.hex(), got.imag.hex()) == bits
+    assert _bits(got) == bits
     for key in (labels, None):
         got = truncated_expansion(g, WeightOracle(table.__getitem__, key), m,
                                   threads=threads)
-        assert (got.real.hex(), got.imag.hex()) == bits
+        assert _bits(got) == bits
 
 
-def test_float_coefficient_is_the_exact_coefficient_rounded_once():
+@SETTINGS
+@given(engine_models(), st.sampled_from([1, 3]))
+def test_float_answer_is_the_exact_answer_rounded(model, threads):
+    """On real rational weights the float result is complex(exact result)
+    to the bit, through every entry point, with the root memo on and off."""
+    g, m, table, labels = model
+    assume(not any(isinstance(w, complex) for w in table.values()))
+    exact = _sum_clusters(enumerate_clusters(g, m),
+                          WeightOracle(table.__getitem__), exact=True)
+    bits = _bits(complex(exact))
+    assert _bits(_sum_clusters(enumerate_clusters(g, m),
+                               WeightOracle(table.__getitem__))) == bits
+
+    def weight(p):
+        # approx_partition_function picks its own order: weigh the sets
+        # past the table too
+        return table.get(p, Fraction(-1, 1 << 3 * len(p)))
+
+    for key in (labels, None):
+        oracle = WeightOracle(table.__getitem__, key)
+        assert truncated_expansion(g, oracle, m, threads=threads,
+                                   exact=True) == exact
+        assert _bits(truncated_expansion(g, oracle, m,
+                                         threads=threads)) == bits
+        with_exact, with_float = [approx_partition_function(
+            g, WeightOracle(weight, key), 0.5, 1.0, force=True,
+            threads=threads, exact=mode) for mode in (True, False)]
+        assert with_float.exact_log is None
+        assert _bits(with_float.log_value) == _bits(with_exact.log_value) \
+            == _bits(complex(float(with_exact.exact_log)))
+
+
+@pytest.mark.parametrize("w", [Fraction(13, 4), 3.25, complex(3.25)])
+def test_a_float_answer_is_rounded_once_from_the_exact_answer(w):
+    """One vertex of weight 13/4 at m = 3: the clusters are the vertex taken
+    once, twice and three times, and the float answer is the exact
+    13/4 - (13/4)^2/2 + (13/4)^3/3 rounded once, not a sum of rounded float
+    terms (9.411458333333332)."""
+    g = build_graph(1, [])
+    x = Fraction(13, 4)
+    want = x - x ** 2 / 2 + x ** 3 / 3
+    assert truncated_expansion(g, WeightOracle(lambda p: w), 3,
+                               exact=True) == want
+    got = truncated_expansion(g, WeightOracle(lambda p: w), 3)
+    assert got == float(want) == 9.411458333333334
+
+
+def test_coefficient_is_the_exact_ursell_value_times_orderings():
     """On one edge at m = 6 the cluster of {0} and {1} three times each has
-    Ursell function -1/6 and 20 orderings: float(-1/6) * 20 is not
-    float(-20/6), and the float coefficient is the latter."""
+    Ursell function -1/6 and 20 orderings; its coefficient is exactly
+    -20/6, which no float holds."""
     clusters = _shape_clusters((2, 1), 6)[1]
     assert any(masks == (62, 61, 59, 55, 47, 31) and orderings == 20
                for _, _, orderings, masks in clusters)
     for _, _, orderings, masks in clusters:
         x = _ursell_from_masks(masks) * orderings
-        assert _float_coefficient((masks, orderings)) == float(x)
+        assert _coefficient((masks, orderings)) == (x.numerator,
+                                                    x.denominator)
+    assert _coefficient(((62, 61, 59, 55, 47, 31), 20)) == (-10, 3)
+
+
+def test_exact_mode_refuses_a_result_that_is_not_real():
+    """Exact mode returns a Fraction, so a sum with an imaginary part is a
+    TypeError; complex-typed weights whose sum is real are accepted."""
+    g = build_graph(2, [(0, 1)])
+    conjugates = {(0,): complex(0.25, 0.125), (1,): complex(0.25, -0.125),
+                  (0, 1): complex(0.0625)}
+    skewed = {**conjugates, (1,): complex(0.25)}
+    for m in (1, 2):
+        with pytest.raises(TypeError, match="not real"):
+            truncated_expansion(g, WeightOracle(skewed.__getitem__), m,
+                                exact=True)
+        with pytest.raises(TypeError, match="not real"):
+            _sum_clusters(enumerate_clusters(g, m),
+                          WeightOracle(skewed.__getitem__), exact=True)
+        # the imaginary parts of conjugate weights cancel in every order
+        oracle = WeightOracle(conjugates.__getitem__)
+        got = truncated_expansion(g, oracle, m, exact=True)
+        assert type(got) is Fraction
+        assert got == _list_sum(list(enumerate_clusters(g, m)), oracle, True)
+        assert truncated_expansion(g, oracle, m) == complex(got)
+    assert truncated_expansion(g, WeightOracle(conjugates.__getitem__), 1,
+                               exact=True) == Fraction(1, 2)
 
 
 @SETTINGS

@@ -54,6 +54,12 @@ def test_edge_list_errors():
      "line 2: edge (0, 5) has an endpoint out of range [0, 3)"),
     ("3 2\n0 1\n", "header declares 2 edges, found 1"),
     ("3 1\n0 1\n1 2\n", "header declares 1 edges, found 2"),
+    # header counts are non-negative, and every integer is ASCII
+    # [+-]?[0-9]+, though int() reads '1_0' as 10 and other digits
+    ("-5 0\n", "line 1: header counts must be non-negative"),
+    ("3 -1\n", "line 1: header counts must be non-negative"),
+    ("1_0 0\n", "line 1: expected integer vertex count, got '1_0'"),
+    ("3 1\n0 \u0662\n", "line 2: expected integer endpoint, got '\u0662'"),
 ])
 def test_edge_list_error_messages(text, message):
     with pytest.raises(SpecParseError) as err:
@@ -79,6 +85,18 @@ ENTRIES = "max-size 1\n{0} 0 0.01\n{0} 1 0.01\n{0} 2 0.01\n"
      "line 1: vertex count must be non-negative"),
     ("vertices 3\nedges -1\nmax-size 1\n",
      "line 2: edge count must be non-negative"),
+    ("vertices 1_0\nedges 0\nmax-size 1\n",
+     "line 1: expected integer vertex count, got '1_0'"),
+    ("vertices 3\nedges 0_1\nmax-size 1\n",
+     "line 2: expected integer edge count, got '0_1'"),
+    (GRAPH_BLOCK + "0 1\n1 2_0\n", "line 4: expected integer endpoint, "
+     "got '2_0'"),
+    (GRAPH_BLOCK + "0 1\n1 2\nmax-size 1_0\n",
+     "line 5: expected integer max set size, got '1_0'"),
+    (GRAPH_BLOCK + "0 1\n1 2\n" + ENTRIES.format("weight").replace(
+        "weight 2", "weight \uff12"), "line 8: bad vertex-set key '\uff12'"),
+    (GRAPH_BLOCK + "0 1\n1 2\nmax-size 2\nweight 0,1_0 0.01\n",
+     "line 6: bad vertex-set key '0,1_0'"),
     # the first entry line picks the kind; a line of the other kind fails
     # where it stands
     (GRAPH_BLOCK + "0 1\n1 2\n" + ENTRIES.format("prob")
@@ -227,6 +245,29 @@ def test_weights_spec_roundtrip():
     assert oracle.weight((0, 1)) == complex(0.001, -0.002)
     with pytest.raises(SpecParseError):
         oracle.weight((0, 1, 2))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("d 2\nqudits 1_0\n", "line 2: expected integer qudit count, got '1_0'"),
+    ("d \u0662\nqudits 1\n",
+     "line 1: expected integer local dimension, got '\u0662'"),
+    ("d 2\nqudits 2\nprojector\nsupport 0 1_0\n",
+     "line 4: expected integer qudit index, got '1_0'"),
+])
+def test_projector_spec_integers_are_ascii(text, message):
+    with pytest.raises(SpecParseError) as err:
+        parse_projector_spec(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1_0 1\n", "line 1: expected integer vertex, got '1_0'"),
+    ("0 0\n1 \u0661\n", "line 2: expected integer color, got '\u0661'"),
+])
+def test_coloring_integers_are_ascii(text, message):
+    with pytest.raises(SpecParseError) as err:
+        parse_coloring(text, build_graph(11, []))
+    assert str(err.value) == message
 
 
 def test_coloring_parse():
