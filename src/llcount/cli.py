@@ -115,30 +115,31 @@ def _emit(report: dict, fmt: str, stream=None) -> None:
 
 # Every flag of every command, written once: its add_argument keywords.  The
 # flags that some mode or input kind of a command does not read (_UNREAD)
-# default to None, so a run can tell that they were given.
+# default to None, so a run can tell that they were given.  Numbers follow
+# the input grammar (cnf._ascii).
 _FLAGS = {
-    "--epsilon": dict(type=float, default=0.1,
+    "--epsilon": dict(type=cnfmod._real, default=0.1,
                       help="target relative error in (0, 1]"),
-    "--delta": dict(type=float, default=0.1,
+    "--delta": dict(type=cnfmod._real, default=0.1,
                     help="decay-margin parameter of the hypotheses"),
     "--force": dict(action="store_true", help="compute even when a checked "
                     "hypothesis fails (no error certificate)"),
-    "--threads": dict(type=int, default=1,
+    "--threads": dict(type=cnfmod._integer, default=1,
                       help="worker threads for weight evaluation"),
     "--coloring": dict(metavar="PATH",
                        help="optional proper-coloring file (v c lines)"),
     "--format": dict(choices=("human", "jsonl"), default="human"),
-    "--dense-cap": dict(type=int,
+    "--dense-cap": dict(type=cnfmod._integer,
                         help="cap on dense operator dimension per evaluation"),
     "--exact-rational": dict(action="store_true", help="exact rational "
                              "expansion; only the final exp rounds"),
     "--mode": dict(choices=("stability", "detectability"),
                    default="stability"),
-    "--t": dict(type=int, help="detectability rounds (default 1)"),
-    "--lambda-star": dict(type=float,
-                          help="certified lower bound on the spectral gap"),
-    "--stability-cap": dict(type=int, help="largest set size the stability "
-                                           "check probes (default 3)"),
+    "--t": dict(type=cnfmod._integer, help="detectability rounds (default 1)"),
+    "--lambda-star": dict(type=cnfmod._real, help="certified lower bound "
+                          "on the spectral gap"),
+    "--stability-cap": dict(type=cnfmod._integer, help="largest set size "
+                            "the stability check probes (default 3)"),
 }
 
 _RUN = "--epsilon --delta --force --threads --coloring --format"
@@ -267,19 +268,19 @@ def _refuse_unread(args, kind: str, where: str) -> None:
             raise SpecParseError(f"{flag} does not apply to {where}")
 
 
-def _maybe_coloring(args, graph_of):
-    """The ``--coloring`` file parsed against the graph ``graph_of()``, which
-    is built only when the flag is given; None without the flag."""
+def _maybe_coloring(args, n: int):
+    """The ``--coloring`` file as a coloring of ``n`` vertices; None without
+    the flag.  Whether it is proper is checked on the run's graph."""
     if args.coloring:
         from . import formats
 
-        return formats.parse_coloring(_read(args.coloring), graph_of())
+        return formats.parse_coloring(_read(args.coloring), n)
     return None
 
 
 def _run_count_sat(args) -> dict:
     f = cnfmod.parse_dimacs(_read(args.input))
-    coloring = _maybe_coloring(args, lambda: cnfmod.cnf_dependency_graph(f))
+    coloring = _maybe_coloring(args, f.clause_count)
     res = cnfmod.count_satisfying(
         f, args.epsilon, args.delta, coloring=coloring, force=args.force,
         threads=args.threads, exact=args.exact_rational)
@@ -291,24 +292,23 @@ def _run_count_sat(args) -> dict:
 
 
 def _events(text: str, command: str):
-    """The events of a DIMACS CNF or an events-spec, and a function that
-    builds their dependency graph."""
+    """The events of a DIMACS CNF or an events-spec, and their number."""
     if _sniff(text) == "cnf":
         f = cnfmod.parse_dimacs(text)
-        return f, lambda: cnfmod.cnf_dependency_graph(f)
+        return f, f.clause_count
     from . import formats
 
     kind, source = formats.parse_table_spec(text)
     if kind != "events":
         raise SpecParseError(f"{command} needs a CNF or events-spec")
-    return source, lambda: source.graph
+    return source, source.graph.vertex_count
 
 
 def _run_prob_intersection(args) -> dict:
-    source, graph_of = _events(_read(args.input), "prob-intersection")
+    source, n = _events(_read(args.input), "prob-intersection")
     res = cnfmod.approx_probability_intersection(
         source, args.epsilon, args.delta,
-        coloring=_maybe_coloring(args, graph_of), force=args.force,
+        coloring=_maybe_coloring(args, n), force=args.force,
         threads=args.threads)
     return {"value": res.probability, "normalized_value": res.probability,
             "chi": res.chi_used, "delta_requested": res.delta_requested,
@@ -321,8 +321,8 @@ def _run_qsat_commuting(args) -> dict:
     ps = _load_projectors(_read(args.input), args)
     res = qsat.approx_dim_commuting(
         ps, args.epsilon, args.delta,
-        coloring=_maybe_coloring(args, lambda: support_dependency_graph(ps)),
-        force=args.force, threads=args.threads)
+        coloring=_maybe_coloring(args, len(ps)), force=args.force,
+        threads=args.threads)
     return _dim_report(res, ps)
 
 
@@ -346,8 +346,7 @@ def _run_qsat_general(args) -> dict:
         return _dim_report(res, ps)
     params = qsat.DetectabilityParams(
         t=args.t or 1, epsilon=args.epsilon,
-        coloring=_maybe_coloring(args, lambda: support_dependency_graph(ps)),
-        lambda_star=args.lambda_star)
+        coloring=_maybe_coloring(args, len(ps)), lambda_star=args.lambda_star)
     res = qsat.approx_dim_detectability(ps, params, args.delta,
                                         force=args.force, threads=args.threads)
     return {"mode": "detectability", "value": res.z,
@@ -386,13 +385,14 @@ def _run_check(args) -> dict:
         f = cnfmod.parse_dimacs(text)
         graph = cnfmod.cnf_dependency_graph(f)
         problem = cnfmod.count_problem(
-            f, graph, _maybe_coloring(args, lambda: graph), args.delta)
+            f, graph, _maybe_coloring(args, f.clause_count), args.delta)
         checks = problem.checks
         extra = {"delta_used": problem.delta_used}
     elif kind == "events":
         graph = parsed.graph
         problem = cnfmod.intersection_problem(
-            parsed, graph, _maybe_coloring(args, lambda: graph), args.delta)
+            parsed, graph, _maybe_coloring(args, graph.vertex_count),
+            args.delta)
         checks = problem.checks
         extra = {"delta_used": problem.delta_used}
     elif kind == "projectors":
@@ -400,7 +400,7 @@ def _run_check(args) -> dict:
 
         ps = _load_projectors(text, args)
         graph = support_dependency_graph(ps)
-        coloring = _maybe_coloring(args, lambda: graph)
+        coloring = _maybe_coloring(args, len(ps))
         problem = qsat.commuting_problem(ps, graph, coloring, args.delta)
         # the stability probe and the delta suggestion read one oracle and
         # the one graph

@@ -541,17 +541,16 @@ def _converted_weights(oracle: WeightOracle, polymers: Sequence[Polymer],
 class _RootPart:
     """What the expansion holds of the connected sets rooted at one vertex.
 
-    ``root`` is the first root that has the part and ``roots`` the number of
-    roots that have it.  ``polymers`` are the sorted sets of order <= m whose
-    smallest vertex is ``root``; the part's clusters are those whose union is
-    one of them.
+    ``roots`` is the number of roots that have the part.  ``polymers`` are
+    the sorted sets of order <= m whose smallest vertex is the part's first
+    root; the part's clusters are those whose union is one of them.
     """
 
-    __slots__ = ("root", "roots", "polymers")
+    __slots__ = ("roots", "polymers")
 
-    def __init__(self, root: int):
-        self.root = root
+    def __init__(self, polymers: list[Polymer]):
         self.roots = 0
+        self.polymers = polymers
 
 
 class _Roots:
@@ -574,6 +573,8 @@ class _Roots:
 
     def __init__(self, g: DependencyGraph, oracle: WeightOracle, m: int,
                  threads: int):
+        if m < 1:
+            raise ValueError("m must be a positive integer")
         self.g, self.oracle, self.m, self.threads = g, oracle, m, threads
         labels = None if oracle.labels is None else oracle.labels(g)
         # per root, ascending: its part; the parts in order of their first
@@ -585,8 +586,7 @@ class _Roots:
                 key = root
             part = seen.get(key)
             if part is None:
-                part = seen[key] = _RootPart(root)
-                part.polymers = sorted(ball_sets(ball, masks, m))
+                part = seen[key] = _RootPart(sorted(ball_sets(ball, masks, m)))
                 polymers += part.polymers  # sorted: each set starts at its root
                 self.parts.append(part)
             part.roots += 1
@@ -600,30 +600,14 @@ class _Roots:
         One scan covers the computed roots' sets.  It finds the maxima and
         the worst polymers of all sets: a reusing root's values equal, not
         exceed, those of its part's first root, and a NaN stays the worst.
-        Violations are listed root by root; a reusing root whose part has
-        one gets its own from a check of its sorted sets.
+        When a part that several roots share has a violation, every root's
+        sets are scanned, so the violations are listed root by root.
         """
-        g, oracle, m = self.g, self.oracle, self.m
-        report = check_weight_condition(g, oracle, m, delta,
-                                        max_degree=max_degree,
-                                        weights=self.weights)
-        if report.violations and len(self.parts) < len(self.roots):
-            found: dict[int, list] = {}
-            for violation in report.violations:
-                found.setdefault(violation[0][0], []).append(violation)
-            violations = []
-            for root, part in enumerate(self.roots):
-                if part.root == root:
-                    violations += found.get(root, [])
-                elif part.root in found:
-                    ball, masks, _ = keyed_ball(g, root, m)
-                    own = _converted_weights(
-                        oracle, sorted(ball_sets(ball, masks, m)),
-                        self.threads)
-                    violations += check_weight_condition(
-                        g, oracle, m, delta, max_degree=max_degree,
-                        weights=own).violations
-            report = report._replace(violations=violations)
+        report = _scan(self.weights, delta, max_degree, self.m)
+        if any(self.roots[p[0]].roots > 1 for p, _, _ in report.violations):
+            everything = sorted(enumerate_connected_subgraphs(self.g, self.m))
+            weights = _converted_weights(self.oracle, everything, self.threads)
+            report = _scan(weights, delta, max_degree, self.m)
         return report
 
     def expansion(self, exact: bool = False) -> tuple[Fraction | complex, int]:
@@ -792,22 +776,20 @@ class WeightConditionReport(NamedTuple):
 
 def check_weight_condition(g: DependencyGraph, oracle: WeightOracle, m: int,
                            delta: float, *, max_degree: int | None = None,
-                           threads: int = 1,
-                           weights: dict[Polymer, complex] | None = None
-                           ) -> WeightConditionReport:
-    """Verify |w_gamma| <= eta^|gamma| for every polymer of size <= m.
-
-    ``weights``, when the caller has them already, maps polymers in sorted
-    order to their weights as complexes, and the check covers just those
-    (the engine passes the sets of the roots that compute their part).  The
-    condition over all sizes cannot be checked exhaustively; callers assert
-    it through application-level hypotheses.
-    """
+                           threads: int = 1) -> WeightConditionReport:
+    """Verify |w_gamma| <= eta^|gamma| for every polymer of size <= m, by
+    the engine's check (``_Roots.report``).  The condition over all sizes
+    cannot be checked exhaustively; callers assert it through
+    application-level hypotheses."""
     dmax = g.max_degree() if max_degree is None else max_degree
-    eta = weight_decay_threshold(delta, dmax)
-    if weights is None:
-        weights = _converted_weights(
-            oracle, sorted(enumerate_connected_subgraphs(g, m)), threads)
+    return _Roots(g, oracle, m, threads).report(delta, dmax)
+
+
+def _scan(weights: dict[Polymer, complex], delta: float, max_degree: int,
+          m: int) -> WeightConditionReport:
+    """The weight-decay check of ``weights``, polymers in sorted order mapped
+    to their complex weights."""
+    eta = weight_decay_threshold(delta, max_degree)
     max_root: dict[int, float] = {}
     worst: dict[int, Polymer] = {}
     violations: list[tuple[Polymer, float, float]] = []
@@ -823,7 +805,8 @@ def check_weight_condition(g: DependencyGraph, oracle: WeightOracle, m: int,
         allowed = eta ** size
         if not aw <= allowed * (1.0 + 1e-9):
             violations.append((p, aw, allowed))
-    return WeightConditionReport(delta, dmax, eta, m, max_root, worst, violations)
+    return WeightConditionReport(delta, max_degree, eta, m, max_root, worst,
+                                 violations)
 
 
 class ApproxResult(NamedTuple):
@@ -849,9 +832,9 @@ class ApproxResult(NamedTuple):
         """Certified lower bound on |Z|; positive, hence Z != 0."""
         return abs(self.value) * math.exp(-self.additive_log_error_bound)
 
-    def real_value(self, imag_tol: float = 1e-8) -> float:
+    def real_value(self) -> float:
         mag = max(1.0, abs(self.value))
-        if abs(self.value.imag) > imag_tol * mag:
+        if abs(self.value.imag) > 1e-8 * mag:
             raise NumericFailure(
                 f"imaginary residue {self.value.imag:.3e} exceeds tolerance")
         return self.value.real

@@ -187,12 +187,20 @@ def parse_dimacs(text: str) -> CnfFormula:
     return formula
 
 
-def _integer(tok: str) -> int:
-    """The value of an ASCII ``[+-]?[0-9]+`` token; ValueError otherwise.
-    ``int`` alone would also read '1_2' and non-ASCII digits."""
-    if not tok.isascii() or "_" in tok:
-        raise ValueError(f"not an ASCII integer: {tok!r}")
-    return int(tok)
+def _ascii(read):
+    """``read`` (int or float, whose name it takes for argparse) on an ASCII
+    token without '_'; ``read`` alone would take '1_2' and non-ASCII digits."""
+    def parse(tok: str):
+        if not tok.isascii() or "_" in tok:
+            raise ValueError(f"not an ASCII number: {tok!r}")
+        return read(tok)
+
+    parse.__name__ = read.__name__
+    return parse
+
+
+# every number of every input: ASCII [+-]?[0-9]+, or an ASCII float() numeral
+_integer, _real = _ascii(int), _ascii(float)
 
 
 def _count(tok: str) -> int:

@@ -34,8 +34,9 @@ have an entry.  Colorings are ``v c`` lines, one per vertex.
 Every integer (a count, a dimension, a vertex, qudit or color index, a key
 entry) is ASCII ``[+-]?[0-9]+``: ``1_0`` and non-ASCII digits, which
 Python's ``int`` reads, are errors naming their line.  The counts of an
-edge-list header are non-negative.  Every other number is decimal with
-optional exponent; ``#`` starts a comment.
+edge-list header are non-negative.  Every other number is an ASCII decimal
+with optional exponent: ``_`` and non-ASCII characters, which ``float``
+may read (``1_0e-3``), are errors naming their line; ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Iterator
 
 from ._lazy import lazy_getattr
 from .clusters import WeightOracle
-from .cnf import EventTableOracle, _integer
+from .cnf import EventTableOracle, _integer, _real
 from .errors import SpecParseError
 from .graphs import (Coloring, DependencyGraph, build_graph, check_edge,
                      enumerate_connected_subgraphs)
@@ -73,7 +74,7 @@ def _int(tok: str, lineno: int, what: str) -> int:
 
 def _float(tok: str, lineno: int, what: str) -> float:
     try:
-        return float(tok)
+        return _real(tok)
     except ValueError:
         raise SpecParseError(f"expected number {what}, got {tok!r}", lineno) from None
 
@@ -139,10 +140,10 @@ def _parse_matrix(block: list[tuple[int, str]], side: int,
     """The side x side complex matrix written as ``side`` rows of re/im pairs.
 
     One numpy call converts the whole block.  When it fails, or the block is
-    short or ragged, the rows are read again one number at a time with
-    ``float()``, which accepts every numeral Python does and names the line
-    of the first bad row.  With ``finite``, a non-finite entry (``inf``,
-    ``nan``, or a numeral past float range) is rejected with its line.
+    short or ragged, the rows are read again one number at a time by
+    ``_float``, which names the line of the first bad row.  With ``finite``,
+    a non-finite entry (``inf``, ``nan``, or a numeral past float range) is
+    rejected with its line.
     """
     import numpy as np
 
@@ -176,16 +177,14 @@ def _parse_matrix(block: list[tuple[int, str]], side: int,
     return np.array(rows, dtype=np.float64).view(np.complex128)
 
 
-def parse_projector_spec(text: str, *, validate: bool = True,
-                         tol: float | None = None) -> ProjectorSet:
+def parse_projector_spec(text: str, *, validate: bool = True) -> ProjectorSet:
     """Parse a projector-spec file into a validated ProjectorSet.
 
-    Each projector is validated within ``tol`` (default ``VALIDATION_TOL``)
-    and the set keeps the diagnostics as ``diagnostics``.  ``validate=False``
-    reads the matrices as written, non-finite entries included, and checks
-    no projector."""
-    from .projectors import (VALIDATION_TOL, LocalProjector, ProjectorSet,
-                             validate_projector)
+    Each projector is validated within ``VALIDATION_TOL`` and the set keeps
+    the diagnostics as ``diagnostics``.  ``validate=False`` reads the
+    matrices as written, non-finite entries included, and checks no
+    projector."""
+    from .projectors import LocalProjector, ProjectorSet, validate_projector
 
     lines = list(_lines(text))
     pos = 0
@@ -238,10 +237,9 @@ def parse_projector_spec(text: str, *, validate: bool = True,
     except ValueError as exc:
         raise SpecParseError(str(exc)) from None
     if validate:
-        tol = VALIDATION_TOL if tol is None else tol
         diagnostics = []
         for i, p in enumerate(ps.projectors):
-            diag = validate_projector(p, tol)
+            diag = validate_projector(p)
             if not diag.passed:
                 raise SpecParseError(
                     f"projector {i} fails validation: hermiticity dev "
@@ -430,16 +428,17 @@ def format_weights_spec(graph: DependencyGraph, table: dict, max_size: int) -> s
     return "\n".join(out) + "\n"
 
 
-def parse_coloring(text: str, graph: DependencyGraph) -> Coloring:
-    """Parse `v c` lines into a proper coloring of the graph."""
-    class_of = [-1] * graph.vertex_count
+def parse_coloring(text: str, n: int) -> Coloring:
+    """Parse `v c` lines into a coloring of vertices 0..n-1, each colored
+    once; ``cnf.proper_coloring`` checks it on the graph it colors."""
+    class_of = [-1] * n
     for lineno, s in _lines(text):
         parts = s.split()
         if len(parts) != 2:
             raise SpecParseError("coloring line must be 'v c'", lineno)
         v = _int(parts[0], lineno, "vertex")
         c = _int(parts[1], lineno, "color")
-        if not 0 <= v < graph.vertex_count:
+        if not 0 <= v < n:
             raise SpecParseError(f"vertex {v} out of range", lineno)
         if c < 0:
             raise SpecParseError("colors must be non-negative", lineno)
@@ -450,9 +449,4 @@ def parse_coloring(text: str, graph: DependencyGraph) -> Coloring:
         raise SpecParseError("coloring does not cover every vertex")
     used = sorted(set(class_of))
     remap = {c: i for i, c in enumerate(used)}
-    coloring = Coloring(tuple(remap[c] for c in class_of), len(used))
-    try:
-        coloring.assert_proper(graph)
-    except ValueError as exc:
-        raise SpecParseError(str(exc)) from None
-    return coloring
+    return Coloring(tuple(remap[c] for c in class_of), len(used))

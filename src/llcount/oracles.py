@@ -16,12 +16,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, EventTableOracle, clause_forcing
+from .cnf import CnfFormula, EventTableOracle, _integer, clause_forcing
 from .errors import ResourceCapExceeded, SpecParseError
 from .graphs import Coloring, DependencyGraph
 from .projectors import DEFAULT_DENSE_CAP, ProjectorSet
 
 _ENV_PREFIX = "LLCOUNT_MAX_"
+
 
 
 @dataclass
@@ -45,7 +46,7 @@ class OracleBudget:
             raw = os.environ.get(name)
             if raw is not None:
                 try:
-                    value = int(raw)
+                    value = _integer(raw)
                 except ValueError:
                     value = 0
                 if value < 1:
@@ -266,10 +267,10 @@ def _embed_full(matrix: np.ndarray, support: Sequence[int], n: int, d: int) -> n
     return kron[np.ix_(sigma, sigma)]
 
 
-def _all_diagonal(ps: ProjectorSet, tol: float = 1e-14) -> bool:
+def _all_diagonal(ps: ProjectorSet) -> bool:
     for p in ps.projectors:
         m = np.asarray(p.matrix)
-        if m.size and float(np.max(np.abs(m - np.diag(np.diag(m))))) > tol:
+        if m.size and float(np.max(np.abs(m - np.diag(np.diag(m))))) > 1e-14:
             return False
     return True
 
@@ -281,7 +282,7 @@ class ExactDimension:
     absolute_dim: float
 
 
-def exact_dimension_full_diagonalization(ps: ProjectorSet, *, tol: float = 1e-9,
+def exact_dimension_full_diagonalization(ps: ProjectorSet, *,
                                          budget: OracleBudget | None = None) -> ExactDimension:
     """Exact normalized kernel-intersection dimension and spectral gap of the
     projector sum, by dense full-space diagonalization (diagonal families use
@@ -306,7 +307,7 @@ def exact_dimension_full_diagonalization(ps: ProjectorSet, *, tol: float = 1e-9,
         for p in ps.projectors:
             acc += _embed_full(p.matrix, p.support, n, ps.d)
         eig = np.linalg.eigvalsh(acc)
-    cut = tol * max(1.0, float(eig[-1]))
+    cut = 1e-9 * max(1.0, float(eig[-1]))
     null_count = int(np.sum(eig < cut))
     nonzero = eig[eig > cut]
     lam = float(nonzero[0]) if nonzero.size else 0.0

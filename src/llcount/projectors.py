@@ -47,6 +47,7 @@ from .graphs import DependencyGraph, support_dependency_graph
 EIG_TOL = 1e-9
 IMAG_TOL = 1e-8
 VALIDATION_TOL = 1e-8
+COMMUTATOR_TOL = 1e-8  # largest commutator entry that counts as zero
 DEFAULT_DENSE_CAP = 2 ** 14
 
 
@@ -255,8 +256,7 @@ def _distance_to_01(eig: np.ndarray) -> float:
                         initial=0.0))
 
 
-def validate_projector(p: LocalProjector,
-                       tol: float = VALIDATION_TOL) -> ProjectorDiagnostics:
+def validate_projector(p: LocalProjector) -> ProjectorDiagnostics:
     """Check Hermiticity, idempotency and a {0,1} spectrum within tol.
 
     The hermiticity deviation max|P - P^dagger| is exact.  The spectrum is
@@ -278,6 +278,7 @@ def validate_projector(p: LocalProjector,
     accept or reject is the exact decision, and a reported deviation is at
     least the exact one and, when the projector passes, at most ``tol``.
     Validation costs O(D^2 r) for a thin projector of rank r."""
+    tol = VALIDATION_TOL
     m = np.asarray(p.matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"projector matrix must be square, got shape {m.shape}")
@@ -393,14 +394,13 @@ def _sum_spectrum(ps: ProjectorSet, indices: Sequence[int],
     return np.linalg.eigvalsh(m @ m.conj().T), 0
 
 
-def normalized_product_trace(ps: ProjectorSet, indices: Sequence[int], *,
-                             imag_tol: float = IMAG_TOL) -> float:
+def normalized_product_trace(ps: ProjectorSet, indices: Sequence[int]) -> float:
     """tr of the ordered product of the listed projectors over d^|support union|.
 
     Factors are taken in the given order (repeats allowed).  With P_a =
     W_a W_a^dagger embedded on the union, the trace is that of the cyclic
     chain of blocks W_a^dagger W_b.  The imaginary part must be below
-    tolerance; for commuting families it vanishes identically.
+    IMAG_TOL; for commuting families it vanishes identically.
     """
     if not indices:
         raise ValueError("product of an empty index list")
@@ -417,7 +417,7 @@ def normalized_product_trace(ps: ProjectorSet, indices: Sequence[int], *,
         acc = block if acc is None else acc @ block
     tr = complex(np.trace(acc))
     norm = ps.d ** len(union)
-    if abs(tr.imag) > imag_tol * max(1.0, abs(tr)):
+    if abs(tr.imag) > IMAG_TOL * max(1.0, abs(tr)):
         raise NumericFailure(
             f"product trace has imaginary residue {tr.imag:.3e}")
     return tr.real / norm
@@ -429,8 +429,7 @@ def rank_normalized(p: LocalProjector, d: int) -> float:
     return rank / (d ** len(p.support))
 
 
-def kernel_intersection_dim(ps: ProjectorSet, indices: Iterable[int], *,
-                            tol: float = EIG_TOL) -> float:
+def kernel_intersection_dim(ps: ProjectorSet, indices: Iterable[int]) -> float:
     """Normalized dimension of the intersection of the listed kernels.
 
     Computed as the null-space dimension of the sum of the projectors on the
@@ -442,12 +441,12 @@ def kernel_intersection_dim(ps: ProjectorSet, indices: Iterable[int], *,
     union = _union_support(ps, indices)
     _check_cap(ps, union)
     eig, zeros = _sum_spectrum(ps, indices, union)
-    cut = tol * max(1.0, float(eig[-1])) if eig.size else tol
+    cut = EIG_TOL * max(1.0, float(eig[-1])) if eig.size else EIG_TOL
     null_dim = zeros + int(np.sum(eig < cut))
     return null_dim / ps.d ** len(union)
 
 
-def spectral_gap(ps: ProjectorSet, *, tol: float = EIG_TOL) -> float:
+def spectral_gap(ps: ProjectorSet) -> float:
     """Smallest nonzero eigenvalue of the sum of all projectors (0 if the sum
     vanishes).  Qudits outside every support only repeat eigenvalues, so the
     sum is taken on the union of the supports; the cap still bounds the
@@ -462,12 +461,12 @@ def spectral_gap(ps: ProjectorSet, *, tol: float = EIG_TOL) -> float:
         return 0.0
     indices = range(len(ps.projectors))
     eig, _ = _sum_spectrum(ps, indices, _union_support(ps, indices))
-    cut = tol * max(1.0, float(eig[-1])) if eig.size else tol
+    cut = EIG_TOL * max(1.0, float(eig[-1])) if eig.size else EIG_TOL
     nonzero = eig[eig > cut]
     return float(nonzero[0]) if nonzero.size else 0.0
 
 
-def pair_commutes(ps: ProjectorSet, i: int, j: int, tol: float = 1e-8) -> bool:
+def pair_commutes(ps: ProjectorSet, i: int, j: int) -> bool:
     """Check the commutator of two projectors on their joint support.
 
     With C = P_i P_j = W_i (W_i^dagger W_j) W_j^dagger, the commutator is
@@ -480,7 +479,7 @@ def pair_commutes(ps: ProjectorSet, i: int, j: int, tol: float = 1e-8) -> bool:
     a = _embed_factor(ps.projectors[i], union, ps.d)
     b = _embed_factor(ps.projectors[j], union, ps.d)
     c = (a @ (a.conj().T @ b)) @ b.conj().T
-    return float(np.max(np.abs(c - c.conj().T))) <= tol
+    return float(np.max(np.abs(c - c.conj().T))) <= COMMUTATOR_TOL
 
 
 @dataclass(frozen=True)
@@ -493,7 +492,7 @@ class CommutationReport:
         return not self.failures
 
 
-def verify_commuting(ps: ProjectorSet, tol: float = 1e-8, *,
+def verify_commuting(ps: ProjectorSet, *,
                      graph: DependencyGraph | None = None) -> CommutationReport:
     """Check all overlapping pairs; disjoint supports commute trivially.
 
@@ -504,6 +503,6 @@ def verify_commuting(ps: ProjectorSet, tol: float = 1e-8, *,
     checked = 0
     for u, v in g.edges():
         checked += 1
-        if not pair_commutes(ps, u, v, tol):
+        if not pair_commutes(ps, u, v):
             failures.append((u, v))
     return CommutationReport(checked, tuple(failures))

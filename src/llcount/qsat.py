@@ -304,23 +304,36 @@ def detectability_additive_part(epsilon: float, lambda_star: float, chi: int,
     return (1.0 + epsilon) * (1.0 / (1.0 + lambda_star / chi ** 2)) ** (t / 2.0)
 
 
+# Most adjacency entries (twice the edges) of a detectability product graph.
+PRODUCT_ADJACENCY_CAP = 1 << 20
+
+
 def detectability_problem(ps: ProjectorSet, graph: DependencyGraph,
                           coloring: Coloring | None, t: int,
                           delta: float) -> Problem:
     """The t-round polymer model on the support graph times K_t, under max
-    normalized rank <= (1/(e^(1+delta)(2t(D+1)-1)))^(t chi), chi >= 1."""
-    product = strong_product_with_complete(graph, t)
+    normalized rank <= (1/(e^(1+delta)(2t(D+1)-1)))^(t chi), chi >= 1; a
+    product past ``PRODUCT_ADJACENCY_CAP`` is refused before it is built."""
     col = proper_coloring(graph, coloring)
     chi = max(col.num_colors, 1)
     dmax = graph.max_degree()
-    # 2 * (t(D+1) - 1) + 1 = 2t(D+1) - 1
-    threshold = weight_decay_threshold(delta, t * (dmax + 1) - 1) ** (t * chi)
+    n = graph.vertex_count
+    # vertex (v, tau) of the product has t - 1 + t deg(v) neighbours
+    entries = t * (t * (n + 2 * graph.edge_count()) - n)
+    if entries > PRODUCT_ADJACENCY_CAP:
+        raise ResourceCapExceeded(
+            f"the {t}-round product graph has {entries} adjacency entries, "
+            f"exceeding cap {PRODUCT_ADJACENCY_CAP}; lower t")
+    # the product's max degree if it has a vertex; 2 * it + 1 = 2t(D+1) - 1
+    product_dmax = t * (dmax + 1) - 1
+    threshold = weight_decay_threshold(delta, product_dmax) ** (t * chi)
     rank_chk, worst_rank = _rank_check(
         ps, "detectability-rank-condition", threshold, delta, dmax, chi)
-    delta_used = holder_delta(worst_rank, t * chi, product.max_degree(),
-                              delta, rank_chk.passed)
+    delta_used = holder_delta(worst_rank, t * chi, product_dmax, delta,
+                              rank_chk.passed)
     oracle = WeightOracle(lambda p: detectability_weight(ps, col, t, p))
-    return Problem(product, oracle, [rank_chk], delta_used, chi)
+    return Problem(strong_product_with_complete(graph, t), oracle, [rank_chk],
+                   delta_used, chi)
 
 
 def approx_dim_detectability(ps: ProjectorSet, params: DetectabilityParams,

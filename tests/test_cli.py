@@ -289,7 +289,8 @@ def test_dense_cap_below_one_is_rejected(tmp_path, capsys, command, cap):
 
 
 @pytest.mark.parametrize("command", ["qsat-commuting", "check"])
-@pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5", ""])
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5", "", "1_6",
+                                   "\u0661\u0666"])
 def test_dense_cap_from_environment_must_be_a_positive_integer(
         tmp_path, capsys, monkeypatch, command, value):
     monkeypatch.setenv("LLCOUNT_MAX_DENSE_DIM", value)
@@ -450,9 +451,8 @@ def test_count_sat_builds_the_dependency_graph_once(tmp_path, capsys,
         argv += ["--coloring", str(coloring)]
     code, _, _ = _run(capsys, argv)
     assert code == 0
-    # the --coloring file is checked against a graph of its own; the
-    # pipeline builds one more and passes it on
-    assert len(builds) == (2 if with_coloring else 1)
+    # the --coloring file is checked on the one graph the pipeline builds
+    assert len(builds) == 1
 
 
 def test_check_applies_the_truncation_order_cap(tmp_path, capsys):
@@ -769,15 +769,20 @@ def test_main_pauses_gc_and_restores_the_callers_state(
 
 def test_general_weights_are_checked_and_computed_once(tmp_path, capsys,
                                                        monkeypatch):
-    """qsat-general --mode stability checks the weights once, in the engine;
-    check on a projector spec computes each kernel dimension once, for its
-    stability probe and its delta suggestion together."""
+    """qsat-general --mode stability checks the weights once, in the engine's
+    one scan; check on a projector spec computes each kernel dimension once,
+    for its stability probe and its delta suggestion together."""
     import llcount.clusters
     import llcount.qsat
 
-    checked, kdims = [], []
+    scans, checked, kdims = [], [], []
+    original_scan = llcount.clusters._scan
     original_check = llcount.clusters.check_weight_condition
     original_kdim = llcount.qsat.kernel_intersection_dim
+
+    def counting_scan(weights, *args):
+        scans.append(tuple(weights))
+        return original_scan(weights, *args)
 
     def counting_check(*args, **kwargs):
         checked.append(args[2])
@@ -787,6 +792,7 @@ def test_general_weights_are_checked_and_computed_once(tmp_path, capsys,
         kdims.append(tuple(indices))
         return original_kdim(ps, indices)
 
+    monkeypatch.setattr(llcount.clusters, "_scan", counting_scan)
     for module in (llcount.clusters, llcount.qsat):
         monkeypatch.setattr(module, "check_weight_condition", counting_check)
     monkeypatch.setattr(llcount.qsat, "kernel_intersection_dim", counting_kdim)
@@ -796,7 +802,7 @@ def test_general_weights_are_checked_and_computed_once(tmp_path, capsys,
     code, out, _ = _run(capsys, ["qsat-general", str(single), "--delta", "1.0",
                                  "--format", "jsonl"])
     assert code == 0
-    assert len(checked) == 1
+    assert scans == [((0,),)] and checked == []
     assert [c["name"] for c in _last_json(out)["conditions"]] == [
         "weight-decay"]
     noncomm = tmp_path / "noncomm.spec"
@@ -1069,3 +1075,174 @@ def test_an_abbreviated_flag_exits_3(tmp_path, capsys, command, kind, flag,
     assert err.splitlines()[-1].endswith(
         f"error: unrecognized arguments: {flag} {value}")
     assert "--threads" not in err.splitlines()[-1]
+
+
+# ---------------------------------------------------------------------------
+# One number grammar: '1_0' and non-ASCII digits, which Python's int() and
+# float() read, are refused in every input, flag and environment variable.
+
+_WEIGHTS = "vertices 2\nedges 1\n0 1\nmax-size 2\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("polymer-z", _WEIGHTS + "weight 0 1_0e-3\nweight 1 1e-3\n"
+     "weight 0,1 1e-6\n", "line 5: expected number value, got '1_0e-3'"),
+    ("polymer-z", _WEIGHTS + "weight 0 1e-3\nweight 1 \u0661e-3\n"
+     "weight 0,1 1e-6\n", "line 6: expected number value, got '\u0661e-3'"),
+    ("check", _WEIGHTS + "weight 0 1e-3\nweight 1 1e-3\n"
+     "weight 0,1 1e-6 0_0\n", "line 7: expected number value, got '0_0'"),
+    ("prob-intersection", _WEIGHTS.replace("weight", "prob")
+     + "prob 0 0.00_1\nprob 1 1e-3\nprob 0,1 1e-6\n",
+     "line 5: expected number value, got '0.00_1'"),
+    ("qsat-commuting", "d 2\nqudits 1\nprojector\nsupport 0\nmatrix\n"
+     "1 0  0 0\n0 0  0_0 0\nend\n",
+     "line 7: expected number matrix entry, got '0_0'"),
+])
+def test_spec_numbers_are_ascii(tmp_path, capsys, command, text, message):
+    path = tmp_path / "in.spec"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, [command, str(path), "--format", "jsonl"])
+    assert code == 3 and out == ""
+    assert _last_json(err)["error"] == message
+
+
+@pytest.mark.parametrize("argv, flag, kind", [
+    (["count-sat", "cnf", "--delta", "1_0"], "--delta", "float"),
+    (["count-sat", "cnf", "--epsilon", "\u0660.\u0665"], "--epsilon",
+     "float"),
+    (["count-sat", "cnf", "--threads", "1_0"], "--threads", "int"),
+    (["qsat-general", "projectors", "--mode", "detectability", "--t", "1_0"],
+     "--t", "int"),
+    (["qsat-general", "projectors", "--mode", "detectability",
+      "--lambda-star", "0_5"], "--lambda-star", "float"),
+    (["check", "projectors", "--stability-cap", "\u0662"], "--stability-cap",
+     "int"),
+    (["qsat-commuting", "projectors", "--dense-cap", "1_024"], "--dense-cap",
+     "int"),
+])
+def test_flag_numbers_are_ascii(tmp_path, capsys, argv, flag, kind):
+    inputs = _large_delta_inputs(tmp_path)
+    code, err = _exit(capsys, [argv[0], inputs[argv[1]], *argv[2:]])
+    assert code == 3
+    assert f"argument {flag}: invalid {kind} value" in err
+    assert "Traceback" not in err
+
+
+def test_ascii_numbers_still_read_as_before():
+    from llcount.cnf import _integer, _real
+
+    assert _integer("+12") == 12 and _integer("-0") == 0
+    assert _real("1e-3") == 0.001 and _real("-.5") == -0.5
+    assert math.isinf(_real("inf")) and math.isnan(_real("nan"))
+    for read, tok in [(_integer, "1_2"), (_integer, "\u0663"),
+                      (_real, "1_0e-3"), (_real, "\u0661e-3"),
+                      (_real, "\uff10")]:
+        with pytest.raises(ValueError):
+            read(tok)
+
+
+# ---------------------------------------------------------------------------
+# A --coloring file is read against the vertex count alone and checked for
+# properness once, on the graph the run builds.
+
+def _coloring_inputs(tmp_path):
+    """A CNF chain, an events-spec and a projector spec, each with an edge
+    (0, 1), and a one-color coloring file for each."""
+    inputs = _large_delta_inputs(tmp_path)
+    pair = tmp_path / "pair.spec"
+    pair.write_text(format_projector_spec(
+        overlapping_pair(random.Random(0), 4, 3, 1)))
+    inputs["projectors"] = str(pair)
+    colorings = {}
+    for kind, n in (("cnf", 6), ("events", 2), ("projectors", 2)):
+        path = tmp_path / f"{kind}.col"
+        path.write_text("".join(f"{v} 0\n" for v in range(n)))
+        colorings[kind] = str(path)
+    return inputs, colorings
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-sat", "cnf"], ["prob-intersection", "cnf"],
+    ["prob-intersection", "events"], ["qsat-commuting", "projectors"],
+    ["qsat-general", "projectors", "--mode", "detectability"],
+    ["check", "cnf"], ["check", "events"], ["check", "projectors"],
+    ["check", "projectors", "--t", "2"],
+])
+def test_an_improper_coloring_exits_3(tmp_path, capsys, argv):
+    inputs, colorings = _coloring_inputs(tmp_path)
+    code, out, err = _run(capsys, [argv[0], inputs[argv[1]], *argv[2:],
+                                   "--coloring", colorings[argv[1]],
+                                   "--format", "jsonl"])
+    assert code == 3 and out == ""
+    assert _last_json(err)["error"] == (
+        "invalid input: improper coloring: edge (0, 1) is monochromatic")
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["prob-intersection", "cnf"], "cnf_dependency_graph"),
+    (["qsat-commuting", "projectors"], "support_dependency_graph"),
+    (["qsat-general", "projectors", "--mode", "detectability"],
+     "support_dependency_graph"),
+])
+@pytest.mark.parametrize("with_coloring", [False, True])
+def test_run_commands_build_the_dependency_graph_once(
+        tmp_path, capsys, monkeypatch, argv, builder, with_coloring):
+    import llcount.cli
+    import llcount.cnf
+    import llcount.graphs
+    import llcount.projectors
+    import llcount.qsat
+
+    builds = []
+    original = getattr(llcount.cnf if builder == "cnf_dependency_graph"
+                       else llcount.graphs, builder)
+
+    def counting(source):
+        builds.append(source)
+        return original(source)
+
+    for module in (llcount.cnf, llcount.graphs, llcount.projectors,
+                   llcount.qsat, llcount.cli):
+        if hasattr(module, builder):
+            monkeypatch.setattr(module, builder, counting)
+    inputs = _large_delta_inputs(tmp_path)
+    extra = []
+    if with_coloring:
+        # greedy's colors, which are proper on either graph
+        coloring = tmp_path / "g.col"
+        n = 6 if argv[1] == "cnf" else 1
+        coloring.write_text("".join(f"{v} {v % 2}\n" for v in range(n)))
+        extra = ["--coloring", str(coloring)]
+    code, err = _exit(capsys, [argv[0], inputs[argv[1]], *argv[2:], *extra,
+                               "--delta", "1.0", "--format", "jsonl"])
+    assert code in (0, 2), err
+    assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# The detectability product graph is bounded before it is built.
+
+@pytest.mark.parametrize("argv", [
+    ["qsat-general", "--mode", "detectability", "--t", "100000"],
+    ["check", "--t", "100000"],
+])
+def test_a_product_past_its_cap_exits_4_before_it_is_built(
+        tmp_path, capsys, monkeypatch, argv):
+    import time
+
+    import llcount.qsat
+
+    def refuse(*args):
+        raise AssertionError("the product graph was built")
+
+    monkeypatch.setattr(llcount.qsat, "strong_product_with_complete", refuse)
+    path = _large_delta_inputs(tmp_path)["projectors"]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, [argv[0], path, *argv[1:],
+                                   "--format", "jsonl"])
+    assert time.perf_counter() - start < 10
+    # the rank condition fails at this t too: the cap comes first
+    assert code == 4 and out == ""
+    assert _last_json(err)["error"] == (
+        "the 100000-round product graph has 9999900000 adjacency entries, "
+        "exceeding cap 1048576; lower t")

@@ -23,7 +23,8 @@ from llcount.cli import main
 from llcount.clusters import (WeightOracle, _clusters_with_union,
                               _coefficient, _Roots, _shape_clusters,
                               _ShapeTable, _sum_clusters, _ursell_from_masks,
-                              approx_partition_function, enumerate_clusters,
+                              approx_partition_function,
+                              check_weight_condition, enumerate_clusters,
                               truncated_expansion)
 from llcount.cnf import (CnfFormula, cnf_dependency_graph, cnf_labels,
                          cnf_polymer_weight)
@@ -712,6 +713,57 @@ def test_root_memo_on_and_off_give_identical_results(make, n, k, share, delta,
                 (c.name, c.passed, c.margin, c.detail)
                 for c in caught.value.checks]))
         assert messages[0] == messages[1]
+
+
+@st.composite
+def decay_models(draw):
+    """(graph, polymer -> weight, oracle labels or None, kind) with weights
+    on every connected set: random graphs with seeded real or complex
+    weights of about scale^|polymer|, some past the decay bound; and CNF
+    chains and rings of 4-clauses with their labels, whose parts most roots
+    share and whose clauses, false with probability 1/16, break the bound
+    at delta >= 1."""
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        rng = random.Random(seed)
+        if draw(st.booleans()):
+            f = chain_cnf(rng, draw(st.integers(3, 12)), k=4, share=2)
+        else:
+            f = ring_cnf(rng, 2 * draw(st.integers(2, 6)), k=4, share=2)
+        return (cnf_dependency_graph(f), functools.partial(
+            cnf_polymer_weight, f), functools.partial(cnf_labels, f), "cnf")
+    g = draw(multi_component_graphs())
+    scale = draw(st.sampled_from([0.005, 0.03, 0.2]))
+    imaginary = draw(st.booleans())
+
+    def weight(p):
+        rng = random.Random(f"{seed}:{p}")
+        w = rng.uniform(-1.0, 1.0) * scale ** len(p)
+        return complex(w, rng.uniform(-1.0, 1.0) * w) if imaginary else w
+
+    return g, weight, None, "random"
+
+
+@SETTINGS
+@given(decay_models(), st.sampled_from([1.0, 2.0]))
+def test_check_weight_condition_is_the_engines_report(model, delta):
+    """The standalone decay check reports exactly what a forced run's
+    engine reports, maxima, worst polymers and violations in order, with
+    the root memo on or off."""
+    g, weight, labels, kind = model
+    res = approx_partition_function(g, WeightOracle(weight, labels), 0.5,
+                                    delta, force=True)
+    want = res.condition_report
+    if kind == "cnf":
+        assert want.violations
+    for key in (labels, None):
+        got = check_weight_condition(g, WeightOracle(weight, key),
+                                     res.truncation_order, delta)
+        assert got == want
+        assert (list(got.max_abs_root_by_size.items())
+                == list(want.max_abs_root_by_size.items()))
+        assert (list(got.worst_polymer_by_size.items())
+                == list(want.worst_polymer_by_size.items()))
 
 
 @SETTINGS

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llcount.cnf import proper_coloring
 from llcount.errors import SpecParseError
 from llcount.formats import (format_edge_list, format_events_spec,
                              format_projector_spec, format_weights_spec,
@@ -17,7 +18,6 @@ from llcount.graphs import build_graph
 from llcount.projectors import LocalProjector, ProjectorSet
 from gen import overlapping_pair
 
-P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 
 
 def test_edge_list_roundtrip():
@@ -266,21 +266,26 @@ def test_projector_spec_integers_are_ascii(text, message):
 ])
 def test_coloring_integers_are_ascii(text, message):
     with pytest.raises(SpecParseError) as err:
-        parse_coloring(text, build_graph(11, []))
+        parse_coloring(text, 11)
     assert str(err.value) == message
 
 
 def test_coloring_parse():
     g = build_graph(3, [(0, 1), (1, 2)])
-    col = parse_coloring("0 0\n1 5\n2 0\n", g)
+    col = parse_coloring("0 0\n1 5\n2 0\n", 3)
     assert col.num_colors == 2
     assert col.class_of == (0, 1, 0)
-    with pytest.raises(SpecParseError):
-        parse_coloring("0 0\n1 0\n2 0\n", g)  # improper
-    with pytest.raises(SpecParseError):
-        parse_coloring("0 0\n1 1\n", g)  # vertex 2 uncovered
-    with pytest.raises(SpecParseError):
-        parse_coloring("0 0\n0 1\n1 1\n2 0\n", g)  # colored twice
+    assert proper_coloring(g, col) is col
+    # parsing reads only the vertex count; properness is checked on the graph
+    improper = parse_coloring("0 0\n1 0\n2 0\n", 3)
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is monochromatic"):
+        proper_coloring(g, improper)
+    with pytest.raises(SpecParseError, match="does not cover every vertex"):
+        parse_coloring("0 0\n1 1\n", 3)  # vertex 2 uncovered
+    with pytest.raises(SpecParseError, match="line 2: vertex 0 colored twice"):
+        parse_coloring("0 0\n0 1\n1 1\n2 0\n", 3)
+    with pytest.raises(SpecParseError, match="line 3: vertex 3 out of range"):
+        parse_coloring("0 0\n1 1\n3 0\n", 3)
 
 
 def _per_entry_matrices(text):
@@ -347,13 +352,19 @@ def test_projector_spec_early_eof():
     assert err.value.line == 6 and "'x'" in str(err.value)
 
 
-def test_projector_spec_accepts_every_python_numeral():
-    # float() reads digit separators and non-ASCII digits; numpy does not.
-    text = HEADER + "١ 0_0  0 0\n0 0  0 0.0_0\nend\n"
-    ps = parse_projector_spec(text)
-    assert ps.projectors[0].matrix.tobytes() == P0.tobytes()
-    text = HEADER + "1 0  0 0\n0 0  0 ０\nend\n"
-    assert parse_projector_spec(text).projectors[0].matrix.tobytes() == P0.tobytes()
+@pytest.mark.parametrize("body,line,token", [
+    ("\u0661 0  0 0\n0 0  0 0\nend\n", 6, "\u0661"),
+    ("1 0_0  0 0\n0 0  0 0\nend\n", 6, "0_0"),
+    ("1 0  0 0\n0 0  0 0.0_0\nend\n", 7, "0.0_0"),
+    ("1 0  0 0\n0 0  0 \uff10\nend\n", 7, "\uff10"),
+])
+def test_projector_spec_matrix_entries_are_ascii(body, line, token):
+    # float() reads digit separators and non-ASCII digits; the grammar,
+    # like numpy, does not
+    with pytest.raises(SpecParseError) as err:
+        parse_projector_spec(HEADER + body)
+    assert str(err.value) == (
+        f"line {line}: expected number matrix entry, got {token!r}")
 
 
 @pytest.mark.parametrize("support", ["1 0", "0 0"])
@@ -371,7 +382,7 @@ def test_projector_spec_rejects_a_support_that_is_not_ascending(support):
     ("1 0  0 0\n0 0  inf 0\nend\n", 7, "inf"),           # one numpy call
     ("nan 0  0 0\n0 0  0 0\nend\n", 6, "nan"),
     ("1 0  0 0\n0 0  0 1e400\nend\n", 7, "1e400"),
-    ("1_0 0  0 0\n0 0  0 -Infinity\nend\n", 7, "-Infinity"),  # per number
+    ("1 0  0 -Infinity\n0 0  x 0\nend\n", 6, "-Infinity"),  # per number
 ])
 def test_projector_spec_rejects_non_finite_entries(body, line, token):
     with pytest.raises(SpecParseError) as err:

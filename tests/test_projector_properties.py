@@ -108,13 +108,10 @@ def test_kernel_dim_matches_dense(family, data):
     union = _union(ps, indices)
     eig = _dense_spectrum(ps, indices, union)
     margin = sum(dropped[i] for i in indices) + ROUNDING
-    # the default cut, and one above the perturbation
-    for tol in (EIG_TOL, 1e-6):
-        cut = tol * max(1.0, float(eig[-1]))
-        if _near(eig, cut, 2 * margin):
-            continue
+    cut = EIG_TOL * max(1.0, float(eig[-1]))
+    if not _near(eig, cut, 2 * margin):
         want = int(np.sum(eig < cut)) / ps.d ** len(union)
-        assert kernel_intersection_dim(ps, indices, tol=tol) == want
+        assert kernel_intersection_dim(ps, indices) == want
 
 
 @SETTINGS

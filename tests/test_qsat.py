@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from llcount.errors import HypothesisViolation
+from llcount.errors import HypothesisViolation, ResourceCapExceeded
 from llcount.graphs import greedy_coloring, strong_product_with_complete
 from llcount.oracles import (brute_force_polymer_z, exact_detectability_trace,
                              exact_dimension_full_diagonalization)
@@ -14,9 +14,9 @@ from llcount.projectors import (LocalProjector, ProjectorSet,
                                 rank_normalized, support_dependency_graph)
 from llcount.qsat import (DetectabilityParams, approx_dim_commuting,
                           approx_dim_detectability, approx_dim_general,
-                          commuting_weight, detectability_weight,
-                          general_ie_weight, stability_check,
-                          suggest_delta_general)
+                          commuting_weight, detectability_problem,
+                          detectability_weight, general_ie_weight,
+                          stability_check, suggest_delta_general)
 
 from gen import (disjoint_family, noncommuting_pair, overlapping_pair,
                  random_diag_projector, single_fat_projector)
@@ -288,3 +288,31 @@ def test_detectability_weight_decay_bound_holds():
     for polymer in enumerate_connected_subgraphs(product, 2 * t):
         w = detectability_weight(ps, col, t, polymer)
         assert abs(w) <= eta ** len(polymer) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: ProjectorSet(2, 1, []),
+    lambda rng: single_fat_projector(rng, qubits=3),
+    lambda rng: overlapping_pair(rng, 4, 3, 1),
+    lambda rng: disjoint_family(rng, 3, 2),
+])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_detectability_product_is_bounded_before_it_is_built(monkeypatch,
+                                                             make, t):
+    """The product's adjacency size and degree, read from the support graph,
+    are the built product's; one entry past the cap refuses it."""
+    import llcount.qsat
+
+    ps = make(random.Random(t))
+    graph = support_dependency_graph(ps)
+    product = strong_product_with_complete(graph, t)
+    entries = sum(len(product.neighbors(v)) for v in product.vertices())
+    monkeypatch.setattr(llcount.qsat, "PRODUCT_ADJACENCY_CAP", entries)
+    problem = detectability_problem(ps, graph, None, t, 0.1)
+    assert [problem.graph.neighbors(v) for v in problem.graph.vertices()] == [
+        product.neighbors(v) for v in product.vertices()]
+    if len(ps):
+        assert product.max_degree() == t * (graph.max_degree() + 1) - 1
+    monkeypatch.setattr(llcount.qsat, "PRODUCT_ADJACENCY_CAP", entries - 1)
+    with pytest.raises(ResourceCapExceeded, match=f"{entries} adjacency"):
+        detectability_problem(ps, graph, None, t, 0.1)
