@@ -36,10 +36,10 @@ _LAZY = {
                    "normalized_product_trace", "rank_normalized",
                    "spectral_gap", "validate_projector",
                    "verify_commuting"),
-    "qsat": ("AffineResult", "DetectabilityParams", "DimensionResult",
-             "approx_dim_commuting", "approx_dim_detectability",
-             "approx_dim_general", "commuting_weight", "detectability_weight",
-             "general_ie_weight", "stability_check", "suggest_delta_general"),
+    "qsat": ("AffineResult", "DimensionResult", "approx_dim_commuting",
+             "approx_dim_detectability", "approx_dim_general",
+             "commuting_weight", "detectability_weight", "general_ie_weight",
+             "stability_check", "suggest_delta_general"),
 }
 _HOMES = {name: home for home, names in _LAZY.items()
           for name in (home, *names)}

@@ -45,6 +45,8 @@ def _read(path: str) -> str:
 # A run of characters that ``str.splitlines`` does not split at: the
 # non-empty lines, found one at a time.
 _LINE = re.compile("[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]+")
+# A DIMACS literal, in the grammar of every integer field (``cnf._integer``).
+_LITERAL = re.compile("[+-]?[0-9]+")
 
 
 def _sniff(text: str) -> str:
@@ -53,7 +55,7 @@ def _sniff(text: str) -> str:
         if not s:
             continue
         first = s.split()[0]
-        if first in ("p", "c") or first.lstrip("-").isdigit():
+        if first in ("p", "c") or _LITERAL.fullmatch(first):
             return "cnf"
         if first == "d":
             return "projectors"
@@ -138,8 +140,6 @@ _FLAGS = {
     "--t": dict(type=cnfmod._integer, help="detectability rounds (default 1)"),
     "--lambda-star": dict(type=cnfmod._real, help="certified lower bound "
                           "on the spectral gap"),
-    "--stability-cap": dict(type=cnfmod._integer, help="largest set size "
-                            "the stability check probes (default 3)"),
 }
 
 _RUN = "--epsilon --delta --force --threads --coloring --format"
@@ -158,7 +158,7 @@ _COMMANDS = {
                   "graph+weights spec",
                   "--epsilon --delta --force --threads --format"),
     "check": ("hypothesis report only", "--epsilon --delta --coloring "
-              "--format --dense-cap --t --stability-cap"),
+              "--format --dense-cap --t"),
 }
 _ORACLES = {
     "sat-count": ("exhaustive satisfying-assignment count", "--format"),
@@ -173,9 +173,9 @@ _ORACLES = {
 # The flags that a command takes but one of its modes or input kinds ignores.
 _UNREAD = {
     ("qsat-general", "stability"): "--coloring --t --lambda-star",
-    ("check", "cnf"): "--t --stability-cap --dense-cap",
-    ("check", "events"): "--t --stability-cap --dense-cap",
-    ("check", "weights"): "--coloring --t --stability-cap --dense-cap",
+    ("check", "cnf"): "--t --dense-cap",
+    ("check", "events"): "--t --dense-cap",
+    ("check", "weights"): "--coloring --t --dense-cap",
 }
 
 
@@ -344,11 +344,10 @@ def _run_qsat_general(args) -> dict:
         res = qsat.approx_dim_general(ps, args.epsilon, args.delta,
                                       force=args.force, threads=args.threads)
         return _dim_report(res, ps)
-    params = qsat.DetectabilityParams(
-        t=args.t or 1, epsilon=args.epsilon,
-        coloring=_maybe_coloring(args, len(ps)), lambda_star=args.lambda_star)
-    res = qsat.approx_dim_detectability(ps, params, args.delta,
-                                        force=args.force, threads=args.threads)
+    res = qsat.approx_dim_detectability(
+        ps, args.epsilon, args.delta, t=args.t or 1,
+        coloring=_maybe_coloring(args, len(ps)), lambda_star=args.lambda_star,
+        force=args.force, threads=args.threads)
     return {"mode": "detectability", "value": res.z,
             "normalized_value": res.z, "absolute_value": res.absolute_z,
             "log2_absolute_value": res.log2_absolute_z,
@@ -402,12 +401,13 @@ def _run_check(args) -> dict:
         graph = support_dependency_graph(ps)
         coloring = _maybe_coloring(args, len(ps))
         problem = qsat.commuting_problem(ps, graph, coloring, args.delta)
-        # the stability probe and the delta suggestion read one oracle and
-        # the one graph
+        # the stability probe runs at the order the delta suggestion starts
+        # from; both read one oracle and the one graph
         oracle = qsat.general_oracle(ps)
         checks = [_validation_check(ps), *problem.checks,
-                  qsat.stability_check(ps, args.stability_cap or 3, args.delta,
-                                       oracle=oracle, graph=graph).as_check()]
+                  qsat.stability_check(ps, qsat.SUGGEST_INITIAL_PROBE,
+                                       args.delta, oracle=oracle,
+                                       graph=graph).as_check()]
         extra = {"suggested_delta":
                  qsat.suggest_delta_general(ps, args.epsilon, oracle=oracle,
                                             graph=graph)}
@@ -501,7 +501,7 @@ def _validate_args(args) -> None:
     if lambda_star is not None and not (math.isfinite(lambda_star)
                                         and lambda_star >= 0.0):
         raise SpecParseError("--lambda-star must be finite and non-negative")
-    for flag in ("t", "threads", "dense_cap", "stability_cap"):
+    for flag in ("t", "threads", "dense_cap"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise SpecParseError(

@@ -593,9 +593,10 @@ class _Roots:
             self.roots.append(part)
         self.weights = _converted_weights(oracle, polymers, threads)
 
-    def report(self, delta: float, max_degree: int) -> WeightConditionReport:
+    def report(self, delta: float) -> WeightConditionReport:
         """The weight-decay check of every polymer of order <= m, as a scan
-        of all polymers in sorted order gives it.
+        of all polymers in sorted order gives it, at the graph's maximum
+        degree.
 
         One scan covers the computed roots' sets.  It finds the maxima and
         the worst polymers of all sets: a reusing root's values equal, not
@@ -603,11 +604,12 @@ class _Roots:
         When a part that several roots share has a violation, every root's
         sets are scanned, so the violations are listed root by root.
         """
-        report = _scan(self.weights, delta, max_degree, self.m)
+        dmax = self.g.max_degree()
+        report = _scan(self.weights, delta, dmax, self.m)
         if any(self.roots[p[0]].roots > 1 for p, _, _ in report.violations):
             everything = sorted(enumerate_connected_subgraphs(self.g, self.m))
             weights = _converted_weights(self.oracle, everything, self.threads)
-            report = _scan(weights, delta, max_degree, self.m)
+            report = _scan(weights, delta, dmax, self.m)
         return report
 
     def expansion(self, exact: bool = False) -> tuple[Fraction | complex, int]:
@@ -775,14 +777,13 @@ class WeightConditionReport(NamedTuple):
 
 
 def check_weight_condition(g: DependencyGraph, oracle: WeightOracle, m: int,
-                           delta: float, *, max_degree: int | None = None,
+                           delta: float, *,
                            threads: int = 1) -> WeightConditionReport:
     """Verify |w_gamma| <= eta^|gamma| for every polymer of size <= m, by
-    the engine's check (``_Roots.report``).  The condition over all sizes
-    cannot be checked exhaustively; callers assert it through
-    application-level hypotheses."""
-    dmax = g.max_degree() if max_degree is None else max_degree
-    return _Roots(g, oracle, m, threads).report(delta, dmax)
+    the engine's check (``_Roots.report``), eta at the maximum degree of
+    ``g``.  The condition over all sizes cannot be checked exhaustively;
+    callers assert it through application-level hypotheses."""
+    return _Roots(g, oracle, m, threads).report(delta)
 
 
 def _scan(weights: dict[Polymer, complex], delta: float, max_degree: int,
@@ -842,7 +843,6 @@ class ApproxResult(NamedTuple):
 
 def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
                               epsilon: float, delta: float, *,
-                              max_degree: int | None = None,
                               force: bool = False, threads: int = 1,
                               exact: bool = False,
                               extra_checks: Sequence[ConditionCheck] = ()) -> ApproxResult:
@@ -853,13 +853,15 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
     the truncation order are verified.  A failed hypothesis aborts before the
     truncation order is chosen, and a decay violation aborts after it, unless
     ``force`` is set; a forced run that fails any check is marked ``forced``.
+    The decay threshold, the truncation order and the error bound all use
+    the maximum degree of ``g``, which the certificate needs.
     """
     start = time.perf_counter()
     require(extra_checks, force)
-    dmax = g.max_degree() if max_degree is None else max_degree
+    dmax = g.max_degree()
     m = capped_truncation_order(g.vertex_count, dmax, delta, epsilon)
     roots = _Roots(g, oracle, m, threads)
-    report = roots.report(delta, dmax)
+    report = roots.report(delta)
     checks = list(extra_checks) + [report.as_check()]
     if report.violations and not force:
         p, aw, allowed = report.violations[0]

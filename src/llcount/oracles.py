@@ -18,7 +18,7 @@ import numpy as np
 
 from .cnf import CnfFormula, EventTableOracle, _integer, clause_forcing
 from .errors import ResourceCapExceeded, SpecParseError
-from .graphs import Coloring, DependencyGraph
+from .graphs import Coloring, DependencyGraph, induced_components
 from .projectors import DEFAULT_DENSE_CAP, ProjectorSet
 
 _ENV_PREFIX = "LLCOUNT_MAX_"
@@ -81,31 +81,12 @@ def brute_force_polymer_z(g: DependencyGraph, weights, *,
     for mask in range(1 << n):
         vertices = [v for v in range(n) if mask >> v & 1]
         term = complex(1.0)
-        for comp in _components_of(g, vertices):
+        for comp in induced_components(g, vertices):
             w = weight_fn(comp)
             term *= complex(float(w)) if isinstance(w, Fraction) else complex(w)
         reals.append(term.real)
         imags.append(term.imag)
     return complex(math.fsum(reals), math.fsum(imags))
-
-
-def _components_of(g: DependencyGraph, vertices: list[int]) -> list[tuple[int, ...]]:
-    pool = set(vertices)
-    comps = []
-    while pool:
-        v = min(pool)
-        comp = {v}
-        stack = [v]
-        pool.discard(v)
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in pool:
-                    pool.discard(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +120,7 @@ def exact_inclusion_exclusion_probability(source, vertices: Sequence[int] | None
 
         def prob(subset: Sequence[int]) -> float:
             total = 1.0
-            for comp in _components_of(graph, list(subset)):
+            for comp in induced_components(graph, subset):
                 total *= source.joint_complement_probability(comp)
             return total
 

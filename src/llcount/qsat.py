@@ -248,17 +248,6 @@ def suggest_delta_general(ps: ProjectorSet, epsilon: float, *,
 # Detectability
 
 @dataclass
-class DetectabilityParams:
-    """Inputs of the detectability pipeline: number of rounds, coloring,
-    spectral gap (exact or a certified lower bound) and target epsilon."""
-
-    t: int
-    epsilon: float
-    coloring: Coloring | None = None
-    lambda_star: float | None = None
-
-
-@dataclass
 class AffineResult:
     """Affine approximation z to the kernel-intersection dimension.
 
@@ -336,29 +325,30 @@ def detectability_problem(ps: ProjectorSet, graph: DependencyGraph,
                    delta_used, chi)
 
 
-def approx_dim_detectability(ps: ProjectorSet, params: DetectabilityParams,
-                             delta: float, *, force: bool = False,
+def approx_dim_detectability(ps: ProjectorSet, epsilon: float, delta: float,
+                             *, t: int = 1, coloring: Coloring | None = None,
+                             lambda_star: float | None = None,
+                             force: bool = False,
                              threads: int = 1) -> AffineResult:
     """Affine approximation of the kernel-intersection dimension via the
-    detectability trace, computed by the cluster engine on the strong product
-    of the dependency graph with a complete graph on t rounds."""
-    t = params.t
+    detectability trace over ``t`` rounds, computed by the cluster engine on
+    the strong product of the dependency graph with a complete graph on t
+    vertices.  ``lambda_star`` is the spectral gap or a certified lower
+    bound on it; when None the gap is computed."""
     problem = detectability_problem(ps, support_dependency_graph(ps),
-                                    params.coloring, t, delta)
+                                    coloring, t, delta)
     approx = approx_partition_function(
-        problem.graph, problem.oracle, params.epsilon, problem.delta_used,
+        problem.graph, problem.oracle, epsilon, problem.delta_used,
         force=force, threads=threads, extra_checks=problem.checks)
     # after the engine has enforced the rank condition, so a failed
     # hypothesis exits 2 before a capped gap can exit 4
-    lam = params.lambda_star
-    if lam is None:
-        lam = spectral_gap_or_error(ps)
+    lam = spectral_gap_or_error(ps) if lambda_star is None else lambda_star
     z = approx.real_value()
-    additive = detectability_additive_part(params.epsilon, lam, problem.chi, t)
+    additive = detectability_additive_part(epsilon, lam, problem.chi, t)
     absolute_z, log2_absolute_z = _absolute_dimension(z, ps)
     return AffineResult(
-        z=z, relative_coefficient=params.epsilon, additive_part=additive,
-        worst_case_total=params.epsilon + additive, lambda_star=lam, t=t,
+        z=z, relative_coefficient=epsilon, additive_part=additive,
+        worst_case_total=epsilon + additive, lambda_star=lam, t=t,
         chi_used=problem.chi, approx=approx, absolute_z=absolute_z,
         log2_absolute_z=log2_absolute_z, delta_requested=delta)
 

@@ -29,8 +29,7 @@ from llcount.oracles import (brute_force_polymer_z, brute_force_sat_count,
                              exact_inclusion_exclusion_probability,
                              ursell_bruteforce)
 from llcount.projectors import rank_normalized, support_dependency_graph
-from llcount.qsat import (DetectabilityParams, approx_dim_commuting,
-                          approx_dim_detectability, approx_dim_general,
+from llcount.qsat import (approx_dim_commuting, approx_dim_detectability, approx_dim_general,
                           detectability_weight, stability_check,
                           suggest_delta_general)
 
@@ -181,9 +180,8 @@ def test_acceptance_5_general_fptas():
 
 def _affine_bound_holds(ps, t, eps, delta, force=False):
     exact = exact_dimension_full_diagonalization(ps)
-    params = DetectabilityParams(t=t, epsilon=eps,
-                                 lambda_star=exact.lambda_star)
-    res = approx_dim_detectability(ps, params, delta, force=force)
+    res = approx_dim_detectability(ps, eps, delta, t=t,
+                                   lambda_star=exact.lambda_star, force=force)
     err = abs(res.z - exact.normalized_dim)
     allowed = eps * exact.normalized_dim + res.additive_part
     assert err <= allowed, (t, err, allowed)

@@ -856,7 +856,7 @@ def _sniff_by_splitlines(text):
         if not s:
             continue
         first = s.split()[0]
-        if first in ("p", "c") or first.lstrip("-").isdigit():
+        if first in ("p", "c") or re.fullmatch("[+-]?[0-9]+", first):
             return "cnf"
         if first == "d":
             return "projectors"
@@ -868,10 +868,107 @@ def _sniff_by_splitlines(text):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from(_SEPARATORS + [
-    " ", "\t", "\x1f", "#", "# x", "p", "c", "d", "-3", "12", "vertices",
-    "weight", "x"]), max_size=12).map("".join))
+    " ", "\t", "\x1f", "#", "# x", "p", "c", "d", "-3", "+3", "-", "+",
+    "12", "\u0663", "vertices", "weight", "x"]), max_size=12).map("".join))
 def test_sniff_matches_splitlines(text):
     assert _sniff(text) == _sniff_by_splitlines(text)
+
+
+@pytest.mark.parametrize("before", [
+    "", "\n\n", "c a comment\n", "\n \nc\nc x\n\n"],
+    ids=["first", "after-blanks", "after-comment", "after-both"])
+@pytest.mark.parametrize("sign", ["+", "-", ""],
+                         ids=["plus", "minus", "unsigned"])
+@pytest.mark.parametrize("command", ["check", "prob-intersection"])
+def test_a_headerless_cnf_is_read_whatever_its_first_literal(
+        tmp_path, capsys, command, sign, before):
+    # the first literal, in the grammar [+-]?[0-9]+, tells a CNF apart; the
+    # report is the one of the same clauses under a problem line
+    f = chain_cnf(random.Random(3), 4)
+    first, *rest = f.clauses[0]
+    clauses = [(-abs(first) if sign == "-" else abs(first), *rest),
+               *f.clauses[1:]]
+    lines = [" ".join(map(str, c)) + " 0" for c in clauses]
+    headed = tmp_path / "headed.cnf"
+    headed.write_text(f"p cnf {f.variable_count} {len(clauses)}\n"
+                      + "\n".join(lines) + "\n")
+    bare = tmp_path / "bare.cnf"
+    bare.write_text(before + ("+" if sign == "+" else "") + "\n".join(lines)
+                    + "\n")
+    reports = []
+    for path in (headed, bare):
+        code, out, err = _run(capsys, [command, str(path), "--format",
+                                       "jsonl"])
+        assert code == 0, err
+        report = _last_json(out)
+        del report["elapsed_s"], report["input"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def _degree_inputs(tmp_path):
+    """Inputs whose graphs have edges: a CNF chain (D = 2), a weights-spec
+    and an events-spec on a path of three (D = 2), two overlapping
+    projectors (D = 1)."""
+    path = build_graph(3, [(0, 1), (1, 2)])
+    weights = tmp_path / "w.spec"
+    weights.write_text(format_weights_spec(
+        path, {(0,): 1e-3, (1,): 2e-3, (2,): 1e-3, (0, 1): 1e-6,
+               (1, 2): 1e-6, (0, 1, 2): 1e-9}, 3))
+    events = tmp_path / "e.spec"
+    events.write_text("vertices 3\nedges 2\n0 1\n1 2\nmax-size 3\n"
+                      "prob 0 1e-3\nprob 1 2e-3\nprob 2 1e-3\n"
+                      "prob 0,1 1e-6\nprob 1,2 1e-6\nprob 0,1,2 1e-9\n")
+    proj = tmp_path / "p.spec"
+    proj.write_text(format_projector_spec(
+        overlapping_pair(random.Random(8), 6, 4, 1)))
+    return {"cnf": _write_cnf(tmp_path, chain_cnf(random.Random(1), 6)),
+            "weights": str(weights), "events": str(events),
+            "projectors": str(proj)}
+
+
+@pytest.mark.parametrize("argv, check_argv", [
+    (["count-sat", "cnf"], ["cnf"]),
+    (["prob-intersection", "cnf"], ["cnf"]),
+    (["prob-intersection", "events"], ["events"]),
+    (["qsat-commuting", "projectors"], ["projectors"]),
+    (["qsat-general", "projectors", "--mode", "stability"], ["projectors"]),
+    (["qsat-general", "projectors", "--mode", "detectability", "--t", "2",
+      "--lambda-star", "0.5"], ["projectors", "--t", "2"]),
+    (["polymer-z", "weights"], ["weights"]),
+], ids=lambda argv: " ".join(argv))
+def test_reported_max_degree_is_the_engine_graphs(tmp_path, capsys,
+                                                  monkeypatch, argv,
+                                                  check_argv):
+    # the certificate reads D off the graph the engine runs on, the product
+    # graph under detectability, and check reports the same D
+    from llcount import clusters
+
+    graphs = []
+
+    class Recording(clusters._Roots):
+        def __init__(self, g, *args):
+            graphs.append(g)
+            super().__init__(g, *args)
+
+    monkeypatch.setattr(clusters, "_Roots", Recording)
+    inputs = _degree_inputs(tmp_path)
+    code, out, err = _run(capsys, [argv[0], inputs[argv[1]], *argv[2:],
+                                   "--delta", "1.0", "--force", "--format",
+                                   "jsonl"])
+    assert code == 0, err
+    (g,) = graphs
+    degree = max((len(g.neighbors(v)) for v in g.vertices()), default=0)
+    assert degree >= 1
+    report = _last_json(out)
+    assert (report["graph_order"], report["max_degree"]) == (
+        g.vertex_count, degree)
+    _, out, _ = _run(capsys, ["check", inputs[check_argv[0]],
+                              *check_argv[1:], "--delta", "1.0", "--format",
+                              "jsonl"])
+    report = _last_json(out)
+    assert (report["graph_order"], report["max_degree"]) == (
+        g.vertex_count, degree)
 
 
 def _large_delta_inputs(tmp_path):
@@ -960,7 +1057,7 @@ _READS = {
     ("check", "cnf"): "--coloring",
     ("check", "events"): "--coloring",
     ("check", "weights"): "",
-    ("check", "projectors"): "--coloring --dense-cap --t --stability-cap",
+    ("check", "projectors"): "--coloring --dense-cap --t",
 }
 
 # what each command's -h lists
@@ -971,7 +1068,7 @@ _HELP_FLAGS = {
     "qsat-general": "--force --threads --coloring --dense-cap --mode --t "
                     "--lambda-star",
     "polymer-z": "--force --threads",
-    "check": "--coloring --dense-cap --t --stability-cap",
+    "check": "--coloring --dense-cap --t",
 }
 
 _UNREAD = [
@@ -983,13 +1080,13 @@ _UNREAD = [
     ("polymer-z", "weights", "--coloring"),
     *(("check", kind, flag) for kind in ("cnf", "events", "weights",
                                          "projectors")
-      for flag in ("--force", "--threads")),
+      for flag in ("--force", "--threads", "--stability-cap")),
     # refused by the mode or the input kind
     *((mode, "projectors", flag)
       for mode in ("qsat-general", "qsat-general --mode stability")
       for flag in ("--coloring", "--t", "--lambda-star")),
     *(("check", kind, flag) for kind in ("cnf", "events", "weights")
-      for flag in ("--t", "--stability-cap", "--dense-cap")),
+      for flag in ("--t", "--dense-cap")),
     ("check", "weights", "--coloring"),
 ]
 
@@ -1115,8 +1212,7 @@ def test_spec_numbers_are_ascii(tmp_path, capsys, command, text, message):
      "--t", "int"),
     (["qsat-general", "projectors", "--mode", "detectability",
       "--lambda-star", "0_5"], "--lambda-star", "float"),
-    (["check", "projectors", "--stability-cap", "\u0662"], "--stability-cap",
-     "int"),
+    (["check", "projectors", "--t", "\u0662"], "--t", "int"),
     (["qsat-commuting", "projectors", "--dense-cap", "1_024"], "--dense-cap",
      "int"),
 ])

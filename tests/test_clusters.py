@@ -197,11 +197,11 @@ def test_check_weight_condition_examples():
     # boundary case: weight exactly at the bound passes (delta=0, Delta=2)
     w = 1.0 / (5 * math.e)
     boundary = WeightOracle(lambda p: w if len(p) == 1 else 0.0)
-    rep = check_weight_condition(SINGLE, boundary, 1, 0.0, max_degree=2)
+    rep = check_weight_condition(P3, boundary, 1, 0.0)
     assert rep.passed
 
     bad = WeightOracle(lambda p: 1.0 if len(p) == 1 else 0.0)
-    rep = check_weight_condition(SINGLE, bad, 1, 0.1, max_degree=2)
+    rep = check_weight_condition(P3, bad, 1, 0.1)
     assert not rep.passed
     assert rep.violations[0][0] == (0,)
 
@@ -253,11 +253,29 @@ def test_approx_partition_function_trivial_and_small():
 def test_approx_partition_function_violation_aborts_and_force():
     big = WeightOracle(lambda p: 0.9 if len(p) == 1 else 0.0)
     with pytest.raises(HypothesisViolation):
-        approx_partition_function(SINGLE, big, 0.5, 0.1, max_degree=2)
-    res = approx_partition_function(SINGLE, big, 0.5, 0.7, max_degree=2,
-                                    force=True)
+        # epsilon 1: at 0.5 the order of a 3-vertex graph passes its cap
+        approx_partition_function(P3, big, 1.0, 0.1)
+    res = approx_partition_function(P3, big, 0.5, 0.7, force=True)
     assert res.forced
     assert res.condition_report is not None and not res.condition_report.passed
+
+
+def test_the_certificate_uses_the_graphs_max_degree():
+    # singleton weights -0.22 on an 8-cycle: at its D = 2 the decay bound
+    # 1/(5 e^1.5) = 0.0446 refuses them; a D = 0 threshold e^-1.5 = 0.223
+    # would admit them and certify a bound the true error exceeds, so D is
+    # not a parameter
+    cycle = build_graph(8, [(v, (v + 1) % 8) for v in range(8)])
+    oracle = WeightOracle(lambda p: -0.22 if len(p) == 1 else 0.0)
+    with pytest.raises(HypothesisViolation, match="weight-decay"):
+        approx_partition_function(cycle, oracle, 0.1, 0.5)
+    res = approx_partition_function(cycle, oracle, 0.1, 0.5, force=True)
+    assert res.forced and res.max_degree == 2
+    assert not check_weight_condition(cycle, oracle, 1, 0.5).passed
+    with pytest.raises(TypeError, match="max_degree"):
+        approx_partition_function(cycle, oracle, 0.1, 0.5, max_degree=0)
+    with pytest.raises(TypeError, match="max_degree"):
+        check_weight_condition(cycle, oracle, 1, 0.5, max_degree=0)
 
 
 def test_parallel_weight_evaluation_bit_identical():

@@ -273,8 +273,7 @@ def test_coloring_is_rejected_where_no_hypothesis_uses_it(tmp_path, capsys,
     ("--delta", "nan"), ("--delta", "inf"), ("--delta", "-inf"),
     ("--delta", "0"), ("--delta", "-1"),
     ("--lambda-star", "-1"), ("--lambda-star", "-2"),
-    ("--lambda-star", "nan"), ("--lambda-star", "inf"),
-    ("--stability-cap", "0"), ("--stability-cap", "-1")])
+    ("--lambda-star", "nan"), ("--lambda-star", "inf")])
 def test_out_of_range_delta_and_lambda_star_exit_3(tmp_path, capsys, flag,
                                                    value):
     path = _write(tmp_path, "pair.spec", format_projector_spec(
@@ -283,8 +282,6 @@ def test_out_of_range_delta_and_lambda_star_exit_3(tmp_path, capsys, flag,
                  _cnf_text(chain_cnf(random.Random(5), 4, share=6)))
     if flag == "--delta":
         argvs = [["count-sat", cnf], ["check", cnf], ["qsat-commuting", path]]
-    elif flag == "--stability-cap":
-        argvs = [["check", path]]
     else:
         argvs = [["qsat-general", path, "--mode", "detectability"]]
     for argv in argvs:

@@ -12,8 +12,7 @@ from llcount.oracles import (brute_force_polymer_z, exact_detectability_trace,
                              exact_dimension_full_diagonalization)
 from llcount.projectors import (LocalProjector, ProjectorSet,
                                 rank_normalized, support_dependency_graph)
-from llcount.qsat import (DetectabilityParams, approx_dim_commuting,
-                          approx_dim_detectability, approx_dim_general,
+from llcount.qsat import (approx_dim_commuting, approx_dim_detectability, approx_dim_general,
                           commuting_weight, detectability_problem,
                           detectability_weight, general_ie_weight,
                           stability_check, suggest_delta_general)
@@ -235,9 +234,8 @@ def test_approx_dim_detectability_single_projector():
     rng = random.Random(81)
     ps = single_fat_projector(rng, qubits=7)
     exact = exact_dimension_full_diagonalization(ps)
-    params = DetectabilityParams(t=2, epsilon=0.05,
-                                 lambda_star=exact.lambda_star)
-    res = approx_dim_detectability(ps, params, 0.05)
+    res = approx_dim_detectability(ps, 0.05, 0.05, t=2,
+                                   lambda_star=exact.lambda_star)
     # (I - P)^t = I - P: the trace equals the dimension for every t
     assert abs(res.z - exact.normalized_dim) \
         <= 0.05 * exact.normalized_dim + res.additive_part
@@ -256,18 +254,16 @@ def test_approx_dim_detectability_commuting_instance():
     for t in (1, 2, 4):
         trace = exact_detectability_trace(ps, col, t)
         assert trace == pytest.approx(exact.normalized_dim, abs=1e-9)
-    params = DetectabilityParams(t=1, epsilon=0.05,
-                                 lambda_star=exact.lambda_star)
-    res = approx_dim_detectability(ps, params, 0.05)
+    res = approx_dim_detectability(ps, 0.05, 0.05,
+                                   lambda_star=exact.lambda_star)
     assert abs(res.z - exact.normalized_dim) <= 0.05 * exact.normalized_dim
 
 
 def test_detectability_condition_rejects_fat_rank():
     rng = random.Random(83)
     ps = overlapping_pair(rng, 8, 7, 1)  # fine at T=1, too fat for T=4
-    params = DetectabilityParams(t=4, epsilon=0.05, lambda_star=0.5)
     with pytest.raises(HypothesisViolation):
-        approx_dim_detectability(ps, params, 0.05)
+        approx_dim_detectability(ps, 0.05, 0.05, t=4, lambda_star=0.5)
 
 
 def test_detectability_weight_decay_bound_holds():

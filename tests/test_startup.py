@@ -23,8 +23,7 @@ LIGHT = ("dataclasses", "inspect", "concurrent.futures", "logging",
 
 EXPORTS = {
     "AffineResult", "ApproxResult", "Cluster", "CnfFormula", "Coloring",
-    "ConditionCheck", "CountResult", "DependencyGraph", "DetectabilityParams",
-    "DimensionResult", "EventTableOracle", "HypothesisViolation",
+    "ConditionCheck", "CountResult", "DependencyGraph", "DimensionResult", "EventTableOracle", "HypothesisViolation",
     "LLCountError", "LocalProjector", "NumericFailure", "OracleBudget",
     "ProbabilityResult", "ProjectorSet", "ResourceCapExceeded",
     "SpecParseError", "WeightOracle", "approx_dim_commuting",
