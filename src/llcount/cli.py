@@ -21,8 +21,8 @@ from pathlib import Path
 from . import cnf as cnfmod
 from ._lazy import lazy_getattr
 from .clusters import (ApproxResult, ConditionCheck,
-                       approx_partition_function, capped_truncation_order,
-                       check_weight_condition)
+                       approx_partition_function, check_weight_condition,
+                       truncation)
 from .errors import LLCountError, SpecParseError
 from .graphs import greedy_coloring, support_dependency_graph
 
@@ -50,18 +50,33 @@ _LITERAL = re.compile("[+-]?[0-9]+")
 
 
 def _sniff(text: str) -> str:
+    """The parser that reads ``text``, by the first line each one reads.
+
+    ``cnf.parse_dimacs`` skips blank lines and lines that start with 'c', and
+    reads a '%' trailer, a 'p' problem line or literals; a file it skips
+    whole is the empty formula.  The spec parsers cut '#' comments, skip
+    blank lines, and start with 'd' or 'qudits' (projectors) or 'vertices'
+    (tables).  A spec's first line for ``parse_dimacs`` is its header or a
+    '#' comment, which that parser refuses, so no file is both.
+    """
+    dimacs = spec = None
     for match in _LINE.finditer(text):
-        s = match[0].split("#", 1)[0].strip()
-        if not s:
-            continue
-        first = s.split()[0]
-        if first in ("p", "c") or _LITERAL.fullmatch(first):
-            return "cnf"
-        if first == "d":
-            return "projectors"
-        if first == "vertices":
-            return "table"
-        return "unknown"
+        raw = match[0]
+        s = raw.strip()
+        if dimacs is None and s and not s.startswith("c"):
+            dimacs = s
+        s = raw.split("#", 1)[0].strip()
+        if spec is None and s:
+            spec = s.split()[0]
+        if dimacs is not None and spec is not None:
+            break
+    if dimacs is None or dimacs.startswith(("p", "%")) or _LITERAL.fullmatch(
+            dimacs.split()[0]):
+        return "cnf"
+    if spec in ("d", "qudits"):
+        return "projectors"
+    if spec == "vertices":
+        return "table"
     return "unknown"
 
 
@@ -99,8 +114,8 @@ def _emit(report: dict, fmt: str, stream=None) -> None:
     order = ("command", "input", "status", "value", "normalized_value",
              "absolute_value", "log2_absolute_value", "m", "epsilon",
              "delta_requested", "delta_used", "log_value_re", "log_value_im",
-             "log_error_bound", "graph_order", "max_degree", "chi",
-             "cluster_count", "lambda_star", "t",
+             "log_error_bound", "log_error_rule", "graph_order", "max_degree",
+             "chi", "cluster_count", "lambda_star", "t",
              "relative_coefficient", "additive_part", "worst_case_total",
              "suggested_delta", "forced", "elapsed_s")
     for key in order:
@@ -288,6 +303,7 @@ def _run_count_sat(args) -> dict:
             "absolute_value": res.count, "chi": res.chi_used,
             "variable_count": res.variable_count,
             "delta_requested": res.delta_requested,
+            "log_error_rule": res.approx.bound_rule,
             **_approx_fields(res.approx)}
 
 
@@ -312,6 +328,7 @@ def _run_prob_intersection(args) -> dict:
         threads=args.threads)
     return {"value": res.probability, "normalized_value": res.probability,
             "chi": res.chi_used, "delta_requested": res.delta_requested,
+            "log_error_rule": res.approx.bound_rule,
             **_approx_fields(res.approx)}
 
 
@@ -420,8 +437,8 @@ def _run_check(args) -> dict:
             checks += problem.checks
     elif kind == "weights":
         graph, oracle, _ = parsed
-        m = capped_truncation_order(graph.vertex_count, graph.max_degree(),
-                                    args.delta, args.epsilon)
+        m = truncation(graph.vertex_count, graph.max_degree(), args.delta,
+                       args.epsilon).order
         checks = [check_weight_condition(graph, oracle, m,
                                          args.delta).as_check()]
         extra = {"m": m, "delta_used": args.delta}
@@ -432,10 +449,13 @@ def _run_check(args) -> dict:
         if all(c.passed for c in problem.checks):
             # a run command reaches the truncation order, and its cap, only
             # once its problem's hypotheses hold
+            order = truncation(graph.vertex_count, graph.max_degree(),
+                               problem.delta_used, args.epsilon,
+                               problem.holder)
             extra["delta_used"] = problem.delta_used
-            extra["m"] = capped_truncation_order(
-                graph.vertex_count, graph.max_degree(), problem.delta_used,
-                args.epsilon)
+            extra["m"] = order.order
+            if problem.holder is not None:
+                extra["log_error_rule"] = order.rule
     return {"status": "pass" if all(c.passed for c in checks) else "fail",
             "conditions": _conditions_json(checks),
             "graph_order": graph.vertex_count,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from fractions import Fraction
 from itertools import groupby
@@ -712,15 +713,157 @@ def choose_truncation_order(graph_order: int, max_degree: int, delta: float,
     return m
 
 
-def capped_truncation_order(graph_order: int, max_degree: int, delta: float,
-                            epsilon: float) -> int:
-    """``choose_truncation_order``, refusing m > ``DEFAULT_MAX_ORDER``."""
+class Truncation(NamedTuple):
+    """A truncation order, a certified bound on |T_m - log Z| at that order,
+    and the rule that gave the bound: "paper" or "kotecky-preiss"."""
+
+    order: int
+    bound: float
+    rule: str
+
+
+def truncation(graph_order: int, max_degree: int, delta: float,
+               epsilon: float, holder: tuple[float, int] | None = None
+               ) -> Truncation:
+    """The smallest order m whose certified bound on |T_m - log Z| is at
+    most log(1+epsilon), and that bound; refuses m > ``DEFAULT_MAX_ORDER``.
+
+    The paper's bound (``convergence_bound`` at decay rate ``delta``) always
+    applies.  ``holder`` = (worst, chi) states that every singleton weighs at
+    most worst and every polymer gamma at most worst^(|gamma|/chi); it adds
+    the Kotecky-Preiss bound (``kotecky_preiss``).  m is then the smallest
+    order at which either bound reaches the target, so it is never above the
+    paper's, and the bound is the smaller of the two at m.
+    """
     m = choose_truncation_order(graph_order, max_degree, delta, epsilon)
-    if m > DEFAULT_MAX_ORDER:
+    best = Truncation(m, convergence_bound(graph_order, max_degree, delta, m),
+                      "paper")
+    if holder is not None:
+        kp = kotecky_preiss(graph_order, max_degree, *holder, epsilon)
+        if kp is not None and kp[:2] < best[:2]:
+            best = kp
+    if best.order > DEFAULT_MAX_ORDER:
         raise ResourceCapExceeded(
-            f"truncation order {m} exceeds cap {DEFAULT_MAX_ORDER}; "
+            f"truncation order {best.order} exceeds cap {DEFAULT_MAX_ORDER}; "
             "increase delta or epsilon")
-    return m
+    return best
+
+
+# Relative slack by which the Kotecky-Preiss rule rounds x down and sums and
+# bounds up: it covers the float error of their few operations many times.
+_KP_SLACK = 2.0 ** -40
+# Golden-section steps of the order search and of the bound search; each
+# narrows the search interval by the factor _GOLDEN.
+_KP_STEPS = (18, 14)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _kp_rates(max_degree: int, worst: float, chi: int
+              ) -> Callable[[float], tuple[float, float]]:
+    """The map theta -> (x, a) of the Kotecky-Preiss rule, 0 < theta < 1,
+    for a normal float 0 < worst < 1: x rounded down, and a = (D+1) S(x)
+    rounded up, where
+
+        S(x) = worst e^x + sum_{s>=2} t_D(s) q^s,    q = worst^(1/chi) e^x,
+
+    and t_D(s) is the number of s-vertex subtrees through the root of the
+    D-regular tree.  For D <= 2, q = theta and the sum is 0, q^2 and
+    q^2 (2-q)/(1-q)^2 (t_D(s) = 0, [s = 2] and s).  For D >= 3 the series
+    is B(1+B) - q where B = q (1+B)^(D-1); theta = (D-2) B runs over the
+    B below the series' radius, and q = B/(1+B)^(D-1) grows with it.  So x
+    grows with theta, and every sum is a closed form of positive terms.
+    """
+    d = max_degree
+    log_w1 = math.log(worst) / chi
+    # worst e^x = (worst / worst^(1/chi)) q
+    lone = (d + 1) * math.exp(math.log(worst) - log_w1) * (1.0 + _KP_SLACK)
+    up = (d + 1) * (1.0 + _KP_SLACK)
+    log, log1p, exp, expm1 = math.log, math.log1p, math.exp, math.expm1
+
+    def rates(theta: float) -> tuple[float, float]:
+        if d <= 2:
+            q = theta
+            tail = (q * q * (2.0 - q) / ((1.0 - q) * (1.0 - q)) if d == 2
+                    else q * q * d)
+        else:
+            b = theta / (d - 2)
+            grow = (d - 1) * log1p(b)
+            q = b * exp(-grow)
+            tail = q * expm1(grow) + b * b
+        x = log(q) - log_w1
+        return x - (abs(x) + 1.0) * _KP_SLACK, lone * q + up * tail
+
+    return rates
+
+
+def _golden(key: Callable[[float], tuple], steps: int) -> tuple[float, tuple]:
+    """The best point of (0, 1), and its key, that ``steps`` golden-section
+    steps find for ``key``, which must fall and then rise."""
+    lo, hi = 0.0, 1.0
+    c, d = hi - _GOLDEN, _GOLDEN
+    kc, kd = key(c), key(d)
+    for _ in range(steps):
+        if kc < kd:
+            hi, d, kd = d, c, kc
+            c = hi - _GOLDEN * (hi - lo)
+            kc = key(c)
+        else:
+            lo, c, kc = c, d, kd
+            d = lo + _GOLDEN * (hi - lo)
+            kd = key(d)
+    return (c, kc) if kc < kd else (d, kd)
+
+
+def kotecky_preiss(graph_order: int, max_degree: int, worst: float, chi: int,
+                   epsilon: float) -> Truncation | None:
+    """The smallest order at which the Kotecky-Preiss bound certifies
+    log(1+epsilon), for weights under ``truncation``'s ``holder`` bound, with
+    the bound at that order; None where the rule certifies no order.
+
+    Any x with a = (D+1) S(x) < x (``_kp_rates``) meets the Kotecky-Preiss
+    condition with a(gamma) = a|gamma| and d(gamma) = (x-a)|gamma|, since a
+    polymer meets at most (D+1)|gamma| vertices' polymers; then
+    |T_m - log Z| <= n a e^(-(x-a)(m+1)).  The search over x is fixed:
+    golden-section steps for the order (the least (log(n a/target))/(x-a))
+    and for the bound at it.  Outside the condition's region the search key
+    is (1, a - x), which falls toward it, so both keys fall and then rise.
+    """
+    # below the normal floats (0 included) the paper's rule already gives
+    # m = 1, at its decay-rate ceiling
+    if graph_order == 0 or not sys.float_info.min <= worst < 1.0:
+        return None
+    rates = _kp_rates(max_degree, worst, chi)
+    target = math.log1p(epsilon)
+    log_n = math.log(graph_order)
+    log_nt = log_n - math.log(target)
+
+    def bound(theta: float, m: int) -> float:
+        x, a = rates(theta)
+        return (graph_order * a * math.exp(-(x - a) * (m + 1))
+                * (1.0 + _KP_SLACK))
+
+    def order_key(theta: float) -> tuple:
+        x, a = rates(theta)
+        return (0, (log_nt + math.log(a)) / (x - a)) if x > a else (1, a - x)
+
+    theta, (outside, ratio) = _golden(order_key, _KP_STEPS[0])
+    if outside or ratio == math.inf:  # inf: x - a underflowed
+        return None
+    m = max(1, math.ceil(ratio) - 1)
+    best = bound(theta, m)
+    while best > target:  # the ratio's rounding
+        m += 1
+        best = bound(theta, m)
+
+    def bound_key(theta: float) -> tuple:
+        x, a = rates(theta)
+        return ((0, log_n + math.log(a) - (x - a) * (m + 1)) if x > a
+                else (1, a - x))
+
+    theta, (outside, _) = _golden(bound_key, _KP_STEPS[1])
+    if not outside:
+        best = min(best, bound(theta, m))
+    return Truncation(m, best, "kotecky-preiss")
 
 
 class ConditionCheck(NamedTuple):
@@ -733,13 +876,16 @@ class ConditionCheck(NamedTuple):
 
 
 class Problem(NamedTuple):
-    """A polymer model, its hypothesis checks, their certified delta, chi."""
+    """A polymer model, its hypothesis checks, their certified delta, chi,
+    and the Hoelder weight bound (worst, chi) of ``truncation`` where the
+    weights carry one."""
 
     graph: DependencyGraph
     oracle: WeightOracle
     checks: list[ConditionCheck]
     delta_used: float
     chi: int
+    holder: tuple[float, int] | None = None
 
 
 def require(checks: Sequence[ConditionCheck], force: bool) -> None:
@@ -827,6 +973,7 @@ class ApproxResult(NamedTuple):
     cluster_count: int = 0
     elapsed: float = 0.0
     exact_log: Fraction | None = None
+    bound_rule: str = "paper"
 
     @property
     def value_lower_bound(self) -> float:
@@ -845,7 +992,9 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
                               epsilon: float, delta: float, *,
                               force: bool = False, threads: int = 1,
                               exact: bool = False,
-                              extra_checks: Sequence[ConditionCheck] = ()) -> ApproxResult:
+                              extra_checks: Sequence[ConditionCheck] = (),
+                              holder: tuple[float, int] | None = None
+                              ) -> ApproxResult:
     """Multiplicative epsilon-approximation of the polymer partition function.
 
     The guarantee is conditional on the problem's hypotheses ``extra_checks``
@@ -854,12 +1003,14 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
     truncation order is chosen, and a decay violation aborts after it, unless
     ``force`` is set; a forced run that fails any check is marked ``forced``.
     The decay threshold, the truncation order and the error bound all use
-    the maximum degree of ``g``, which the certificate needs.
+    the maximum degree of ``g``, which the certificate needs.  The order and
+    the bound are ``truncation``'s, with the Hoelder bound ``holder`` of the
+    weights where they carry one.
     """
     start = time.perf_counter()
     require(extra_checks, force)
     dmax = g.max_degree()
-    m = capped_truncation_order(g.vertex_count, dmax, delta, epsilon)
+    m, bound, rule = truncation(g.vertex_count, dmax, delta, epsilon, holder)
     roots = _Roots(g, oracle, m, threads)
     report = roots.report(delta)
     checks = list(extra_checks) + [report.as_check()]
@@ -875,14 +1026,14 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
     except OverflowError:
         raise NumericFailure(_NONFINITE) from None
     value = _cexp(log_value)
-    bound = convergence_bound(g.vertex_count, dmax, delta, m)
     return ApproxResult(
         value=value, log_value=log_value, truncation_order=m,
         additive_log_error_bound=bound, epsilon=epsilon, delta=delta,
         graph_order=g.vertex_count, max_degree=dmax,
         condition_report=report, checks=checks,
         forced=not all(c.passed for c in checks), cluster_count=cluster_count,
-        elapsed=time.perf_counter() - start, exact_log=exact_log)
+        elapsed=time.perf_counter() - start, exact_log=exact_log,
+        bound_rule=rule)
 
 
 def _cexp(z: complex) -> complex:

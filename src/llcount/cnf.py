@@ -411,8 +411,11 @@ def intersection_problem(source, graph: DependencyGraph,
         f"max Pr[complement] = {worst:.6g} vs "
         f"(1/(e^(1+delta)(2D+1)))^chi = {bound:.6g} "
         f"(delta={delta}, D={dmax}, chi={chi})")
+    # events in one colour class are independent, so a polymer's events are
+    # all false with probability at most worst^(|polymer|/chi)
     return Problem(graph, WeightOracle(weight_fn, labels), [check],
-                   holder_delta(worst, chi, dmax, delta, check.passed), chi)
+                   holder_delta(worst, chi, dmax, delta, check.passed), chi,
+                   (worst, chi))
 
 
 def approx_probability_intersection(source, epsilon: float, delta: float, *,
@@ -424,7 +427,9 @@ def approx_probability_intersection(source, epsilon: float, delta: float, *,
     ``source`` is a CnfFormula or an EventTableOracle.  The per-event
     complement probabilities must satisfy the coloring-exponent bound; when
     they do, the certified decay rate (which is at least the requested delta)
-    is used to pick the truncation order.
+    is the paper's.  The truncation order is the smaller of the paper's and
+    the Kotecky-Preiss rule's under the Hoelder bound of the events
+    (``clusters.truncation``).
     """
     if isinstance(source, CnfFormula):
         graph = cnf_dependency_graph(source)
@@ -438,7 +443,8 @@ def approx_probability_intersection(source, epsilon: float, delta: float, *,
     problem = intersection_problem(source, graph, coloring, delta)
     approx = approx_partition_function(
         graph, problem.oracle, epsilon, problem.delta_used, force=force,
-        threads=threads, exact=exact, extra_checks=problem.checks)
+        threads=threads, exact=exact, extra_checks=problem.checks,
+        holder=problem.holder)
     return ProbabilityResult(approx, approx.real_value(), problem.chi, delta)
 
 
@@ -473,7 +479,8 @@ def count_satisfying(f: CnfFormula, epsilon: float, delta: float, *,
     problem = count_problem(f, graph, coloring, delta)
     approx = approx_partition_function(
         graph, problem.oracle, epsilon, problem.delta_used, force=force,
-        threads=threads, exact=exact, extra_checks=problem.checks)
+        threads=threads, exact=exact, extra_checks=problem.checks,
+        holder=problem.holder)
     p = approx.real_value()
     return CountResult(approx, math.ldexp(p, f.variable_count), p,
                        f.variable_count, problem.chi, delta)

@@ -74,6 +74,19 @@ def ring_cnf(rng: random.Random, n_clauses: int, k: int = 12,
     """Even-length ring of k-clauses (chi_used = 2), each sharing `share`
     variables with each neighbor."""
     assert n_clauses >= 3 and n_clauses % 2 == 0
+    return _ring(rng, n_clauses, k, share)
+
+
+def odd_ring_cnf(rng: random.Random, n_clauses: int, k: int = 12,
+                 share: int = 6) -> CnfFormula:
+    """Odd-length ring of k-clauses, each sharing `share` variables with each
+    neighbor; a greedy coloring of its cycle uses 3 colors."""
+    assert n_clauses >= 3 and n_clauses % 2 == 1
+    return _ring(rng, n_clauses, k, share)
+
+
+def _ring(rng: random.Random, n_clauses: int, k: int,
+          share: int) -> CnfFormula:
     step = k - share
     assert step * 2 >= k, "non-adjacent clauses would overlap"
     n = step * n_clauses

@@ -456,18 +456,20 @@ def test_count_sat_builds_the_dependency_graph_once(tmp_path, capsys,
 
 
 def test_check_applies_the_truncation_order_cap(tmp_path, capsys):
-    # with this 3-coloring the certified delta needs m = 20 > cap 14
+    # with this 3-coloring at epsilon 1e-6 the paper's certified delta needs
+    # m = 91 and the Kotecky-Preiss rule m = 17, both past cap 14
     path = _write_cnf(tmp_path, chain_cnf(random.Random(5), 4, share=6))
     coloring = tmp_path / "f.col"
     coloring.write_text("0 0\n1 1\n2 2\n3 0\n")
-    flags = ["--coloring", str(coloring), "--format", "jsonl"]
+    flags = ["--coloring", str(coloring), "--epsilon", "1e-6", "--format",
+             "jsonl"]
     check_code, check_out, check_err = _run(capsys, ["check", path] + flags)
     run_code, _, run_err = _run(capsys, ["count-sat", path] + flags)
     assert check_code == run_code == 4
     assert check_out == ""
     assert _last_json(check_err)["error"] == _last_json(run_err)["error"]
     assert _last_json(check_err)["error"].startswith(
-        "truncation order 20 exceeds cap 14")
+        "truncation order 17 exceeds cap 14")
 
 
 @pytest.mark.parametrize("command", ["polymer-z", "prob-intersection",
@@ -726,7 +728,7 @@ def _gc_inputs(tmp_path):
         (["check", weak], 2),
         (["count-sat"], 3),  # argparse's usage error, a SystemExit
         (["count-sat", write("u.cnf", "p cnf 12 1\n1_2 2 0\n")], 3),
-        (["check", events, "--delta", "0.01", "--epsilon", "0.01"], 4),
+        (["check", events, "--delta", "0.01", "--epsilon", "1e-6"], 4),
         (["polymer-z", big, "--force", "--delta", "5"], 5),
         # 2^2000 leaves float range in count_satisfying's ldexp
         (["count-sat", write("wide.cnf", "p cnf 2000 1\n1 2000 0\n")],
@@ -851,27 +853,66 @@ _SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
 
 
 def _sniff_by_splitlines(text):
-    for raw in text.splitlines():
-        s = raw.split("#", 1)[0].strip()
-        if not s:
-            continue
-        first = s.split()[0]
-        if first in ("p", "c") or re.fullmatch("[+-]?[0-9]+", first):
-            return "cnf"
-        if first == "d":
-            return "projectors"
-        if first == "vertices":
-            return "table"
-        return "unknown"
+    # the first line each parser reads: parse_dimacs skips blank lines and
+    # lines starting with 'c'; the spec parsers cut '#' comments
+    lines = [raw.strip() for raw in text.splitlines()]
+    dimacs = [s for s in lines if s and not s.startswith("c")]
+    spec = [s.split("#", 1)[0].strip() for s in text.splitlines()]
+    spec = [s.split()[0] for s in spec if s]
+    if not dimacs or dimacs[0][0] in "p%" or re.fullmatch(
+            "[+-]?[0-9]+", dimacs[0].split()[0]):
+        return "cnf"
+    if spec and spec[0] in ("d", "qudits"):
+        return "projectors"
+    if spec and spec[0] == "vertices":
+        return "table"
     return "unknown"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from(_SEPARATORS + [
     " ", "\t", "\x1f", "#", "# x", "p", "c", "d", "-3", "+3", "-", "+",
-    "12", "\u0663", "vertices", "weight", "x"]), max_size=12).map("".join))
+    "12", "\u0663", "vertices", "weight", "x", "qudits", "%", "cx"]),
+    max_size=12).map("".join))
 def test_sniff_matches_splitlines(text):
     assert _sniff(text) == _sniff_by_splitlines(text)
+
+
+@pytest.mark.parametrize("command", ["check", "count-sat",
+                                     "prob-intersection"])
+def test_a_cnf_whose_first_line_is_a_comment_word_is_read(
+        tmp_path, capsys, command):
+    # parse_dimacs skips every line starting with 'c', not only 'c ...'
+    f = chain_cnf(random.Random(3), 4)
+    body = "".join(" ".join(map(str, c)) + " 0\n" for c in f.clauses)
+    plain, commented = tmp_path / "plain.cnf", tmp_path / "commented.cnf"
+    plain.write_text(body)
+    commented.write_text("comment line\n" + body)
+    reports = []
+    for path in (plain, commented):
+        code, out, _ = _run(capsys, [command, str(path), "--format",
+                                     "jsonl"])
+        assert code == 0, path
+        reports.append(_strip_timing(out))
+    assert reports[0].replace("plain.cnf", "X") == reports[1].replace(
+        "commented.cnf", "X")
+
+
+def test_check_reads_a_projector_spec_that_declares_qudits_first(
+        tmp_path, capsys):
+    ordered = _pair_spec(tmp_path)
+    with open(ordered) as fh:
+        d_line, qudits_line, rest = fh.read().split("\n", 2)
+    assert qudits_line.startswith("qudits ") and d_line.startswith("d ")
+    swapped = tmp_path / "swapped.spec"
+    swapped.write_text("\n".join([qudits_line, d_line, rest]))
+    reports = []
+    for command in ("check", "qsat-commuting"):
+        for path in (ordered, str(swapped)):
+            code, out, _ = _run(capsys, [command, path, "--format", "jsonl"])
+            assert code == 0, (command, path)
+            reports.append(_strip_timing(out).replace(path, "X"))
+    assert reports[0] == reports[1] and reports[2] == reports[3]
 
 
 @pytest.mark.parametrize("before", [

@@ -93,9 +93,10 @@ def test_check_cnf_matches_count_sat(tmp_path, capsys, k, share, coloring):
 
 
 # per-event probability -> (flags, exit code); at 0.005 the hypotheses hold,
-# but the certified delta needs m = 131 > 14
+# but at epsilon 1e-6 the paper's certified delta needs m = 363 and the
+# Kotecky-Preiss rule m = 21, both past cap 14
 EVENT_CASES = {0.001: ([], 0), 0.2: ([], 2),
-               0.005: (["--delta", "0.01", "--epsilon", "0.01"], 4)}
+               0.005: (["--delta", "0.01", "--epsilon", "1e-6"], 4)}
 
 
 @pytest.mark.parametrize("p", sorted(EVENT_CASES))
@@ -108,7 +109,7 @@ def test_check_events_spec_matches_prob_intersection(tmp_path, capsys, p):
     assert check_code == run_code == code
     if code == 4:
         assert check["error"] == run["error"]
-        assert "truncation order 131 exceeds cap 14" in run["error"]
+        assert "truncation order 21 exceeds cap 14" in run["error"]
         return
     run_conds.pop("weight-decay", None)
     assert check_conds == run_conds
