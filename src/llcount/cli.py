@@ -141,8 +141,6 @@ _FLAGS = {
                     help="decay-margin parameter of the hypotheses"),
     "--force": dict(action="store_true", help="compute even when a checked "
                     "hypothesis fails (no error certificate)"),
-    "--threads": dict(type=cnfmod._integer, default=1,
-                      help="worker threads for weight evaluation"),
     "--coloring": dict(metavar="PATH",
                        help="optional proper-coloring file (v c lines)"),
     "--format": dict(choices=("human", "jsonl"), default="human"),
@@ -157,7 +155,7 @@ _FLAGS = {
                           "on the spectral gap"),
 }
 
-_RUN = "--epsilon --delta --force --threads --coloring --format"
+_RUN = "--epsilon --delta --force --coloring --format"
 
 # Each command's help line and the flags its runner reads.
 _COMMANDS = {
@@ -171,7 +169,7 @@ _COMMANDS = {
                      _RUN + " --dense-cap --mode --t --lambda-star"),
     "polymer-z": ("approximate a polymer partition function from a "
                   "graph+weights spec",
-                  "--epsilon --delta --force --threads --format"),
+                  "--epsilon --delta --force --format"),
     "check": ("hypothesis report only", "--epsilon --delta --coloring "
               "--format --dense-cap --t"),
 }
@@ -199,7 +197,7 @@ class _Parser(argparse.ArgumentParser):
     argparse's own 2 is the hypothesis-violation code.  Subcommand parsers
     take their parent's class, and refuse a flag they do not take with their
     own usage rather than leave it to the top-level parser.  Abbreviated
-    flags are refused: ``--t`` is not ``--threads``."""
+    flags are refused: ``--col`` is not ``--coloring``."""
 
     def __init__(self, *args, allow_abbrev: bool = False, **kwargs):
         super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
@@ -298,7 +296,7 @@ def _run_count_sat(args) -> dict:
     coloring = _maybe_coloring(args, f.clause_count)
     res = cnfmod.count_satisfying(
         f, args.epsilon, args.delta, coloring=coloring, force=args.force,
-        threads=args.threads, exact=args.exact_rational)
+        exact=args.exact_rational)
     return {"value": res.count, "normalized_value": res.probability,
             "absolute_value": res.count, "chi": res.chi_used,
             "variable_count": res.variable_count,
@@ -324,8 +322,7 @@ def _run_prob_intersection(args) -> dict:
     source, n = _events(_read(args.input), "prob-intersection")
     res = cnfmod.approx_probability_intersection(
         source, args.epsilon, args.delta,
-        coloring=_maybe_coloring(args, n), force=args.force,
-        threads=args.threads)
+        coloring=_maybe_coloring(args, n), force=args.force)
     return {"value": res.probability, "normalized_value": res.probability,
             "chi": res.chi_used, "delta_requested": res.delta_requested,
             "log_error_rule": res.approx.bound_rule,
@@ -338,8 +335,7 @@ def _run_qsat_commuting(args) -> dict:
     ps = _load_projectors(_read(args.input), args)
     res = qsat.approx_dim_commuting(
         ps, args.epsilon, args.delta,
-        coloring=_maybe_coloring(args, len(ps)), force=args.force,
-        threads=args.threads)
+        coloring=_maybe_coloring(args, len(ps)), force=args.force)
     return _dim_report(res, ps)
 
 
@@ -359,12 +355,12 @@ def _run_qsat_general(args) -> dict:
     ps = _load_projectors(_read(args.input), args)
     if args.mode == "stability":
         res = qsat.approx_dim_general(ps, args.epsilon, args.delta,
-                                      force=args.force, threads=args.threads)
+                                      force=args.force)
         return _dim_report(res, ps)
     res = qsat.approx_dim_detectability(
         ps, args.epsilon, args.delta, t=args.t or 1,
         coloring=_maybe_coloring(args, len(ps)), lambda_star=args.lambda_star,
-        force=args.force, threads=args.threads)
+        force=args.force)
     return {"mode": "detectability", "value": res.z,
             "normalized_value": res.z, "absolute_value": res.absolute_z,
             "log2_absolute_value": res.log2_absolute_z,
@@ -382,7 +378,7 @@ def _run_polymer_z(args) -> dict:
 
     graph, oracle, _ = formats.parse_weights_spec(_read(args.input))
     approx = approx_partition_function(graph, oracle, args.epsilon, args.delta,
-                                       force=args.force, threads=args.threads)
+                                       force=args.force)
     return {"value": approx.value.real, "value_im": approx.value.imag,
             "delta_requested": args.delta, **_approx_fields(approx)}
 
@@ -521,7 +517,7 @@ def _validate_args(args) -> None:
     if lambda_star is not None and not (math.isfinite(lambda_star)
                                         and lambda_star >= 0.0):
         raise SpecParseError("--lambda-star must be finite and non-negative")
-    for flag in ("t", "threads", "dense_cap"):
+    for flag in ("t", "dense_cap"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise SpecParseError(

@@ -14,7 +14,6 @@ orderings, which is the multiplicity of the multiset among ordered tuples.
 from __future__ import annotations
 
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -51,8 +50,7 @@ def incompatible(a: Polymer, b: Polymer, g: DependencyGraph) -> bool:
 class WeightOracle:
     """Maps a polymer to a complex weight; pure in the vertex set.
 
-    Evaluations are memoized by polymer tuple, so the oracle is safe for
-    concurrent use (pure function plus an idempotent cache).
+    Evaluations are memoized by polymer tuple.
 
     ``labels``, when given, maps the host graph to the labels of its
     vertices and edges that ``graphs.keyed_ball`` reads, under this
@@ -521,20 +519,9 @@ def _rounded(total: tuple[int, int, int], exact: bool) -> Fraction | complex:
         raise NumericFailure(_NONFINITE) from None
 
 
-def _converted_weights(oracle: WeightOracle, polymers: Sequence[Polymer],
-                       threads: int) -> dict[Polymer, complex]:
-    """Each polymer's weight as a complex, evaluated on up to ``threads``
-    threads."""
-    # pool.map submits every polymer at once, so the pool would start up to
-    # min(threads, len(polymers)) threads without the cpu_count cap.
-    workers = min(threads, os.cpu_count() or 1, len(polymers))
-    if workers > 1:
-        # concurrent.futures loads logging; a single-threaded call needs
-        # neither
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(oracle.weight, polymers))
+def _converted_weights(oracle: WeightOracle,
+                       polymers: Sequence[Polymer]) -> dict[Polymer, complex]:
+    """Each polymer's weight as a complex."""
     weight = oracle.weight
     return {p: complex(weight(p)) for p in polymers}
 
@@ -572,11 +559,10 @@ class _Roots:
     or on what the shape table held.
     """
 
-    def __init__(self, g: DependencyGraph, oracle: WeightOracle, m: int,
-                 threads: int):
+    def __init__(self, g: DependencyGraph, oracle: WeightOracle, m: int):
         if m < 1:
             raise ValueError("m must be a positive integer")
-        self.g, self.oracle, self.m, self.threads = g, oracle, m, threads
+        self.g, self.oracle, self.m = g, oracle, m
         labels = None if oracle.labels is None else oracle.labels(g)
         # per root, ascending: its part; the parts in order of their first
         # root, which computes it
@@ -592,7 +578,7 @@ class _Roots:
                 self.parts.append(part)
             part.roots += 1
             self.roots.append(part)
-        self.weights = _converted_weights(oracle, polymers, threads)
+        self.weights = _converted_weights(oracle, polymers)
 
     def report(self, delta: float) -> WeightConditionReport:
         """The weight-decay check of every polymer of order <= m, as a scan
@@ -609,7 +595,7 @@ class _Roots:
         report = _scan(self.weights, delta, dmax, self.m)
         if any(self.roots[p[0]].roots > 1 for p, _, _ in report.violations):
             everything = sorted(enumerate_connected_subgraphs(self.g, self.m))
-            weights = _converted_weights(self.oracle, everything, self.threads)
+            weights = _converted_weights(self.oracle, everything)
             report = _scan(weights, delta, dmax, self.m)
         return report
 
@@ -633,15 +619,15 @@ class _Roots:
 
 
 def truncated_expansion(g: DependencyGraph, oracle: WeightOracle, m: int, *,
-                        threads: int = 1, exact: bool = False):
+                        exact: bool = False):
     """Truncated cluster expansion of log Z to total cluster size m.
 
     Every term is exact, a float weight being the dyadic rational it is.
     Returns the exact sum rounded once to the nearest complex, or, when
     ``exact`` is set, as a Fraction (the sum must then be real).  So the
-    value is bit-identical for any thread count and any reuse of root parts.
+    value is bit-identical for any reuse of root parts.
     """
-    return _Roots(g, oracle, m, threads).expansion(exact)[0]
+    return _Roots(g, oracle, m).expansion(exact)[0]
 
 
 def weight_decay_threshold(delta: float, max_degree: int) -> float:
@@ -923,13 +909,12 @@ class WeightConditionReport(NamedTuple):
 
 
 def check_weight_condition(g: DependencyGraph, oracle: WeightOracle, m: int,
-                           delta: float, *,
-                           threads: int = 1) -> WeightConditionReport:
+                           delta: float) -> WeightConditionReport:
     """Verify |w_gamma| <= eta^|gamma| for every polymer of size <= m, by
     the engine's check (``_Roots.report``), eta at the maximum degree of
     ``g``.  The condition over all sizes cannot be checked exhaustively;
     callers assert it through application-level hypotheses."""
-    return _Roots(g, oracle, m, threads).report(delta)
+    return _Roots(g, oracle, m).report(delta)
 
 
 def _scan(weights: dict[Polymer, complex], delta: float, max_degree: int,
@@ -990,8 +975,7 @@ class ApproxResult(NamedTuple):
 
 def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
                               epsilon: float, delta: float, *,
-                              force: bool = False, threads: int = 1,
-                              exact: bool = False,
+                              force: bool = False, exact: bool = False,
                               extra_checks: Sequence[ConditionCheck] = (),
                               holder: tuple[float, int] | None = None
                               ) -> ApproxResult:
@@ -1011,7 +995,7 @@ def approx_partition_function(g: DependencyGraph, oracle: WeightOracle,
     require(extra_checks, force)
     dmax = g.max_degree()
     m, bound, rule = truncation(g.vertex_count, dmax, delta, epsilon, holder)
-    roots = _Roots(g, oracle, m, threads)
+    roots = _Roots(g, oracle, m)
     report = roots.report(delta)
     checks = list(extra_checks) + [report.as_check()]
     if report.violations and not force:

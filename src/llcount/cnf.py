@@ -420,7 +420,7 @@ def intersection_problem(source, graph: DependencyGraph,
 
 def approx_probability_intersection(source, epsilon: float, delta: float, *,
                                     coloring: Coloring | None = None,
-                                    force: bool = False, threads: int = 1,
+                                    force: bool = False,
                                     exact: bool = False) -> ProbabilityResult:
     """Multiplicative epsilon-approximation of Pr[all events occur].
 
@@ -443,8 +443,7 @@ def approx_probability_intersection(source, epsilon: float, delta: float, *,
     problem = intersection_problem(source, graph, coloring, delta)
     approx = approx_partition_function(
         graph, problem.oracle, epsilon, problem.delta_used, force=force,
-        threads=threads, exact=exact, extra_checks=problem.checks,
-        holder=problem.holder)
+        exact=exact, extra_checks=problem.checks, holder=problem.holder)
     return ProbabilityResult(approx, approx.real_value(), problem.chi, delta)
 
 
@@ -469,7 +468,7 @@ def count_problem(f: CnfFormula, graph: DependencyGraph,
 
 def count_satisfying(f: CnfFormula, epsilon: float, delta: float, *,
                      coloring: Coloring | None = None, force: bool = False,
-                     threads: int = 1, exact: bool = False) -> CountResult:
+                     exact: bool = False) -> CountResult:
     """Approximate the number of satisfying assignments of a k-CNF.
 
     Requires the width condition k >= (chi/log 2)(log(2D+1)+1+delta); the
@@ -479,8 +478,7 @@ def count_satisfying(f: CnfFormula, epsilon: float, delta: float, *,
     problem = count_problem(f, graph, coloring, delta)
     approx = approx_partition_function(
         graph, problem.oracle, epsilon, problem.delta_used, force=force,
-        threads=threads, exact=exact, extra_checks=problem.checks,
-        holder=problem.holder)
+        exact=exact, extra_checks=problem.checks, holder=problem.holder)
     p = approx.real_value()
     return CountResult(approx, math.ldexp(p, f.variable_count), p,
                        f.variable_count, problem.chi, delta)

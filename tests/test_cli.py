@@ -201,24 +201,6 @@ def _strip_timing(out):
     return json.dumps(report, sort_keys=True)
 
 
-def test_reports_bit_identical_across_thread_counts(tmp_path, capsys):
-    rng = random.Random(42)
-    cnf_path = _write_cnf(tmp_path, chain_cnf(rng, 5, share=6))
-    proj = overlapping_pair(rng, 9, 7, 1, conjugated=True)
-    proj_path = tmp_path / "pair.spec"
-    proj_path.write_text(format_projector_spec(proj))
-
-    for argv in (["count-sat", cnf_path, "--epsilon", "0.01"],
-                 ["qsat-commuting", str(proj_path), "--epsilon", "0.05"]):
-        outputs = set()
-        for threads in ("1", "3"):
-            code, out, _ = _run(capsys, argv + ["--threads", threads,
-                                                "--format", "jsonl"])
-            assert code == 0
-            outputs.add(_strip_timing(out))
-        assert len(outputs) == 1
-
-
 def _huge_register_spec(tmp_path):
     """1100 qubits, one rank-1 projector on qubits 0 and 1: d^qudits is far
     outside float range."""
@@ -1084,17 +1066,15 @@ def test_nonfinite_sum_exits_5(tmp_path, capsys):
 # (command and mode, input kind) -> the optional flags its run reads beyond
 # --epsilon, --delta and --format, which every run command reads
 _READS = {
-    ("count-sat", "cnf"): "--force --threads --coloring --exact-rational",
-    ("prob-intersection", "cnf"): "--force --threads --coloring",
-    ("prob-intersection", "events"): "--force --threads --coloring",
-    ("qsat-commuting", "projectors"):
-        "--force --threads --coloring --dense-cap",
-    ("qsat-general", "projectors"): "--force --threads --dense-cap",
-    ("qsat-general --mode stability", "projectors"):
-        "--force --threads --dense-cap",
+    ("count-sat", "cnf"): "--force --coloring --exact-rational",
+    ("prob-intersection", "cnf"): "--force --coloring",
+    ("prob-intersection", "events"): "--force --coloring",
+    ("qsat-commuting", "projectors"): "--force --coloring --dense-cap",
+    ("qsat-general", "projectors"): "--force --dense-cap",
+    ("qsat-general --mode stability", "projectors"): "--force --dense-cap",
     ("qsat-general --mode detectability", "projectors"):
-        "--force --threads --coloring --dense-cap --t --lambda-star",
-    ("polymer-z", "weights"): "--force --threads",
+        "--force --coloring --dense-cap --t --lambda-star",
+    ("polymer-z", "weights"): "--force",
     ("check", "cnf"): "--coloring",
     ("check", "events"): "--coloring",
     ("check", "weights"): "",
@@ -1103,12 +1083,11 @@ _READS = {
 
 # what each command's -h lists
 _HELP_FLAGS = {
-    "count-sat": "--force --threads --coloring --exact-rational",
-    "prob-intersection": "--force --threads --coloring",
-    "qsat-commuting": "--force --threads --coloring --dense-cap",
-    "qsat-general": "--force --threads --coloring --dense-cap --mode --t "
-                    "--lambda-star",
-    "polymer-z": "--force --threads",
+    "count-sat": "--force --coloring --exact-rational",
+    "prob-intersection": "--force --coloring",
+    "qsat-commuting": "--force --coloring --dense-cap",
+    "qsat-general": "--force --coloring --dense-cap --mode --t --lambda-star",
+    "polymer-z": "--force",
     "check": "--coloring --dense-cap --t",
 }
 
@@ -1201,18 +1180,37 @@ def test_help_lists_the_flags_the_command_reads(capsys, command):
 
 
 @pytest.mark.parametrize("command, kind, flag, value", [
-    ("count-sat", "cnf", "--t", "2"),      # would be --threads
-    ("count-sat", "cnf", "--eps", "0.5"),  # would be --epsilon
-    ("polymer-z", "weights", "--t", "0"),  # would fail as --threads
+    ("count-sat", "cnf", "--col", "g.col"),  # would be --coloring
+    ("count-sat", "cnf", "--eps", "0.5"),    # would be --epsilon
+    ("polymer-z", "weights", "--del", "0"),  # would fail as --delta
 ])
 def test_an_abbreviated_flag_exits_3(tmp_path, capsys, command, kind, flag,
                                      value):
+    from llcount.cli import _COMMANDS
+
+    # exactly one flag of the command begins with the abbreviation, so
+    # argparse's prefix matching would take it for that flag
+    full, = (f for f in _COMMANDS[command][1].split() if f.startswith(flag))
     path = _large_delta_inputs(tmp_path)[kind]
     code, err = _exit(capsys, [command, path, flag, value])
     assert code == 3
     assert err.splitlines()[-1].endswith(
         f"error: unrecognized arguments: {flag} {value}")
-    assert "--threads" not in err.splitlines()[-1]
+    assert full not in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command, kind",
+                         [key for key in _READS if key[0] != "check"])
+@pytest.mark.parametrize("value", ["1", "2"])
+def test_threads_exits_3_on_every_run(tmp_path, capsys, command, kind,
+                                      value):
+    # weights are evaluated serially; --threads is no flag of any command
+    code, err = _exit(capsys, _flag_argv(tmp_path, command, kind, [])
+                      + ["--threads", value])
+    assert code == 3
+    assert err.startswith(f"usage: llcount {command.split()[0]} [-h]")
+    assert err.splitlines()[-1].endswith(
+        f"error: unrecognized arguments: --threads {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -1248,7 +1246,6 @@ def test_spec_numbers_are_ascii(tmp_path, capsys, command, text, message):
     (["count-sat", "cnf", "--delta", "1_0"], "--delta", "float"),
     (["count-sat", "cnf", "--epsilon", "\u0660.\u0665"], "--epsilon",
      "float"),
-    (["count-sat", "cnf", "--threads", "1_0"], "--threads", "int"),
     (["qsat-general", "projectors", "--mode", "detectability", "--t", "1_0"],
      "--t", "int"),
     (["qsat-general", "projectors", "--mode", "detectability",

@@ -454,7 +454,7 @@ def test_engine_equals_streamed_reference(model, exact):
         got = truncated_expansion(g, oracle, m, exact=exact)
         assert type(got) is type(want)
         assert got == want
-        assert _Roots(g, oracle, m, 1).expansion(exact)[1] == count
+        assert _Roots(g, oracle, m).expansion(exact)[1] == count
 
 
 def _bits(z):
@@ -462,9 +462,8 @@ def _bits(z):
 
 
 @SETTINGS
-@given(engine_models(), st.sampled_from([1, 3]))
-def test_float_sum_is_the_exact_sum_of_the_literal_terms_rounded_once(
-        model, threads):
+@given(engine_models())
+def test_float_sum_is_the_exact_sum_of_the_literal_terms_rounded_once(model):
     # complex weights too: each component's exact sum, rounded once
     g, m, table, labels = model
     bits = _bits(_list_sum(enumerate_clusters(g, m),
@@ -473,14 +472,13 @@ def test_float_sum_is_the_exact_sum_of_the_literal_terms_rounded_once(
         table.__getitem__))
     assert _bits(got) == bits
     for key in (labels, None):
-        got = truncated_expansion(g, WeightOracle(table.__getitem__, key), m,
-                                  threads=threads)
+        got = truncated_expansion(g, WeightOracle(table.__getitem__, key), m)
         assert _bits(got) == bits
 
 
 @SETTINGS
-@given(engine_models(), st.sampled_from([1, 3]))
-def test_float_answer_is_the_exact_answer_rounded(model, threads):
+@given(engine_models())
+def test_float_answer_is_the_exact_answer_rounded(model):
     """On real rational weights the float result is complex(exact result)
     to the bit, through every entry point, with the root memo on and off."""
     g, m, table, labels = model
@@ -498,13 +496,11 @@ def test_float_answer_is_the_exact_answer_rounded(model, threads):
 
     for key in (labels, None):
         oracle = WeightOracle(table.__getitem__, key)
-        assert truncated_expansion(g, oracle, m, threads=threads,
-                                   exact=True) == exact
-        assert _bits(truncated_expansion(g, oracle, m,
-                                         threads=threads)) == bits
+        assert truncated_expansion(g, oracle, m, exact=True) == exact
+        assert _bits(truncated_expansion(g, oracle, m)) == bits
         with_exact, with_float = [approx_partition_function(
-            g, WeightOracle(weight, key), 0.5, 1.0, force=True,
-            threads=threads, exact=mode) for mode in (True, False)]
+            g, WeightOracle(weight, key), 0.5, 1.0, force=True, exact=mode)
+            for mode in (True, False)]
         assert with_float.exact_log is None
         assert _bits(with_float.log_value) == _bits(with_exact.log_value) \
             == _bits(complex(float(with_exact.exact_log)))
@@ -564,8 +560,8 @@ def test_exact_mode_refuses_a_result_that_is_not_real():
 
 
 @SETTINGS
-@given(engine_models(), st.sampled_from([1, 3]))
-def test_exact_sum_is_the_fraction_sum_of_the_literal_terms(model, threads):
+@given(engine_models())
+def test_exact_sum_is_the_fraction_sum_of_the_literal_terms(model):
     g, m, table, labels = model
     assume(not any(isinstance(w, complex) for w in table.values()))
     want = Fraction(0)
@@ -579,7 +575,7 @@ def test_exact_sum_is_the_fraction_sum_of_the_literal_terms(model, threads):
     assert type(got) is Fraction and got == want
     for key in (labels, None):
         got = truncated_expansion(g, WeightOracle(table.__getitem__, key), m,
-                                  threads=threads, exact=True)
+                                  exact=True)
         assert type(got) is Fraction and got == want
 
 
@@ -805,11 +801,10 @@ def _reports(capsys, argv):
     return report
 
 
-def test_reports_do_not_depend_on_the_shape_table_or_threads(
-        tmp_path, capsys, monkeypatch):
+def test_reports_do_not_depend_on_the_shape_table(tmp_path, capsys,
+                                                   monkeypatch):
     """Reports are bit-identical with the shape table cold, warm and emptied
-    at the start of every call, for --threads 1 and 2, and with the CNF root
-    memo on and off."""
+    at the start of every call, and with the CNF root memo on and off."""
     rng = random.Random(2024)
     chain = tmp_path / "chain.cnf"
     f = chain_cnf(rng, 40, k=12, share=6)
@@ -830,19 +825,16 @@ def test_reports_do_not_depend_on_the_shape_table_or_threads(
         assert cold["cluster_count"] > 0
         used = set(shapes.shapes)  # each run makes one engine call
         assert _reports(capsys, argv) == cold  # warm
-        assert _reports(capsys, argv + ["--threads", "2"]) == cold
         with monkeypatch.context() as patch:
             # past a cap of 1 every call starts from an empty table, then
             # holds each of its shapes to its end; a shape past the order
             # cap, which no run uses, shows that the table was emptied
             patch.setattr(shapes, "cap", 1)
-            for threads in ("1", "2"):
-                shapes.shape((0,), llcount.clusters.DEFAULT_MAX_ORDER + 1)
-                assert _reports(capsys, argv + ["--threads", threads]) == cold
-                assert set(shapes.shapes) == used
+            shapes.shape((0,), llcount.clusters.DEFAULT_MAX_ORDER + 1)
+            assert _reports(capsys, argv) == cold
+            assert set(shapes.shapes) == used
         with monkeypatch.context() as patch:
             # the CNF oracle without its labels: every root a miss
             patch.setattr(llcount.cnf, "WeightOracle",
                           lambda fn, labels=None: WeightOracle(fn))
             assert _reports(capsys, argv) == cold
-            assert _reports(capsys, argv + ["--threads", "2"]) == cold

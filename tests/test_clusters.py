@@ -18,7 +18,8 @@ from llcount.errors import HypothesisViolation
 from llcount.graphs import build_graph, enumerate_connected_subgraphs
 from llcount.oracles import brute_force_polymer_z, ursell_bruteforce
 
-from gen import random_graph, random_weight_table, table_oracle
+from gen import (chain_cnf, overlapping_pair, random_graph,
+                 random_weight_table, table_oracle)
 
 P3 = build_graph(3, [(0, 1), (1, 2)])
 K2 = build_graph(2, [(0, 1)])
@@ -278,17 +279,29 @@ def test_the_certificate_uses_the_graphs_max_degree():
         check_weight_condition(cycle, oracle, 1, 0.5, max_degree=0)
 
 
-def test_parallel_weight_evaluation_bit_identical():
-    rng = random.Random(10)
-    for _ in range(5):
-        g = random_graph(rng, 7, 3)
-        table = random_weight_table(rng, g, 0.5)
-        r1 = approx_partition_function(g, table_oracle(table), 0.1, 0.5,
-                                       threads=1)
-        r4 = approx_partition_function(g, table_oracle(table), 0.1, 0.5,
-                                       threads=4)
-        assert r1.value == r4.value
-        assert r1.log_value == r4.log_value
+def test_no_public_function_takes_threads():
+    # the weight pass is serial: a caller's threads= is refused as any
+    # unknown keyword is, before the function runs
+    from llcount.cnf import approx_probability_intersection, count_satisfying
+    from llcount.qsat import (approx_dim_commuting, approx_dim_detectability,
+                              approx_dim_general)
+
+    rng = random.Random(27)
+    f = chain_cnf(rng, 3)
+    ps = overlapping_pair(rng)
+    oracle = WeightOracle(lambda p: 0.01 ** len(p))
+    calls = [(count_satisfying, (f, 0.1, 0.1)),
+             (approx_probability_intersection, (f, 0.1, 0.1)),
+             (approx_dim_commuting, (ps, 0.1, 0.1)),
+             (approx_dim_general, (ps, 0.1, 0.1)),
+             (approx_dim_detectability, (ps, 0.1, 0.1)),
+             (truncated_expansion, (P3, oracle, 2)),
+             (check_weight_condition, (P3, oracle, 2, 0.1)),
+             (approx_partition_function, (P3, oracle, 0.1, 0.1))]
+    for fn, args in calls:
+        with pytest.raises(TypeError,
+                           match="unexpected keyword argument 'threads'"):
+            fn(*args, threads=1)
 
 
 def test_convergence_bound_holds_on_random_models():
@@ -308,49 +321,6 @@ def test_convergence_bound_holds_on_random_models():
 
 def test_weight_decay_threshold_value():
     assert weight_decay_threshold(0.0, 2) == pytest.approx(1 / (5 * math.e))
-
-
-def test_weight_threads_capped_by_cpu_count_and_polymer_count(monkeypatch):
-    # A fake pool records the thread count it is asked for, so a huge
-    # --threads value is tested without starting those threads.  The engine
-    # imports the pool from concurrent.futures where it starts one.
-    import concurrent.futures
-
-    import llcount.clusters as clusters
-
-    requested = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        RecordingPool)
-
-    def run(cpus):
-        monkeypatch.setattr(clusters.os, "cpu_count", lambda: cpus)
-        oracle = WeightOracle(lambda p: 0.01 ** len(p))
-        check_weight_condition(P3, oracle, 3, 0.1, threads=10_000)
-        return truncated_expansion(P3, WeightOracle(lambda p: 0.01 ** len(p)),
-                                   2, threads=10_000)
-
-    serial = truncated_expansion(P3, WeightOracle(lambda p: 0.01 ** len(p)), 2)
-    assert run(4) == serial
-    assert requested == [4, 4]
-    # P3 has 6 connected sets of size <= 3 and 5 of size <= 2
-    assert run(64) == serial
-    assert requested[2:] == [6, 5]
-    assert run(None) == serial
-    assert len(requested) == 4
 
 
 def test_cluster_is_a_named_tuple():

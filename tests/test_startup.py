@@ -1,6 +1,6 @@
 """Start-up footprint: the CNF and table commands never load numpy or the
-projector stack, the CNF commands load no dataclasses, thread pool or spec
-parser, and the package's exports still resolve lazily."""
+projector stack, the CNF commands load no dataclasses, concurrent.futures,
+logging or spec parser, and the package's exports still resolve lazily."""
 
 import json
 import os
@@ -16,8 +16,8 @@ import llcount.projectors
 import llcount.qsat
 
 HEAVY = ("numpy", "llcount.projectors", "llcount.qsat", "llcount.oracles")
-# what a CNF command does not run: record classes, the --threads pool, the
-# spec parser
+# what a CNF command does not run: record classes, a thread pool (and the
+# logging it loads), the spec parser
 LIGHT = ("dataclasses", "inspect", "concurrent.futures", "logging",
          "llcount.formats")
 
